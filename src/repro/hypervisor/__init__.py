@@ -1,7 +1,7 @@
-"""Hypervisor: domains, vCPUs, credit scheduler, cpupools, executors."""
+"""Hypervisor: domains, vCPUs, cpupools, executors (schedulers live in
+:mod:`repro.sched`)."""
 
 from .cpupool import CpuPool
-from .credit import BOOST, OVER, UNDER, CreditScheduler, MicroScheduler
 from .domain import Domain
 from .executor import (
     STOP_IDLE,
@@ -18,15 +18,11 @@ from .vcpu import BLOCKED, RUNNABLE, RUNNING, VCpu
 
 __all__ = [
     "BLOCKED",
-    "BOOST",
     "CpuPool",
-    "CreditScheduler",
     "Domain",
     "HvStats",
     "Hypervisor",
-    "MicroScheduler",
     "NullPolicy",
-    "OVER",
     "PCpu",
     "RUNNABLE",
     "RUNNING",
@@ -36,7 +32,6 @@ __all__ = [
     "STOP_PLE",
     "STOP_PREEMPT",
     "STOP_SLICE",
-    "UNDER",
     "VCpu",
     "YIELD_CAUSES",
     "YIELD_HALT",

@@ -14,9 +14,10 @@ Hot-path notes (this module dominates the engine's per-event cost; see
 * Timer waits yield bare ``int`` delays — the engine's handle-level
   timer wait — instead of allocating a Timeout per chunk. The two
   spellings are byte-identical by construction.
-* Actions dispatch through a class-keyed table (``_GEN_EXEC`` /
-  ``_PLAIN_EXEC``); :meth:`PCpu._dispatch` remains as the fallback for
-  Action subclasses.
+* ``Compute`` and ``Release`` (the bulk of the action mix) run inline
+  in :meth:`PCpu._run`; every other action dispatches through a
+  class-keyed table (``_GEN_EXEC`` / ``_PLAIN_EXEC``). Exact class match
+  only: an action class in neither raises ``SimulationError``.
 * The short fixed-cost charges (world switch, lock release, wake) are
   inlined rather than delegated to a ``_charge`` sub-generator, saving
   a generator frame per action.
@@ -226,10 +227,9 @@ class PCpu:
                 continue
             acls = action.__class__
             if acls is cls_compute:
-                # Inlined _exec_compute (kept in sync with the method,
-                # which still serves the _dispatch subclass fallback):
-                # Compute dominates the action mix, and at this call
-                # rate the generator frame per dispatch is measurable.
+                # Compute runs inline: it dominates the action mix, and
+                # at this call rate a generator frame per dispatch is
+                # measurable.
                 remaining = action.remaining
                 while True:
                     if self.preempt_requested or self.pending_pool is not None:
@@ -272,7 +272,7 @@ class PCpu:
                         break
                     action.remaining = remaining = remaining - progressed
             elif acls is cls_release:
-                # Inlined _exec_release (same sync caveat as above).
+                # Release runs inline for the same reason.
                 lock = action.lock
                 vcpu.current_symbol = action.symbol
                 end = sim._now + 300
@@ -293,10 +293,9 @@ class PCpu:
                     stop = yield from handler(self, vcpu, task, action)
                 else:
                     handler = plain_exec.get(acls)
-                    if handler is not None:
-                        stop = handler(self, vcpu, task, action)
-                    else:
-                        stop = yield from self._dispatch(vcpu, task, action)
+                    if handler is None:
+                        raise SimulationError("unknown action %r" % (action,))
+                    stop = handler(self, vcpu, task, action)
         runtime = sim._now - started
         self.busy_ns += runtime
         vcpu.cache.on_schedule_out(sim._now)
@@ -306,72 +305,8 @@ class PCpu:
         hv.on_deschedule(vcpu, stop, runtime)
 
     # ------------------------------------------------------------------
-    # action dispatch
+    # action handlers
     # ------------------------------------------------------------------
-    def _dispatch(self, vcpu, task, action):
-        """isinstance-chain fallback for Action *subclasses* (the run
-        loop dispatches exact classes through the tables below)."""
-        if isinstance(action, act.Compute):
-            return (yield from self._exec_compute(vcpu, task, action))
-        if isinstance(action, act.Acquire):
-            return (yield from self._exec_acquire(vcpu, task, action))
-        if isinstance(action, act.Release):
-            return (yield from self._exec_release(vcpu, task, action))
-        if isinstance(action, act.Shootdown):
-            return (yield from self._exec_shootdown(vcpu, task, action))
-        if isinstance(action, act.Wake):
-            return (yield from self._exec_wake(vcpu, task, action))
-        if isinstance(action, act.SmpCallSingle):
-            return (yield from self._exec_smp_call(vcpu, task, action))
-        if isinstance(action, act.Sleep):
-            return self._exec_sleep(vcpu, task, action)
-        if isinstance(action, act.GYield):
-            return self._exec_gyield(vcpu, task, action)
-        if isinstance(action, act.Emit):
-            return (yield from self._exec_emit(vcpu, task, action))
-        raise SimulationError("unknown action %r" % (action,))
-
-    def _exec_compute(self, vcpu, task, action):
-        sim = self.sim
-        slice_end = self.slice_end
-        while not action.done:
-            # Inlined deschedule/IRQ checks (the old _should_break).
-            if self.preempt_requested or self.pending_pool is not None:
-                return (STOP_PREEMPT, None)
-            now = sim._now
-            if now >= slice_end:
-                return (STOP_SLICE, None)
-            if task is not None and vcpu.kernel_work:
-                return None
-            remaining = action.remaining
-            if action.user:
-                speed = vcpu.cache.speed(now)
-                want = _ceil(remaining / speed)
-            else:
-                speed = 1.0
-                want = remaining
-            dt = slice_end - now
-            if want < dt:
-                dt = want
-            vcpu.current_symbol = action.symbol
-            interrupted = False
-            try:
-                yield dt
-            except Interrupt:
-                interrupted = True
-            elapsed = sim._now - now
-            if not interrupted and dt == want:
-                progressed = remaining
-            else:
-                progressed = min(remaining, int(elapsed * speed))
-                if progressed == 0 and elapsed > 0:
-                    progressed = min(remaining, 1)
-            action.consume(progressed)
-            if task is not None:
-                task.ran_ns += elapsed
-                task.total_ns += elapsed
-        return None
-
     def _exec_acquire(self, vcpu, task, action):
         sim = self.sim
         lock = action.lock
@@ -448,25 +383,6 @@ class PCpu:
         if action.wait_started is not None:
             kernel = vcpu.domain.kernel
             kernel.record_lock_wait(lock, self.sim.now - action.wait_started, vcpu=vcpu)
-
-    def _exec_release(self, vcpu, task, action):
-        sim = self.sim
-        lock = action.lock
-        vcpu.current_symbol = action.symbol
-        end = sim._now + 300
-        while sim._now < end:
-            try:
-                yield end - sim._now
-            except Interrupt:
-                pass
-        emit = self._trace_release
-        if emit is not None:
-            emit(vcpu=vcpu.name, lock=lock.name)
-        grantee = lock.release(vcpu)
-        if grantee is not None and lock.user_level:
-            self._futex_wake(vcpu, lock, grantee)
-        action.done = True
-        return None
 
     def _futex_wake(self, vcpu, lock, grantee):
         """futex wake: make the sleeping task runnable (cross-vCPU wakes
@@ -592,11 +508,9 @@ class PCpu:
 
 #: Class-keyed dispatch tables for the run loop: generator handlers are
 #: driven with ``yield from``, plain handlers called directly. Exact
-#: class match only — subclasses fall back to :meth:`PCpu._dispatch`.
+#: class match only; Compute and Release are inlined in the run loop.
 _GEN_EXEC = {
-    act.Compute: PCpu._exec_compute,
     act.Acquire: PCpu._exec_acquire,
-    act.Release: PCpu._exec_release,
     act.Shootdown: PCpu._exec_shootdown,
     act.Wake: PCpu._exec_wake,
     act.SmpCallSingle: PCpu._exec_smp_call,

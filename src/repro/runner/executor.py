@@ -15,7 +15,7 @@ call the executor:
    lifetime, shared across calls), or runs them inline when
    ``workers <= 1`` / the pool is unavailable.
 
-Three scheduling refinements over the old per-call ``Pool.map``:
+Three scheduling refinements over a per-call ``Pool.map``:
 
 * **straggler-aware submission** — jobs are submitted longest-first
   using the persisted cost model (:mod:`repro.runner.costmodel`), and
@@ -31,12 +31,10 @@ Three scheduling refinements over the old per-call ``Pool.map``:
 
 ``REPRO_RUNNER_WORKERS`` sets the default pool size (1 = serial,
 ``auto`` = one per CPU); ``REPRO_CACHE=off`` disables result caching;
-``REPRO_RUNNER_POOL=legacy|off`` falls back to the per-call
-``Pool.map`` path or to inline execution. Explicit arguments win over
-all knobs.
+``REPRO_RUNNER_POOL=off`` forces inline execution. Explicit arguments
+win over all knobs.
 """
 
-import multiprocessing
 import os
 import threading
 import time
@@ -46,7 +44,7 @@ from ..errors import ConfigError, WorkerError
 from ..obs import telemetry
 from . import cache as result_cache
 from . import costmodel, pool as pool_mod
-from .jobs import SimJob, run_job
+from .jobs import run_job
 
 #: Executor telemetry: plan-level job accounting (the cache layer
 #: counts hits/misses itself; the pool counts dispatches).
@@ -98,28 +96,6 @@ def default_workers():
             stacklevel=2,
         )
         return 1
-
-
-def _run_job_payload(job_dict):
-    """Worker entry point for the *legacy* per-call pool: rebuild the
-    job spec and simulate it. Module level (not a closure) so the spawn
-    start method can import it."""
-    return run_job(SimJob.from_dict(job_dict))
-
-
-def _pool_map_baseline(jobs, workers):
-    """The pre-persistent-pool execution path: spawn a fresh
-    ``multiprocessing.Pool`` for this one call and ``map`` over it
-    (order-preserving barrier; full interpreter + import + code-salt
-    cost per call). Kept as the measured baseline for
-    ``benchmarks/test_runner_perf.py`` and reachable via
-    ``REPRO_RUNNER_POOL=legacy``."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [run_job(job) for job in jobs]
-    context = multiprocessing.get_context("spawn")
-    processes = min(workers, len(jobs))
-    with context.Pool(processes=processes) as worker_pool:
-        return worker_pool.map(_run_job_payload, [job.to_dict() for job in jobs])
 
 
 def _chunk_size(pending_count, workers):
@@ -183,8 +159,8 @@ def _simulate_inline(pending, use_cache, cache_dir, model, progress):
 
 def _simulate_pending(pending, workers, use_cache, cache_dir, progress=None):
     """Simulate the deduplicated cache-miss jobs; returns ``{key:
-    payload}``. Chooses the persistent pool, the legacy per-call pool,
-    or inline execution based on ``workers`` and ``REPRO_RUNNER_POOL``."""
+    payload}``. Chooses the persistent pool or inline execution based
+    on ``workers`` and ``REPRO_RUNNER_POOL``."""
     if progress is None:
         progress = Progress()
     with _DISPATCH_LOCK:
@@ -195,20 +171,10 @@ def _simulate_pending(pending, workers, use_cache, cache_dir, progress=None):
 
 def _simulate_pending_locked(pending, workers, use_cache, cache_dir, progress):
     model = costmodel.CostModel.load(cache_dir)
-    mode = pool_mod.pool_mode()
     try:
-        if workers <= 1 or len(pending) <= 1 or mode == "off":
-            return _simulate_inline(pending, use_cache, cache_dir, model, progress)
-        if mode == "legacy":
-            payloads = {}
-            computed = _pool_map_baseline([job for job, _key in pending], workers)
-            for (job, key), payload in zip(pending, computed):
-                if use_cache:
-                    result_cache.store(key, job, payload, cache_dir)
-                payloads[key] = payload
-                progress.finish(job.tag)
-            return payloads
-        shared = pool_mod.shared_pool(workers)
+        shared = None
+        if len(pending) > 1:
+            shared = pool_mod.shared_pool(workers)
         if shared is None or shared.running:
             return _simulate_inline(pending, use_cache, cache_dir, model, progress)
         return _simulate_on_pool(
@@ -264,53 +230,6 @@ def _simulate_on_pool(shared, pending, workers, use_cache, cache_dir, model, pro
                 "job %r failed in a worker process:\n%s" % (job.tag, outcome.value)
             )
         payloads[key] = payload
-    return payloads
-
-
-def simulate_jobs(jobs, workers=None, on_job_done=None):
-    """Run bare jobs — no cache probe, no dedup, no cache writes — and
-    return their payload dicts in input order.
-
-    This is the raw fan-out primitive the payload-manifest verifier
-    uses to exercise the persistent pool: payloads travel back through
-    the pipe (payload transport) so the check is independent of the
-    cache. ``on_job_done(index, payload)`` streams completions (input
-    order not guaranteed). Worker failures raise
-    :class:`~repro.errors.WorkerError`."""
-    jobs = list(jobs)
-    if workers is None:
-        workers = default_workers()
-    shared = None
-    if workers > 1 and len(jobs) > 1 and pool_mod.pool_mode() == "persistent":
-        shared = pool_mod.shared_pool(workers)
-        if shared is not None and shared.running:
-            shared = None
-    if shared is None:
-        payloads = []
-        for index, job in enumerate(jobs):
-            payload = run_job(job)
-            if on_job_done is not None:
-                on_job_done(index, payload)
-            payloads.append(payload)
-        return payloads
-
-    def on_result(job_id, outcome):
-        if on_job_done is not None and outcome.kind == "payload":
-            on_job_done(job_id, outcome.value)
-
-    with _DISPATCH_LOCK:
-        outcomes = shared.run(
-            [(job.to_dict(), None, None) for job in jobs],
-            chunk_size=_chunk_size(len(jobs), workers),
-            max_workers=workers,
-            on_result=on_result,
-        )
-    payloads = []
-    for job, outcome in zip(jobs, outcomes):
-        if outcome is None or outcome.kind != "payload":
-            detail = outcome.value if outcome is not None else "no outcome"
-            raise WorkerError("job %r failed in a worker process:\n%s" % (job.tag, detail))
-        payloads.append(outcome.value)
     return payloads
 
 

@@ -70,9 +70,8 @@ MAX_RETRIES = 1
 #: back-to-back without sleeping.
 POLL_SECONDS = 0.2
 
-#: ``REPRO_RUNNER_POOL`` — ``persistent`` (default), ``legacy``
-#: (per-call ``Pool.map``, kept as the benchmark baseline), or ``off``
-#: (inline execution regardless of the worker count).
+#: ``REPRO_RUNNER_POOL`` — ``persistent`` (default) or ``off`` (inline
+#: execution regardless of the worker count).
 ENV_POOL = "REPRO_RUNNER_POOL"
 
 #: Test-only fault hook (see ``_maybe_test_crash``): crash a worker
@@ -81,16 +80,14 @@ ENV_TEST_CRASH = "REPRO_RUNNER_TEST_CRASH"
 
 
 def pool_mode():
-    """The configured execution mode: persistent | legacy | off."""
+    """The configured execution mode: persistent | off."""
     raw = os.environ.get(ENV_POOL, "").strip().lower()
     if raw in ("", "persistent", "on", "1", "true"):
         return "persistent"
-    if raw in ("legacy", "spawn"):
-        return "legacy"
     if raw in ("off", "0", "false", "inline", "no"):
         return "off"
     warnings.warn(
-        "ignoring unknown %s=%r (use persistent | legacy | off)" % (ENV_POOL, raw),
+        "ignoring unknown %s=%r (use persistent | off)" % (ENV_POOL, raw),
         RuntimeWarning,
         stacklevel=2,
     )
@@ -463,7 +460,7 @@ _ATEXIT_REGISTERED = False
 def shared_pool(workers):
     """The process-wide pool, created on first use and grown on demand.
 
-    Returns ``None`` when a pool should not (mode ``off``/``legacy``,
+    Returns ``None`` when a pool should not (mode ``off``,
     ``workers <= 1``) or cannot (spawn failure — warns and degrades)
     be used; callers fall back to inline execution.
     """

@@ -33,6 +33,10 @@ MAX_LINE_BYTES = 16 * 1024
 #: Keep-alive connections idle longer than this are closed.
 IDLE_TIMEOUT_SECONDS = 120.0
 
+#: On stop, in-flight requests get this long to finish before their
+#: connections are cancelled.
+STOP_GRACE_SECONDS = 5.0
+
 #: Reason phrases for the statuses the service emits.
 REASONS = {
     200: "OK",
@@ -244,13 +248,16 @@ class HttpServer:
 
     ``handler`` is ``async handler(request) -> Response|StreamResponse``;
     anything it raises is logged as a 500 (``HttpError`` keeps its
-    status). Connection tasks are tracked so :meth:`stop` can cancel
-    stragglers during drain."""
+    status). Connection tasks are tracked so :meth:`stop` can wait for
+    in-flight requests, and connections waiting for their next request
+    are tracked so :meth:`stop` can close them."""
 
     def __init__(self, handler):
         self._handler = handler
         self._server = None
         self._tasks = set()
+        self._idle = set()  # writers of connections awaiting a request
+        self._stopping = False
 
     async def start(self, host, port):
         self._server = await asyncio.start_server(self._on_connection, host, port)
@@ -272,7 +279,8 @@ class HttpServer:
     async def _serve_connection(self, reader, writer):
         peer = writer.get_extra_info("peername")
         client = peer[0] if isinstance(peer, tuple) else str(peer)
-        while True:
+        while not self._stopping:
+            self._idle.add(writer)
             try:
                 request = await read_request(reader, client)
             except HttpError as err:
@@ -282,6 +290,8 @@ class HttpServer:
                 return
             except (ConnectionError, OSError):
                 return
+            finally:
+                self._idle.discard(writer)
             if request is None:
                 return  # clean EOF
             try:
@@ -298,7 +308,10 @@ class HttpServer:
                 except (ConnectionError, OSError):
                     pass
                 return  # streaming responses close the connection
-            close = request.header("connection", "").lower() == "close"
+            close = (
+                self._stopping
+                or request.header("connection", "").lower() == "close"
+            )
             try:
                 await self._write_response(writer, response, close=close)
             except (ConnectionError, OSError):
@@ -315,10 +328,26 @@ class HttpServer:
         await writer.drain()
 
     async def stop(self):
+        """Stop accepting, end idle keep-alive connections, and let
+        in-flight requests finish (cancelling any still running after
+        :data:`STOP_GRACE_SECONDS`).
+
+        Idle connections are closed rather than cancelled: their pending
+        read sees EOF and the connection task returns normally. On
+        Python 3.11 a cancelled connection task makes asyncio's stream
+        protocol log a ``CancelledError`` traceback."""
+        self._stopping = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._tasks):
-            task.cancel()
+        for writer in list(self._idle):
+            writer.close()
         if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+            _done, stragglers = await asyncio.wait(
+                set(self._tasks), timeout=STOP_GRACE_SECONDS
+            )
+            for task in stragglers:
+                task.cancel()
+            if stragglers:
+                await asyncio.gather(*stragglers, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()

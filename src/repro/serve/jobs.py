@@ -373,7 +373,7 @@ class JobManager:
 
     async def start(self):
         self._loop = asyncio.get_running_loop()
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        self._dispatcher = asyncio.create_task(self._run_waves())
 
     async def stop(self):
         if self._dispatcher is not None:
@@ -524,7 +524,7 @@ class JobManager:
 
     # -- dispatch ------------------------------------------------------
 
-    async def _dispatch_loop(self):
+    async def _run_waves(self):
         while True:
             sub, admission = await self._queue.get()
             wave = [(sub, admission)]

@@ -21,11 +21,9 @@ Hot-path design (see ``docs/performance.md`` for the measurements):
   FIFO order reproduces the exact global ``(time, seq)`` order a single
   heap would give — byte-identical simulations, without paying O(log n)
   sifts (or a handle allocation) for the massed trampoline traffic.
-* The far-term queue is pluggable (``REPRO_SIM_QUEUE``): a C-``heapq``
-  backend (default — smallest constants at host-scale pending counts)
-  or the calendar queue in :mod:`repro.sim.queues` whose bucket drains
-  batch same-deadline expiry for fleet-scale runs. Both honour the same
-  total order, so the choice can never change results.
+* The far-term queue is a plain ``heapq`` list driven by the C
+  functions directly: on the captured real event mix it beats a
+  calendar queue (see ``docs/performance.md`` §2).
 * All same-timestamp far entries dispatch in one drain: the clock is
   advanced once per distinct timestamp, not once per event.
 * Cancelled entries are dropped lazily but compacted whenever garbage
@@ -46,13 +44,11 @@ Hot-path design (see ``docs/performance.md`` for the measurements):
 """
 
 import heapq
-import os
 import types
 from collections import deque
 
 from ..errors import SimulationError
 from .events import Event, Interrupt, Timeout
-from .queues import BACKENDS
 
 #: Compaction kicks in once at least this many cancelled entries are
 #: pending *and* they outnumber the live ones (garbage > half the
@@ -103,29 +99,14 @@ def _entry_live(entry):
 
 
 class Simulator:
-    """Event loop with an integer-nanosecond clock.
+    """Event loop with an integer-nanosecond clock."""
 
-    ``far_queue`` selects the far-term backend: ``"heap"`` (default) or
-    ``"calendar"``; ``None`` reads ``REPRO_SIM_QUEUE`` from the
-    environment. The backend affects performance only — never results.
-    """
-
-    def __init__(self, far_queue=None):
+    def __init__(self):
         self._now = 0
         self._seq = 0
-        if far_queue is None:
-            far_queue = os.environ.get("REPRO_SIM_QUEUE", "heap")
-        if far_queue not in BACKENDS:
-            raise SimulationError(
-                "unknown far-queue backend %r (available: %s)"
-                % (far_queue, ", ".join(sorted(BACKENDS)))
-            )
-        self.far_queue = far_queue
-        #: Far-term entries, (time, seq, handle) tuples. In heap mode
-        #: this is a plain ``heapq`` list so the run loop can use the C
-        #: functions directly; in calendar mode it is a
-        #: :class:`~repro.sim.queues.CalendarQueue`.
-        self._queue = [] if far_queue == "heap" else BACKENDS[far_queue]()
+        #: Far-term entries, (time, seq, handle) tuples, as a ``heapq``
+        #: list.
+        self._queue = []
         #: The now lane: entries due at the current instant, FIFO.
         #: ``(seq, callback, arg, handle_or_None)`` — trampolines from
         #: :meth:`_schedule_now` carry no handle (they are never
@@ -150,10 +131,8 @@ class Simulator:
         handle = _Scheduled(self, callback, arg)
         if delay == 0:
             self._now_lane.append((seq, callback, arg, handle))
-        elif type(self._queue) is list:
-            heapq.heappush(self._queue, (self._now + delay, seq, handle))
         else:
-            self._queue.push((self._now + delay, seq, handle))
+            heapq.heappush(self._queue, (self._now + delay, seq, handle))
         return handle
 
     def _schedule_now(self, callback, arg):
@@ -181,16 +160,13 @@ class Simulator:
         """Execute events until the queue is empty or the clock would pass
         ``until`` (ns). The clock is left at ``until`` if the limit was
         reached, else at the last executed event's time."""
-        if type(self._queue) is list:
-            now = self._run_heap(until)
-        else:
-            now = self._run_far(until)
+        now = self._run(until)
         if until is not None and now < until:
             self._now = now = until
         return now
 
-    def _run_heap(self, until):
-        """The hot loop, specialised for the heapq far-term backend."""
+    def _run(self, until):
+        """The hot loop."""
         queue = self._queue
         lane = self._now_lane
         pop = heapq.heappop
@@ -261,71 +237,6 @@ class Simulator:
             self.executed_events += executed
         return now
 
-    def _run_far(self, until):
-        """Same loop against a queue-backend object (calendar mode)."""
-        queue = self._queue
-        lane = self._now_lane
-        popleft = lane.popleft
-        now = self._now
-        if until is not None and until < now:
-            return now
-        executed = 0
-        try:
-            while True:
-                while True:
-                    entry = queue.peek()
-                    if entry is None:
-                        break
-                    handle = entry[2]
-                    if handle.__class__ is not _Scheduled:
-                        if handle._timer_seq != entry[1]:
-                            queue.pop()  # stale (interrupted) timer
-                            continue
-                        if entry[0] > now:
-                            break
-                        queue.pop()
-                        executed += 1
-                        self._seq = seq = self._seq + 1
-                        nxt = queue.peek()
-                        if lane or (nxt is not None and nxt[0] <= now):
-                            lane.append((seq, handle._timer_cb, None, None))
-                            continue
-                        # Provably-next trampoline: direct dispatch (see
-                        # the heap loop).
-                        executed += 1
-                        handle._timer_cb(None)
-                        continue
-                    if handle.cancelled:
-                        queue.pop()
-                        self._garbage -= 1
-                        continue
-                    if entry[0] > now:
-                        break
-                    queue.pop()
-                    handle.cancelled = True
-                    executed += 1
-                    handle.callback(handle.arg)
-                if lane:
-                    _seq, callback, arg, handle = popleft()
-                    if handle is not None:
-                        if handle.cancelled:
-                            self._garbage -= 1
-                            continue
-                        handle.cancelled = True
-                    executed += 1
-                    callback(arg)
-                    continue
-                entry = queue.peek()
-                if entry is None:
-                    break
-                time = entry[0]
-                if until is not None and time > until:
-                    break
-                self._now = now = time
-        finally:
-            self.executed_events += executed
-        return now
-
     def pending(self):
         """Total queued entries (live + not-yet-released cancelled)."""
         return len(self._queue) + len(self._now_lane)
@@ -342,34 +253,19 @@ class Simulator:
                 continue
             return self._now
         queue = self._queue
-        if type(queue) is list:
-            while queue:
-                entry = queue[0]
-                obj = entry[2]
-                if obj.__class__ is _Scheduled:
-                    if obj.cancelled:
-                        heapq.heappop(queue)
-                        self._garbage -= 1
-                        continue
-                elif obj._timer_seq != entry[1]:
-                    heapq.heappop(queue)  # stale process timer
-                    continue
-                return entry[0]
-            return None
-        while True:
-            entry = queue.peek()
-            if entry is None:
-                return None
+        while queue:
+            entry = queue[0]
             obj = entry[2]
             if obj.__class__ is _Scheduled:
                 if obj.cancelled:
-                    queue.pop()
+                    heapq.heappop(queue)
                     self._garbage -= 1
                     continue
             elif obj._timer_seq != entry[1]:
-                queue.pop()
+                heapq.heappop(queue)  # stale process timer
                 continue
             return entry[0]
+        return None
 
     def _compact(self):
         """Drop every cancelled entry and restore queue invariants.
@@ -383,11 +279,8 @@ class Simulator:
         and drop later-scheduled events.
         """
         queue = self._queue
-        if type(queue) is list:
-            queue[:] = [entry for entry in queue if _entry_live(entry)]
-            heapq.heapify(queue)
-        else:
-            queue.compact()
+        queue[:] = [entry for entry in queue if _entry_live(entry)]
+        heapq.heapify(queue)
         lane = self._now_lane
         if lane:
             live = [
@@ -591,11 +484,7 @@ class Process:
             if target > 0:
                 sim._seq = seq = sim._seq + 1
                 self._timer_seq = seq
-                queue = sim._queue
-                if queue.__class__ is list:
-                    heapq.heappush(queue, (sim._now + target, seq, self))
-                else:
-                    queue.push((sim._now + target, seq, self))
+                heapq.heappush(sim._queue, (sim._now + target, seq, self))
                 self._waiting_on = self
             else:
                 # Zero delay: ride the now lane with a cancellable

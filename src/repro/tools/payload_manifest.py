@@ -14,11 +14,11 @@ Usage::
     python -m repro.tools.payload_manifest --verify --workers 4   # via the pool
     python -m repro.tools.payload_manifest --update   # regenerate (model changes only)
 
-``--workers N`` (default: ``REPRO_RUNNER_WORKERS``) recomputes the
-payloads through the persistent worker pool with payload transport —
-the same fan-out path ``execute()`` uses — so the identity gate also
-proves that pooled execution is byte-clean. Serial and pooled runs
-must (and do) produce identical digests.
+Payloads are recomputed through ``runner.execute`` with the result
+cache off. ``--workers N`` (default: ``REPRO_RUNNER_WORKERS``) fans
+them out over the persistent worker pool with payload transport, so
+the identity gate also proves that pooled execution is byte-clean.
+Serial and pooled runs must (and do) produce identical digests.
 
 The manifest lives at ``tests/data/payload_manifest.json``. Keys are
 the SHA-256 of each job's canonical spec; values carry the payload
@@ -91,34 +91,29 @@ def _entry(job, tags, payload):
 def compute_entries(jobs, workers=None, progress=None):
     """``{spec_sha: manifest entry}`` for every job in ``jobs``
     (a ``unique_jobs``-shaped mapping), computed serially or fanned out
-    over the persistent worker pool (``workers > 1``). Progress streams
-    in completion order; the result is deterministic either way."""
-    from ..runner.executor import simulate_jobs
+    over the persistent worker pool (``workers > 1``). The result cache
+    is bypassed, so pooled payloads travel back through the pipe.
+    Progress streams in completion order; the result is deterministic
+    either way."""
+    from .. import runner
 
     ordered = sorted(jobs.items())
-    state = {"done": 0}
+    label = {job.tag: tags[0] for _key, (job, tags) in ordered}
 
-    def on_job_done(index, _payload):
-        state["done"] += 1
-        if progress is not None:
-            progress(state["done"], len(ordered), ordered[index][1][1][0])
+    def on_progress(event, tag, done, total):
+        if event == "done" and progress is not None:
+            progress(done, total, label[tag])
 
-    payloads = simulate_jobs(
+    results = runner.execute(
         [job for _key, (job, _tags) in ordered],
         workers=workers,
-        on_job_done=on_job_done,
+        cache=False,
+        progress=on_progress,
     )
     return {
-        key: _entry(job, tags, payload)
-        for (key, (job, tags)), payload in zip(ordered, payloads)
+        key: _entry(job, tags, results[job.tag].to_dict())
+        for key, (job, tags) in ordered
     }
-
-
-def compute_entry(job, tags):
-    """Single-job manifest entry (serial path)."""
-    from ..runner.jobs import run_job
-
-    return _entry(job, tags, run_job(job))
 
 
 def generate(scale=MANIFEST_SCALE, workers=None, progress=None):

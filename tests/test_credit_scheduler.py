@@ -4,7 +4,7 @@ boost, yield flag, stealing, accounting)."""
 import pytest
 
 from repro.errors import SchedulerError
-from repro.hypervisor.credit import BOOST, OVER, UNDER, CreditScheduler, MicroScheduler
+from repro.sched import BOOST, OVER, UNDER, CreditScheduler, MicroScheduler
 from repro.sim.engine import Simulator
 from repro.sim.time import ms
 

@@ -8,7 +8,7 @@ from repro.experiments.scenarios import corun_scenario, mixed_io_scenario
 from repro.guest.actions import Compute, Sleep
 from repro.guest.waitqueue import WaitQueue
 from repro.hypervisor.cpupool import CpuPool
-from repro.hypervisor.credit import MicroScheduler
+from repro.sched import MicroScheduler
 from repro.sim.engine import Simulator
 from repro.sim.time import ms, us
 

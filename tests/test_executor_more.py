@@ -4,6 +4,7 @@ import pytest
 
 from repro.guest.actions import Compute, Emit, Sleep, SmpCallSingle, Wake
 from repro.guest.waitqueue import WaitQueue
+from repro.errors import SimulationError
 from repro.sim.engine import Interrupt, Simulator
 from repro.sim.time import ms, us
 
@@ -153,14 +154,32 @@ class TestComputePartialProgress:
         assert ms(80) <= finished["at"] <= ms(200)
 
 
+class TestUnknownAction:
+    def test_action_subclass_is_rejected(self):
+        # Dispatch is by exact class: a subclass of a known action is
+        # not silently run as its parent.
+        class CustomCompute(Compute):
+            pass
+
+        sim, hv = make_hv(num_pcpus=1)
+        domain = make_domain(hv, vcpus=1)
+
+        def program():
+            yield CustomCompute(us(10))
+
+        spawn_task(domain.vcpus[0], program)
+        hv.start()
+        with pytest.raises(SimulationError, match="unknown action"):
+            sim.run(until=ms(1))
+
+
 class TestPeekCompactInteraction:
     """``Simulator.peek()`` releases cancelled heads as a side effect,
     and ``_compact()`` can fire mid-run from inside a callback. Both
     must keep ``_garbage`` exact and never lose a live event."""
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
-    def test_peek_releases_cancelled_far_heads_exactly(self, backend):
-        sim = Simulator(far_queue=backend)
+    def test_peek_releases_cancelled_far_heads_exactly(self):
+        sim = Simulator()
         victims = [sim.schedule(10 + i, lambda _a: None) for i in range(3)]
         sim.schedule(50, lambda _a: None)
         for handle in victims:
@@ -184,13 +203,12 @@ class TestPeekCompactInteraction:
         assert sim._garbage == 0
         assert sim.pending() == 1
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
-    def test_peek_skips_stale_timer_waits_without_garbage(self, backend):
+    def test_peek_skips_stale_timer_waits_without_garbage(self):
         # Handle-free timer waits (a process yielding a bare int) are
         # invalidated by revoking the arm token, never via cancel(), so
         # they must not contribute to _garbage -- and peek() must not
         # decrement it when it releases one.
-        sim = Simulator(far_queue=backend)
+        sim = Simulator()
 
         def sleeper():
             try:
@@ -209,14 +227,13 @@ class TestPeekCompactInteraction:
         assert sim.peek() == 50
         assert sim._garbage == 0
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
-    def test_midrun_compaction_keeps_later_same_time_events(self, backend):
+    def test_midrun_compaction_keeps_later_same_time_events(self):
         # A callback cancels enough handles to trigger _compact() while
         # the run loop is mid-drain at this instant. Later same-time
         # events -- a far sibling already popped into the lane and two
         # zero-delay follow-ups scheduled by the callback itself -- must
         # all still fire, in order.
-        sim = Simulator(far_queue=backend)
+        sim = Simulator()
         fired = []
         victims = [sim.schedule(100 + i, lambda _a: None) for i in range(20)]
         doomed = {}

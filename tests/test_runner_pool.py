@@ -72,16 +72,18 @@ class TestPoolMode:
 
     @pytest.mark.parametrize(
         "raw,mode",
-        [("legacy", "legacy"), ("off", "off"), ("persistent", "persistent")],
+        [("off", "off"), ("persistent", "persistent")],
     )
     def test_explicit_modes(self, monkeypatch, raw, mode):
         monkeypatch.setenv(pool_mod.ENV_POOL, raw)
         assert pool_mod.pool_mode() == mode
 
     def test_unknown_mode_warns(self, monkeypatch):
-        monkeypatch.setenv(pool_mod.ENV_POOL, "warp9")
-        with pytest.warns(RuntimeWarning, match="warp9"):
-            assert pool_mod.pool_mode() == "persistent"
+        # "legacy" named the per-call Pool.map path, which is gone.
+        for raw in ("warp9", "legacy"):
+            monkeypatch.setenv(pool_mod.ENV_POOL, raw)
+            with pytest.warns(RuntimeWarning, match=raw):
+                assert pool_mod.pool_mode() == "persistent"
 
 
 class TestPersistentPool:

@@ -11,11 +11,17 @@ has its own suite.
 
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs import telemetry
 from repro.runner.jobs import SimJob, run_job
 from repro.serve import ServeConfig, ValidationError, start_in_thread
@@ -528,6 +534,40 @@ class TestDrain:
             assert (cache_dir / "meta" / "telemetry.json").exists()
         finally:
             handle.stop()
+
+    def test_sigterm_with_idle_keepalive_exits_cleanly(self, tmp_path):
+        # An idle keep-alive connection is open when SIGTERM lands: the
+        # server must end it and exit 0 without a traceback.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", "1"],
+            cwd=str(tmp_path), env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on http://" in line, line
+            host, port = line.split("http://")[1].split()[0].rsplit(":", 1)
+            conn = http.client.HTTPConnection(host, int(port), timeout=30)
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200
+            assert resp.getheader("Connection") == "keep-alive"
+            proc.send_signal(signal.SIGTERM)
+            _out, err = proc.communicate(timeout=60)
+            conn.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "Traceback" not in err, err
 
 
 @pytest.mark.slow
