@@ -20,6 +20,7 @@ from .core.policy import PolicySpec
 from .errors import FaultError, ReproError
 from .experiments import common, corun_scenario, registry, solo_scenario
 from .metrics.report import render_table
+from .obs import telemetry
 from .sched import registry as sched_registry
 from .sim.time import ms
 from .workloads import registry as workload_registry
@@ -153,6 +154,7 @@ def _cmd_run(args):
     finally:
         if progress is not None:
             progress.close()
+    telemetry.persist()
     for index, name in enumerate(outcome):
         if len(outcome) > 1:
             if index:
@@ -191,6 +193,7 @@ def _cmd_fleet(args):
     finally:
         if progress is not None:
             progress.close()
+    telemetry.persist()
     if args.json:
         print(json.dumps(results, indent=2, sort_keys=True))
     else:
@@ -232,8 +235,6 @@ def _cmd_analyze(args):
 
 
 def _cmd_telemetry(args):
-    from .obs import telemetry
-
     if args.file:
         snap, where = telemetry.load_persisted(path=args.file), args.file
     else:

@@ -373,20 +373,11 @@ def diff_dict(path_a, path_b):
 
 def diff_files(path_a, path_b):
     """Compare two trace files kind by kind, per job label."""
-    a = analyze_file(path_a)
-    b = analyze_file(path_b)
     sections = []
-    for job in sorted(set(a) | set(b)):
-        counts_a = a[job].counts if job in a else {}
-        counts_b = b[job].counts if job in b else {}
-        rows = []
-        for kind in sorted(set(counts_a) | set(counts_b)):
-            left = counts_a.get(kind, 0)
-            right = counts_b.get(kind, 0)
-            if left != right:
-                rows.append([kind, left, right, right - left])
+    for job, deltas in diff_dict(path_a, path_b).items():
         title = "job %s" % (job or "(unlabelled)")
-        if rows:
+        if deltas:
+            rows = [[kind, d["a"], d["b"], d["delta"]] for kind, d in deltas.items()]
             sections.append(
                 render_table(["event", "a", "b", "delta"], rows, title=title)
             )

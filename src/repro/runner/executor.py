@@ -30,9 +30,8 @@ Three scheduling refinements over a per-call ``Pool.map``:
   worker that computed it).
 
 ``REPRO_RUNNER_WORKERS`` sets the default pool size (1 = serial,
-``auto`` = one per CPU); ``REPRO_CACHE=off`` disables result caching;
-``REPRO_RUNNER_POOL=off`` forces inline execution. Explicit arguments
-win over all knobs.
+inline execution; ``auto`` = one per CPU); ``REPRO_CACHE=off`` disables
+result caching. Explicit arguments win over all knobs.
 """
 
 import os
@@ -160,7 +159,7 @@ def _simulate_inline(pending, use_cache, cache_dir, model, progress):
 def _simulate_pending(pending, workers, use_cache, cache_dir, progress=None):
     """Simulate the deduplicated cache-miss jobs; returns ``{key:
     payload}``. Chooses the persistent pool or inline execution based
-    on ``workers`` and ``REPRO_RUNNER_POOL``."""
+    on ``workers``."""
     if progress is None:
         progress = Progress()
     with _DISPATCH_LOCK:
@@ -294,11 +293,9 @@ def execute_many(plans, workers=None, cache=None, cache_dir=None, progress=None)
     gmake co-run baseline shared by fig4, table2, and table4a costs
     one simulation for the whole batch.
 
-    On completion the process's merged telemetry snapshot (pool, cache,
-    cost model, engine totals — worker registries included) is
-    persisted next to the result cache for ``repro telemetry``; the
-    write is best-effort and independent of whether result caching is
-    enabled.
+    Worker telemetry deltas merge into this process's registry; the
+    commands that own a run (``repro run``, ``repro fleet``, ``repro
+    serve`` at drain) persist it once for ``repro telemetry``.
     """
     from ..experiments.results import RunResult
 
@@ -318,7 +315,6 @@ def execute_many(plans, workers=None, cache=None, cache_dir=None, progress=None)
         payloads.update(
             _simulate_pending(pending, workers, use_cache, cache_dir, tracker)
         )
-    telemetry.persist(cache_dir)
     return {
         name: {job.tag: RunResult.from_dict(payloads[key]) for job, key in pairs}
         for name, pairs in keyed.items()

@@ -21,9 +21,9 @@ every ``execute()`` call and experiment:
   timeouts), respawned, and its in-flight chunk retried up to
   :data:`MAX_RETRIES` times before the job surfaces a
   :class:`~repro.errors.WorkerError`;
-* anything that prevents spawning at all (``REPRO_RUNNER_POOL=off``,
-  a sandboxed environment refusing ``fork``/``spawn``) degrades to
-  inline execution in the caller, never to a crash.
+* anything that prevents spawning at all (a sandboxed environment
+  refusing ``fork``/``spawn``) degrades to inline execution in the
+  caller, never to a crash.
 
 The module-level singleton (:func:`shared_pool`) is what the executor
 uses; :class:`WorkerPool` itself is also usable standalone (the
@@ -70,28 +70,9 @@ MAX_RETRIES = 1
 #: back-to-back without sleeping.
 POLL_SECONDS = 0.2
 
-#: ``REPRO_RUNNER_POOL`` — ``persistent`` (default) or ``off`` (inline
-#: execution regardless of the worker count).
-ENV_POOL = "REPRO_RUNNER_POOL"
-
 #: Test-only fault hook (see ``_maybe_test_crash``): crash a worker
 #: deterministically when it picks up a given job tag.
 ENV_TEST_CRASH = "REPRO_RUNNER_TEST_CRASH"
-
-
-def pool_mode():
-    """The configured execution mode: persistent | off."""
-    raw = os.environ.get(ENV_POOL, "").strip().lower()
-    if raw in ("", "persistent", "on", "1", "true"):
-        return "persistent"
-    if raw in ("off", "0", "false", "inline", "no"):
-        return "off"
-    warnings.warn(
-        "ignoring unknown %s=%r (use persistent | off)" % (ENV_POOL, raw),
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return "persistent"
 
 
 def _maybe_test_crash(tag):
@@ -226,8 +207,8 @@ class WorkerPool:
 
     # -- lifecycle ----------------------------------------------------
 
-    def _spawn_worker(self):
-        index = len(self._workers)
+    def _start_process(self, index):
+        """Start one worker process; returns ``(process, task_queue)``."""
         task_queue = self._ctx.Queue()
         process = self._ctx.Process(
             target=_worker_main,
@@ -236,23 +217,18 @@ class WorkerPool:
             name="repro-worker-%d" % index,
         )
         process.start()
-        self._workers.append(_Worker(index, process, task_queue))
+        return process, task_queue
+
+    def _spawn_worker(self):
+        index = len(self._workers)
+        self._workers.append(_Worker(index, *self._start_process(index)))
         _SPAWNED.inc()
         _SIZE.set(len(self._workers))
         return self._workers[-1]
 
     def _respawn(self, worker):
         """Replace a dead worker in place (same index, fresh process)."""
-        task_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(worker.index, task_queue, self._result_queue),
-            daemon=True,
-            name="repro-worker-%d" % worker.index,
-        )
-        process.start()
-        worker.process = process
-        worker.task_queue = task_queue
+        worker.process, worker.task_queue = self._start_process(worker.index)
         worker.chunk = None
         _RESPAWNED.inc()
 
@@ -460,12 +436,12 @@ _ATEXIT_REGISTERED = False
 def shared_pool(workers):
     """The process-wide pool, created on first use and grown on demand.
 
-    Returns ``None`` when a pool should not (mode ``off``,
-    ``workers <= 1``) or cannot (spawn failure — warns and degrades)
-    be used; callers fall back to inline execution.
+    Returns ``None`` when a pool should not (``workers <= 1``) or
+    cannot (spawn failure — warns and degrades) be used; callers fall
+    back to inline execution.
     """
     global _SHARED, _ATEXIT_REGISTERED
-    if workers <= 1 or pool_mode() != "persistent":
+    if workers <= 1:
         return None
     if _SHARED is not None and _SHARED.alive:
         if _SHARED.size < workers:

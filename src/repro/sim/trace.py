@@ -15,8 +15,9 @@ filter checks, or schema validation. Tracer configuration (``enabled``
 and the kind filter) is fixed at construction, which is what makes
 hoisting the handle safe. Schema validation against
 :mod:`repro.obs.schema` is a *debug-mode* feature (``debug=True`` or
-``REPRO_TRACE_DEBUG=1``) — the CI trace-smoke jobs run with it on, so
-emit-site drift is still caught without taxing every hot run.
+``REPRO_TRACE_DEBUG=1``) — ``scripts/ci_smoke.sh`` runs its traced
+run with it on, so emit-site drift is still caught without taxing every
+hot run.
 
 Drop accounting is tracer-lifetime exact: ``dropped + len(records) ==
 seq`` always holds — records pushed out of a bounded ring *and*

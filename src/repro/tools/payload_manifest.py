@@ -10,7 +10,7 @@ never for a performance PR.
 
 Usage::
 
-    python -m repro.tools.payload_manifest --verify   # CI hash-identity job
+    python -m repro.tools.payload_manifest --verify   # as in scripts/ci_smoke.sh
     python -m repro.tools.payload_manifest --verify --workers 4   # via the pool
     python -m repro.tools.payload_manifest --update   # regenerate (model changes only)
 

@@ -2,7 +2,7 @@
 orchestrator, seed splitting, and registry/CLI wiring.
 
 The full-size ordering run (informed placement beats random on the
-fleet p99 vIRQ tail) lives in CI's fleet-smoke job and
+fleet p99 vIRQ tail) lives in ``scripts/ci_smoke.sh`` and
 ``benchmarks/test_fleet_perf.py``; here the DES-running tests stay
 tiny and assert *determinism* and *mechanism*, not magnitudes.
 """

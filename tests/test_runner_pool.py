@@ -65,27 +65,6 @@ class TestDefaultWorkers:
             assert executor_mod.default_workers() == 1
 
 
-class TestPoolMode:
-    def test_default_is_persistent(self, monkeypatch):
-        monkeypatch.delenv(pool_mod.ENV_POOL, raising=False)
-        assert pool_mod.pool_mode() == "persistent"
-
-    @pytest.mark.parametrize(
-        "raw,mode",
-        [("off", "off"), ("persistent", "persistent")],
-    )
-    def test_explicit_modes(self, monkeypatch, raw, mode):
-        monkeypatch.setenv(pool_mod.ENV_POOL, raw)
-        assert pool_mod.pool_mode() == mode
-
-    def test_unknown_mode_warns(self, monkeypatch):
-        # "legacy" named the per-call Pool.map path, which is gone.
-        for raw in ("warp9", "legacy"):
-            monkeypatch.setenv(pool_mod.ENV_POOL, raw)
-            with pytest.warns(RuntimeWarning, match=raw):
-                assert pool_mod.pool_mode() == "persistent"
-
-
 class TestPersistentPool:
     def test_pool_reused_across_execute_calls(self, tmp_path):
         first = execute([_job("a", 1), _job("b", 2)], workers=2, cache=False)
@@ -126,10 +105,9 @@ class TestPersistentPool:
         execute([_job("c", 3), _job("d", 4), _job("e", 5)], workers=3, cache=False)
         assert pool_mod._SHARED.size == max(size_before, 3)
 
-    def test_mode_off_never_spawns(self, monkeypatch):
-        monkeypatch.setenv(pool_mod.ENV_POOL, "off")
+    def test_single_worker_never_spawns(self):
         pool_mod.shutdown_shared()
-        results = execute([_job("a", 1), _job("b", 2)], workers=2, cache=False)
+        results = execute([_job("a", 1), _job("b", 2)], workers=1, cache=False)
         assert pool_mod._SHARED is None
         assert set(results) == {"a", "b"}
 

@@ -318,11 +318,16 @@ class TestRunTelemetry:
         assert snap["counters"]["pool.jobs_dispatched"] == 2
         assert snap["counters"]["pool.jobs_failed"] == 0
 
-    def test_run_persists_snapshot_for_cli(self, tmp_path):
+    def test_run_persists_snapshot_for_cli(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cache.ENV_DIR, str(tmp_path))
+        # The command persists once; a bare execute() writes nothing.
         execute(_plan(), workers=1, cache=False, cache_dir=tmp_path)
+        assert not telemetry.snapshot_path(tmp_path).exists()
+        assert cli.main(["run", "table4a", "--scale", "0.02", "--no-cache"]) == 0
+        capsys.readouterr()
         loaded = telemetry.load_persisted(cache_dir=tmp_path)
         assert loaded is not None
-        assert loaded["counters"]["engine.jobs_simulated"] == 2
+        assert loaded["counters"]["engine.jobs_simulated"] > 2
 
     def test_progress_events_cold_and_warm(self, tmp_path):
         events = []
