@@ -6,15 +6,15 @@ micro-sliced pool avoids. The experiment's own ``checks`` dict encodes
 the paper-shaped ordering; this benchmark asserts all of them.
 """
 
-from repro.experiments import baselines
+from repro.experiments import baselines, registry
 
 from conftest import emit
 
 
 class TestBaselines:
     def test_paper_shaped_ordering(self, once):
-        results = once(baselines.run)
-        emit(baselines.format_result(results))
+        results, text = once(registry.run, "baselines")
+        emit(text)
         checks = results["checks"]
         failed = sorted(name for name, ok in checks.items() if not ok)
         assert not failed, "paper-shaped ordering violated: %s" % ", ".join(failed)

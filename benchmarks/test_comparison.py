@@ -1,14 +1,14 @@
 """Benchmark quantifying Table 1 (our scheme vs prior approaches)."""
 
-from repro.experiments import table1
+from repro.experiments import registry
 
 from conftest import emit
 
 
 class TestTable1:
     def test_table1_scheme_comparison(self, once):
-        results = once(table1.run)
-        emit(table1.format_result(results))
+        results, text = once(registry.run, "table1")
+        emit(text)
         ours = results["microsliced"]
         # Our scheme helps all three symptom classes.
         assert ours["lock_x"] > 1.3

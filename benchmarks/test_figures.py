@@ -1,14 +1,14 @@
 """Benchmarks regenerating the paper's figures (4-9)."""
 
-from repro.experiments import fig4, fig5, fig6, fig7, fig8, fig9
+from repro.experiments import fig9, registry
 
 from conftest import emit
 
 
 class TestFig4:
     def test_fig4_core_count_sweep(self, once):
-        results = once(fig4.run)
-        emit(fig4.format_result(results))
+        results, text = once(registry.run, "fig4")
+        emit(text)
         # TLB-bound workloads: one micro core is not enough (it cannot
         # serve eleven shootdown recipients with a one-slot runqueue);
         # three cores give a clear win. The paper's Figure 4 shows the
@@ -26,8 +26,8 @@ class TestFig4:
 
 class TestFig5:
     def test_fig5_throughput_improvements(self, once):
-        results = once(fig5.run)
-        emit(fig5.format_result(results))
+        results, text = once(registry.run, "fig5")
+        emit(text)
         # exim: large improvement already at one micro-sliced core
         # (paper: 3.9x).
         assert results["exim"][1]["improvement"] > 1.5
@@ -38,8 +38,8 @@ class TestFig5:
 
 class TestFig6:
     def test_fig6_static_vs_dynamic(self, once):
-        results = once(fig6.run)
-        emit(fig6.format_result(results))
+        results, text = once(registry.run, "fig6")
+        emit(text)
         for kind, runs in results.items():
             assert runs["static"]["improvement"] > 0.9, kind
         # Dynamic beats the baseline for the workloads with strong
@@ -50,8 +50,8 @@ class TestFig6:
 
 class TestFig7:
     def test_fig7_yield_decomposition(self, once):
-        results = once(fig7.run)
-        emit(fig7.format_result(results))
+        results, text = once(registry.run, "fig7")
+        emit(text)
         # The static scheme cuts total yields for the TLB-storm
         # workloads (the dominant ipi cause shrinks).
         for kind in ("dedup", "vips"):
@@ -66,8 +66,8 @@ class TestFig7:
 
 class TestFig8:
     def test_fig8_unaffected_workloads(self, once):
-        results = once(fig8.run)
-        emit(fig8.format_result(results))
+        results, text = once(registry.run, "fig8")
+        emit(text)
         overheads = [entry["overhead_pct"] for entry in results.values()]
         # Paper: ~2-3% average overhead; allow modest noise per workload.
         assert sum(overheads) / len(overheads) < 8.0
@@ -76,8 +76,8 @@ class TestFig8:
 
 class TestFig9:
     def test_fig9_mixed_io(self, once):
-        results = once(fig9.run)
-        emit(fig9.format_result(results))
+        results, text = once(registry.run, "fig9")
+        emit(text)
         for mode in fig9.MODES:
             base = results[mode]["baseline"]
             micro = results[mode]["microsliced"]

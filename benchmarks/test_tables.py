@@ -1,14 +1,14 @@
 """Benchmarks regenerating the paper's tables (2, 4a, 4b, 4c)."""
 
-from repro.experiments import table2, table4a, table4b, table4c
+from repro.experiments import registry, table2, table4b
 
 from conftest import emit
 
 
 class TestTable2:
     def test_table2_yield_inflation(self, once):
-        results = once(table2.run)
-        emit(table2.format_result(results))
+        results, text = once(registry.run, "table2")
+        emit(text)
         # Shape: per unit of completed work, consolidation inflates
         # yields by 1-2 orders of magnitude (the paper's counts are per
         # complete benchmark run, i.e. per fixed amount of work).
@@ -20,8 +20,8 @@ class TestTable2:
 
 class TestTable4a:
     def test_table4a_gmake_lock_waits(self, once):
-        results = once(table4a.run)
-        emit(table4a.format_result(results))
+        results, text = once(registry.run, "table4a")
+        emit(text)
         # Shape: microsecond-scale solo, 100x+ inflation on the hottest
         # class under co-run.
         solo = [entry["solo_us"] for entry in results.values() if entry["solo_count"]]
@@ -36,8 +36,8 @@ class TestTable4a:
 
 class TestTable4b:
     def test_table4b_tlb_sync_latency(self, once):
-        results = once(table4b.run)
-        emit(table4b.format_result(results))
+        results, text = once(registry.run, "table4b")
+        emit(text)
         for kind in table4b.WORKLOADS:
             solo_avg = results[kind]["solo"]["avg"]
             corun_avg = results[kind]["corun"]["avg"]
@@ -48,8 +48,8 @@ class TestTable4b:
 
 class TestTable4c:
     def test_table4c_iperf_solo_vs_mixed(self, once):
-        results = once(table4c.run)
-        emit(table4c.format_result(results))
+        results, text = once(registry.run, "table4c")
+        emit(text)
         solo = results["solo"]
         mixed = results["mixed"]
         assert solo["throughput_mbps"] > mixed["throughput_mbps"] * 1.2

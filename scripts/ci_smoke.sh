@@ -210,7 +210,10 @@ assert kinds[0] == "queued" and kinds[-1] == "done", kinds
 assert "progress" in kinds, kinds
 EOF
 
-step "serve: repeat submission is a cache hit"
+step "serve: repeat submission is a cache hit, same text as repro run"
+# One pipeline: the CLI replays the served run's cache entries and must
+# render the very same table.
+repro run fig7 --scale 0.02 > fig7_cli.txt
 python - "$BASE" <<'EOF'
 import json, sys, urllib.request
 body = json.dumps({"experiment": "fig7", "scale": 0.02}).encode()
@@ -220,6 +223,7 @@ with urllib.request.urlopen(req, timeout=60) as resp:
     assert resp.headers["X-Repro-Cache"] == "hit"
     job = json.load(resp)
 assert job["state"] == "done" and job["result"], job["state"]
+assert job["result"]["formatted"] + "\n" == open("fig7_cli.txt").read()
 EOF
 
 step "serve: /metrics validates"

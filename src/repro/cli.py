@@ -167,37 +167,36 @@ def _cmd_run(args):
 
 
 def _cmd_fleet(args):
-    from .experiments import fleet as fleet_experiment
     from .fleet import placement as fleet_placement
 
     if args.policies is None:
         policies = fleet_placement.available()
     else:
         policies = [name for name in args.policies.split(",") if name]
+    prepared = registry.prepare(
+        "fleet",
+        scheduler=args.scheduler,
+        seed=args.seed,
+        scale_override=args.scale,
+        policies=policies,
+        hosts=args.hosts,
+        epochs=args.epochs,
+        rate=args.rate,
+        overcommit=args.overcommit,
+        migration_cost_ms=args.migration_cost_ms,
+    )
     progress = _ProgressLine() if args.progress else None
     try:
-        results = fleet_experiment.drive(
+        results, text = prepared.drive(
             workers=args.workers,
             cache=False if args.no_cache else None,
             progress=progress,
-            seed=args.seed,
-            scale_override=args.scale,
-            scheduler=args.scheduler,
-            policies=policies,
-            hosts=args.hosts,
-            epochs=args.epochs,
-            rate=args.rate,
-            overcommit=args.overcommit,
-            migration_cost_ms=args.migration_cost_ms,
         )
     finally:
         if progress is not None:
             progress.close()
     telemetry.persist()
-    if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
-    else:
-        print(fleet_experiment.format_result(results))
+    print(json.dumps(results, indent=2, sort_keys=True) if args.json else text)
     return 0
 
 

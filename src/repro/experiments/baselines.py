@@ -27,7 +27,7 @@ assertions; the full-scale benchmark test requires them all true.
 import math
 
 from ..metrics.report import render_table
-from ..runner import SimJob, execute, static_policy
+from ..runner import SimJob, static_policy
 from . import common
 from .table2 import WORKLOADS
 
@@ -242,10 +242,6 @@ def _checks(out):
         checks["micro_pool_improves_target"] = micro["target_x"] > 1.0
         checks["micro_pool_no_gang_idle"] = micro["gang_idles"] == 0
     return checks
-
-
-def run(seed=42, scale_override=None):
-    return reduce(execute(plan(seed=seed, scale_override=scale_override)))
 
 
 def format_result(results):

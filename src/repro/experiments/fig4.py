@@ -13,7 +13,7 @@ Paper shapes to reproduce:
 """
 
 from ..metrics.report import render_table
-from ..runner import SimJob, baseline_policy, execute, static_policy
+from ..runner import SimJob, baseline_policy, static_policy
 from . import common
 
 WORKLOADS = ("gmake", "memclone", "dedup", "vips")
@@ -40,7 +40,10 @@ def plan(seed=42, scale_override=None, workloads=WORKLOADS, core_counts=DEFAULT_
 
 
 def reduce(results):
-    """Fold ``{tag: RunResult}`` into the historical ``run()`` shape.
+    """Fold ``{tag: RunResult}`` into ``{workload: {cores: {"target":
+    norm_time, "corunner": norm_time, "target_rate": r,
+    "corunner_rate": r}}}``, where normalized execution time is
+    relative to the 0-core baseline.
 
     Order-independent: the 0-core baselines are collected in a first
     pass so the result does not depend on the executor returning jobs
@@ -66,22 +69,6 @@ def reduce(results):
             "corunner": common.normalized_time(base_corunner, corunner_rate),
         }
     return out
-
-
-def run(seed=42, scale_override=None, workloads=WORKLOADS, core_counts=DEFAULT_CORE_COUNTS):
-    """Returns ``{workload: {cores: {"target": norm_time, "corunner":
-    norm_time, "target_rate": r, "corunner_rate": r}}}`` where
-    normalized execution time is relative to the 0-core baseline."""
-    return reduce(
-        execute(
-            plan(
-                seed=seed,
-                scale_override=scale_override,
-                workloads=workloads,
-                core_counts=core_counts,
-            )
-        )
-    )
 
 
 def best_core_count(per_cores):

@@ -7,7 +7,7 @@ cost; psearchy improves ~1.4x.
 """
 
 from ..metrics.report import render_table
-from ..runner import SimJob, baseline_policy, execute, static_policy
+from ..runner import SimJob, baseline_policy, static_policy
 from . import common
 
 WORKLOADS = ("exim", "psearchy")
@@ -56,19 +56,6 @@ def reduce(results):
             "corunner": common.normalized_time(base_corunner, corunner_rate),
         }
     return out
-
-
-def run(seed=42, scale_override=None, workloads=WORKLOADS, core_counts=DEFAULT_CORE_COUNTS):
-    return reduce(
-        execute(
-            plan(
-                seed=seed,
-                scale_override=scale_override,
-                workloads=workloads,
-                core_counts=core_counts,
-            )
-        )
-    )
 
 
 def format_result(results):

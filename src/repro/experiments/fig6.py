@@ -8,7 +8,7 @@ occasionally better) and always beats the baseline.
 """
 
 from ..metrics.report import render_table
-from ..runner import SimJob, execute
+from ..runner import SimJob
 from . import common
 
 WORKLOADS = ("gmake", "memclone", "dedup", "vips", "exim", "psearchy")
@@ -49,10 +49,6 @@ def reduce(results):
         for label in runs:
             runs[label]["improvement"] = common.improvement(base, runs[label]["target_rate"])
     return out
-
-
-def run(seed=42, scale_override=None, workloads=WORKLOADS):
-    return reduce(execute(plan(seed=seed, scale_override=scale_override, workloads=workloads)))
 
 
 def format_result(results):

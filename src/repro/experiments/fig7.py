@@ -11,7 +11,7 @@ baseline.
 
 from ..hypervisor.stats import YIELD_CAUSES
 from ..metrics.report import render_table
-from ..runner import SimJob, execute
+from ..runner import SimJob
 from . import common
 
 WORKLOADS = ("gmake", "memclone", "dedup", "vips", "exim", "psearchy")
@@ -44,10 +44,6 @@ def reduce(results):
         causes["total"] = sum(causes.get(c, 0) for c in YIELD_CAUSES)
         out.setdefault(kind, {})[label] = causes
     return out
-
-
-def run(seed=42, scale_override=None, workloads=WORKLOADS):
-    return reduce(execute(plan(seed=seed, scale_override=scale_override, workloads=workloads)))
 
 
 def format_result(results):

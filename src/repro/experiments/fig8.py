@@ -9,7 +9,7 @@ controller's profiling leaves these workloads essentially untouched
 """
 
 from ..metrics.report import render_table
-from ..runner import SimJob, execute
+from ..runner import SimJob
 from . import common
 
 WORKLOADS = (
@@ -59,10 +59,6 @@ def reduce(results):
             "overhead_pct": 100.0 * (1.0 - dyn_rate / base_rate) if base_rate else 0.0,
         }
     return out
-
-
-def run(seed=42, scale_override=None, workloads=WORKLOADS):
-    return reduce(execute(plan(seed=seed, scale_override=scale_override, workloads=workloads)))
 
 
 def format_result(results):

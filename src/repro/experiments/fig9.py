@@ -11,7 +11,7 @@ under the micro-sliced scheme; jitter collapses from ~8 ms to ~0.
 """
 
 from ..metrics.report import render_table
-from ..runner import SimJob, baseline_policy, execute, static_policy
+from ..runner import SimJob, baseline_policy, static_policy
 from . import common
 
 MODES = ("tcp", "udp")
@@ -56,10 +56,6 @@ def reduce(results):
         mode, label = tag.rsplit(":", 1)
         out.setdefault(mode, {})[label] = res.workload("iperf").extra
     return out
-
-
-def run(seed=42, scale_override=None, modes=MODES):
-    return reduce(execute(plan(seed=seed, scale_override=scale_override, modes=modes)))
 
 
 def format_result(results):

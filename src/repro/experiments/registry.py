@@ -1,5 +1,16 @@
-"""Name → experiment module registry (used by the CLI and the bench
-harness)."""
+"""Name → experiment module registry, and the one pipeline every
+experiment run walks.
+
+An experiment module either exposes ``plan()`` (emit the job list),
+``reduce()`` (fold ``{tag: RunResult}`` into the result shape) and
+``format_result()`` (render the table), or — for a driver, whose job
+set depends on intermediate results — ``drive()`` and
+``format_result()``. :func:`prepare` binds a module to its options and
+applies the cross-cutting ones (``trace``, ``faults``, ``scheduler``)
+to every job; :meth:`Prepared.finish` gates on fault invariants, then
+reduces and formats. The CLI, ``repro serve`` and the benchmarks all go
+through these two steps, so a result is the same function of its spec
+on every path."""
 
 from ..errors import ConfigError, FaultError
 from .. import runner
@@ -60,56 +71,105 @@ def get(name):
     return module
 
 
-def run(
-    name,
-    workers=None,
-    cache=None,
-    trace=None,
-    trace_out=None,
-    faults=None,
-    scheduler=None,
-    progress=None,
-    **kwargs
-):
-    """Run one experiment; returns ``(results, formatted_text)``.
+class Prepared:
+    """One experiment bound to its options, ready to execute.
 
-    ``workers``/``cache`` pass through to :func:`repro.runner.execute`
-    (None = environment defaults); every experiment module exposes
-    ``plan()``/``reduce()``, so the registry drives the shared executor
-    rather than each module's serial ``run()``.
+    ``jobs`` is the plan with every cross-cutting option applied, or
+    None for a driver, which runs its own job waves through
+    :meth:`drive`. Module functions are looked up at call time, so a
+    wrapper installed on the module after :func:`prepare` still runs.
+    """
+
+    __slots__ = ("module", "jobs", "_kwargs")
+
+    def __init__(self, module, jobs, kwargs):
+        self.module = module
+        self.jobs = jobs
+        self._kwargs = kwargs
+
+    def finish(self, by_tag):
+        """``{tag: RunResult}`` -> ``(results, formatted_text)``.
+
+        Fails loudly with :class:`~repro.errors.FaultError` when any
+        faulted job's invariant check found violations — a degraded
+        result is fine, a nonsensical one is not."""
+        broken = []
+        for tag in sorted(by_tag):
+            digest = by_tag[tag].faults
+            if digest and digest.get("invariant_violations"):
+                for violation in digest["invariant_violations"]:
+                    broken.append("%s: %s" % (tag, violation))
+        if broken:
+            raise FaultError(
+                "invariant check failed for %d faulted job(s):\n  %s"
+                % (len(broken), "\n  ".join(broken))
+            )
+        results = self.module.reduce(by_tag)
+        return results, self.module.format_result(results)
+
+    def drive(self, workers=None, cache=None, progress=None):
+        """Run a driver experiment; returns ``(results, formatted_text)``."""
+        results = self.module.drive(
+            workers=workers, cache=cache, progress=progress, **self._kwargs
+        )
+        return results, self.module.format_result(results)
+
+
+def prepare(name, *, trace=None, faults=None, scheduler=None, **kwargs):
+    """Bind experiment ``name`` to its options; returns :class:`Prepared`.
+
+    ``kwargs`` (``seed``, ``scale_override``, ...) go to the module's
+    ``plan()``, or to ``drive()`` for a driver.
 
     ``trace`` (a ``{"kinds": ...}`` request dict) turns on structured
-    tracing for every job in the plan; ``trace_out`` writes the combined
-    trace — records labelled with their job tag — to a JSONL file that
-    ``repro analyze`` consumes. Trace payloads travel inside the result
-    dicts, so serial, parallel, and cache-replay runs export
-    byte-identical files.
+    tracing for every job in the plan.
 
     ``faults`` (a built-in plan name, a plan-JSON path, a plan dict, or
     a :class:`~repro.faults.FaultPlan`) applies one fault plan to every
-    job in the plan — built-in names are re-resolved against each job's
-    own warmup+duration horizon. After a faulted run, any invariant
-    violation raises :class:`~repro.errors.FaultError` carrying the full
-    per-job report.
+    job that has none — built-in names are re-resolved against each
+    job's own warmup+duration horizon.
 
-    ``scheduler`` (a repro.sched backend name) re-runs the experiment's
-    whole plan under that normal-pool backend — jobs that already pin a
-    backend (e.g. table1's ``fixed_uslice``, the ``baselines`` matrix)
-    keep their own. The name is validated up front so an unknown backend
-    fails before any simulation runs.
+    ``scheduler`` (a repro.sched backend name) re-runs the plan under
+    that normal-pool backend — jobs that already pin a backend (e.g.
+    table1's ``fixed_uslice``, the ``baselines`` matrix) keep their
+    own. It is validated here, so an unknown backend fails before any
+    simulation runs.
+
+    A driver's jobs are born mid-run from its own feedback loop, so
+    per-job rewrites (``trace``, ``faults``) would silently change its
+    control flow; they are refused instead of half-applied.
     """
-    outcome = run_many(
-        [name],
-        workers=workers,
-        cache=cache,
-        trace=trace,
-        trace_out=trace_out,
-        faults=faults,
-        scheduler=scheduler,
-        progress=progress,
-        **kwargs
-    )
-    return outcome[name]
+    module = get(name)
+    if scheduler is not None:
+        sched_registry.get(scheduler)  # raises ConfigError on unknown name
+    if is_driver(module):
+        for option, value in (("trace", trace), ("faults", faults)):
+            if value is not None:
+                raise ConfigError(
+                    "driver experiment %r does not accept %r" % (name, option)
+                )
+        return Prepared(module, None, dict(kwargs, scheduler=scheduler))
+    jobs = module.plan(**kwargs)
+    if scheduler is not None and scheduler != "credit":
+        for job in jobs:
+            job.overrides.setdefault("scheduler", scheduler)
+    if trace is not None:
+        for job in jobs:
+            job.trace = dict(trace)
+    if faults is not None:
+        from ..faults import resolve_plan
+
+        for job in jobs:
+            if job.faults is None:
+                horizon = job.warmup_ns + job.duration_ns
+                job.faults = resolve_plan(faults, horizon).to_dict()
+    return Prepared(module, jobs, None)
+
+
+def run(name, **options):
+    """Run one experiment; returns ``(results, formatted_text)``.
+    ``options`` are those of :func:`run_many`."""
+    return run_many([name], **options)[name]
 
 
 def run_many(
@@ -126,12 +186,21 @@ def run_many(
     """Run a batch of experiments over **one** worker pool and **one**
     cache-probe pass; returns ``{name: (results, formatted_text)}``.
 
-    All plans execute through :func:`repro.runner.execute_many`, so a
-    physical simulation shared by several experiments (e.g. the seed-42
-    gmake co-run baseline in fig4, table2, and table4a) is simulated
-    once for the whole batch, and the persistent worker pool spins up a
-    single time. ``trace_out`` requires a single experiment (a combined
-    trace file spanning experiments would conflate job tags).
+    Every experiment is prepared (see :func:`prepare` for ``trace``,
+    ``faults``, ``scheduler`` and ``kwargs``) before anything runs, so
+    a bad option fails before any simulation. All plans then execute
+    through :func:`repro.runner.execute_many` (``workers``/``cache``
+    pass through; None = environment defaults), so a physical
+    simulation shared by several experiments (e.g. the seed-42 gmake
+    co-run baseline in fig4, table2, and table4a) is simulated once for
+    the whole batch, and the persistent worker pool spins up a single
+    time.
+
+    ``trace_out`` writes the combined trace of a single planned
+    experiment — records labelled with their job tag — to a JSONL file
+    that ``repro analyze`` consumes. Trace payloads travel inside the
+    result dicts, so serial, parallel, and cache-replay runs export
+    byte-identical files.
 
     ``progress`` is a ``callback(event, tag, done, total)`` hook fed by
     the executor's live job stream (cache hits, worker pickups,
@@ -141,86 +210,29 @@ def run_many(
     names = list(dict.fromkeys(names))  # dedupe, keep order
     if trace_out is not None and len(names) != 1:
         raise ConfigError("--trace-out requires exactly one experiment")
-    modules = {name: get(name) for name in names}
-    drivers = [name for name in names if is_driver(modules[name])]
-    if drivers and (trace is not None or trace_out is not None or faults is not None):
-        # A driver's jobs are born mid-run from its own feedback loop;
-        # cross-cutting per-job rewrites would silently change its
-        # control flow, so refuse instead of half-applying.
+    prepared = {
+        name: prepare(name, trace=trace, faults=faults, scheduler=scheduler, **kwargs)
+        for name in names
+    }
+    if trace_out is not None and prepared[names[0]].jobs is None:
         raise ConfigError(
-            "--trace/--trace-out/--faults are not supported by driver "
-            "experiment(s): %s" % ", ".join(drivers)
+            "driver experiment %r does not accept 'trace_out'" % names[0]
         )
-    if scheduler is not None:
-        sched_registry.get(scheduler)  # raises ConfigError on unknown name
-    plans = {}
-    for name, module in modules.items():
-        if is_driver(module):
-            continue
-        jobs = module.plan(**kwargs)
-        _prepare_plan(jobs, trace=trace, faults=faults, scheduler=scheduler)
-        plans[name] = jobs
+    plans = {name: p.jobs for name, p in prepared.items() if p.jobs is not None}
     by_plan = {}
     if plans:
         by_plan = runner.execute_many(
             plans, workers=workers, cache=cache, progress=progress
         )
     outcome = {}
-    for name in names:
-        module = modules[name]
-        if is_driver(module):
-            results = module.drive(
-                workers=workers,
-                cache=cache,
-                progress=progress,
-                scheduler=scheduler,
-                **kwargs
-            )
-            outcome[name] = (results, module.format_result(results))
+    for name, p in prepared.items():
+        if p.jobs is None:
+            outcome[name] = p.drive(workers=workers, cache=cache, progress=progress)
             continue
         by_tag = by_plan[name]
         if trace_out is not None:
             from ..sim.trace import write_jsonl
 
-            write_jsonl(
-                trace_out, {job.tag: by_tag[job.tag].trace for job in plans[name]}
-            )
-        _check_fault_invariants(by_tag)
-        results = module.reduce(by_tag)
-        outcome[name] = (results, module.format_result(results))
+            write_jsonl(trace_out, {job.tag: by_tag[job.tag].trace for job in p.jobs})
+        outcome[name] = p.finish(by_tag)
     return outcome
-
-
-def _prepare_plan(jobs, trace=None, faults=None, scheduler=None):
-    """Apply the cross-cutting CLI knobs to every job in a plan."""
-    if scheduler is not None:
-        sched_registry.get(scheduler)  # raises ConfigError on unknown name
-        for job in jobs:
-            if scheduler != "credit" and "scheduler" not in job.overrides:
-                job.overrides["scheduler"] = scheduler
-    if trace is not None:
-        for job in jobs:
-            job.trace = dict(trace)
-    if faults is not None:
-        from ..faults import resolve_plan
-
-        for job in jobs:
-            if job.faults is None:
-                horizon = job.warmup_ns + job.duration_ns
-                job.faults = resolve_plan(faults, horizon).to_dict()
-
-
-def _check_fault_invariants(by_tag):
-    """Fail loudly when any faulted job's invariant check found
-    violations — a degraded result is fine, a nonsensical one is not."""
-    broken = []
-    for tag in sorted(by_tag):
-        digest = by_tag[tag].faults
-        if digest and digest.get("invariant_violations"):
-            for violation in digest["invariant_violations"]:
-                broken.append("%s: %s" % (tag, violation))
-    if broken:
-        raise FaultError(
-            "invariant check failed for %d faulted job(s):\n  %s"
-            % (len(broken), "\n  ".join(broken))
-        )

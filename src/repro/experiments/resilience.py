@@ -12,7 +12,7 @@ nonsensical table.
 from ..faults import builtin_plans, make_builtin
 from ..hypervisor.stats import YIELD_CAUSES
 from ..metrics.report import render_table
-from ..runner import SimJob, execute
+from ..runner import SimJob
 from . import common
 
 #: The healthy reference column.
@@ -80,19 +80,6 @@ def tag_workload(res):
         if key.startswith("vm1:") and not key.endswith("swaptions"):
             return key
     raise KeyError("no vm1 target workload in %r" % sorted(res.workloads))
-
-
-def run(seed=42, scale_override=None, workload=WORKLOAD, fault_plans=None):
-    return reduce(
-        execute(
-            plan(
-                seed=seed,
-                scale_override=scale_override,
-                workload=workload,
-                fault_plans=fault_plans,
-            )
-        )
-    )
 
 
 def format_result(results):

@@ -22,7 +22,6 @@ from ..metrics.report import render_table
 from ..runner import (
     SimJob,
     baseline_policy,
-    execute,
     static_policy,
     vtrs_policy,
     vturbo_policy,
@@ -100,10 +99,6 @@ def reduce(results):
         for key in ("lock", "tlb", "io", "corunner", "cotask"):
             entry[key + "_x"] = common.improvement(base[key], entry[key])
     return out
-
-
-def run(seed=42, scale_override=None, schemes=SCHEMES):
-    return reduce(execute(plan(seed=seed, scale_override=scale_override, schemes=schemes)))
 
 
 def format_result(results):

@@ -17,7 +17,7 @@ costs), the solo≪co-run relationship is the result.
 """
 
 from ..metrics.report import render_table
-from ..runner import SimJob, execute
+from ..runner import SimJob
 from ..sim.time import to_seconds
 from . import common
 
@@ -61,6 +61,8 @@ def plan(seed=42, scale_override=None, workloads=WORKLOADS):
 
 
 def reduce(results):
+    """Fold ``{tag: RunResult}`` into ``{workload: {"solo": n, "corun":
+    n, ...}}``."""
     grouped = {}
     for tag, res in results.items():
         kind, label = tag.rsplit(":", 1)
@@ -88,11 +90,6 @@ def reduce(results):
             else float("inf"),
         }
     return out
-
-
-def run(seed=42, scale_override=None):
-    """Returns ``{workload: {"solo": n, "corun": n, ...}}``."""
-    return reduce(execute(plan(seed=seed, scale_override=scale_override)))
 
 
 def format_result(results):

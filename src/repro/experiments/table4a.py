@@ -16,7 +16,7 @@ magnitude higher under consolidation (lock-holder preemption).
 """
 
 from ..metrics.report import render_table
-from ..runner import SimJob, execute
+from ..runner import SimJob
 from . import common
 
 COMPONENTS = ("page_reclaim", "page_alloc", "dentry", "runqueue")
@@ -64,10 +64,6 @@ def reduce(results):
             "corun_count": corun_stat["count"] if corun_stat else 0,
         }
     return out
-
-
-def run(seed=42, scale_override=None):
-    return reduce(execute(plan(seed=seed, scale_override=scale_override)))
 
 
 def format_result(results):

@@ -15,7 +15,7 @@ Reproduction target: tens of µs solo, milliseconds under co-run.
 """
 
 from ..metrics.report import render_table
-from ..runner import SimJob, execute
+from ..runner import SimJob
 from . import common
 
 WORKLOADS = ("dedup", "vips")
@@ -70,10 +70,6 @@ def reduce(results):
         kind, config = tag.rsplit(":", 1)
         out.setdefault(kind, {})[config] = _stat_us(res.tlb_stats["vm1"])
     return out
-
-
-def run(seed=42, scale_override=None):
-    return reduce(execute(plan(seed=seed, scale_override=scale_override)))
 
 
 def format_result(results):

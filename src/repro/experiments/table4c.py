@@ -17,7 +17,7 @@ runnable vCPU).
 """
 
 from ..metrics.report import render_table
-from ..runner import SimJob, execute
+from ..runner import SimJob
 from . import common
 
 PAPER = {"solo": (0.0043, 936.3), "mixed": (9.2507, 435.6)}
@@ -48,10 +48,6 @@ def plan(seed=42, scale_override=None):
 
 def reduce(results):
     return {tag: res.workload("iperf").extra for tag, res in results.items()}
-
-
-def run(seed=42, scale_override=None):
-    return reduce(execute(plan(seed=seed, scale_override=scale_override)))
 
 
 def format_result(results):

@@ -1,11 +1,11 @@
 """Declarative experiment execution: job plans, a persistent-pool
 executor, and a content-addressed result cache.
 
-Every experiment module splits into ``plan()`` (emit a list of
+Every planned experiment module splits into ``plan()`` (emit a list of
 :class:`SimJob` specs) and ``reduce()`` (fold ``{tag: RunResult}`` back
-into the historical result shape); ``run()`` is simply
-``reduce(execute(plan(...)))``. Because jobs are self-describing and
-deterministic, :func:`execute` can fan them out over the persistent
+into its result shape); :mod:`repro.experiments.registry` runs the
+plan through this package and finishes it. Because jobs are
+self-describing and deterministic, :func:`execute` can fan them out over the persistent
 worker pool (``REPRO_RUNNER_WORKERS`` / ``--workers``, spawned once
 per process and shared across calls — see :mod:`repro.runner.pool`)
 and replay any point it has simulated before from ``.repro-cache/``

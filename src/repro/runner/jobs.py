@@ -6,7 +6,7 @@ workload kwargs, which policy, seed, duration, and warmup. Experiment
 modules emit SimJobs from their ``plan()``; the executor materialises
 them — in this process or in a worker process — with :func:`run_job`;
 each experiment's ``reduce()`` then folds the hydrated results back
-into its historical ``run()`` return shape.
+into its result shape.
 
 Jobs deliberately carry *descriptions*, not live objects: a worker
 process rebuilds the scenario from the spec, which keeps jobs cheap to
@@ -20,6 +20,7 @@ import cycle with ``repro.experiments``.
 """
 
 import dataclasses
+import inspect
 import json
 import time
 
@@ -33,18 +34,30 @@ _JOBS_SIMULATED = telemetry.counter("engine.jobs_simulated")
 _EVENTS_SIMULATED = telemetry.counter("engine.events_simulated")
 _JOB_WALL_SECONDS = telemetry.counter("engine.job_wall_seconds")
 
-#: Modes understood by :func:`build_system`. ``baseline``/``static``/
+#: Policy modes understood by :func:`build_system`, each with the
+#: fields it requires (the rest have defaults). ``baseline``/``static``/
 #: ``dynamic`` map onto :class:`~repro.core.policy.PolicySpec`;
 #: ``vturbo``/``vtrs`` are the Table-1 comparator schemes installed
 #: post-build; ``yield_only`` is the ablation engine with the relay
 #: hooks disabled.
-POLICY_MODES = ("baseline", "static", "dynamic", "vturbo", "vtrs", "yield_only")
+POLICY_MODES = {
+    "baseline": (),
+    "static": ("micro_cores",),
+    "dynamic": (),
+    "vturbo": (),
+    "vtrs": (),
+    "yield_only": (),
+}
 
-#: Scenario overrides :func:`build_system` understands. Exposed (with
-#: :func:`available_scenarios`) so submission front ends — ``repro
-#: serve`` validating raw-SimJob JSON before it reaches a worker — can
-#: reject unknown knobs with a 4xx instead of a worker-side crash.
-KNOWN_OVERRIDES = ("scheduler", "micro_slice", "ple_window", "pv_spin_rounds")
+#: Scenario overrides: job override name → the scenario attribute
+#: :func:`build_system` sets (``ple_window`` is wrapped in a
+#: :class:`~repro.hw.ple.PleConfig` first).
+_OVERRIDES = {
+    "scheduler": "scheduler",
+    "micro_slice": "micro_slice",
+    "ple_window": "ple",
+    "pv_spin_rounds": "pv_spin_rounds",
+}
 
 
 def _scenario_builders():
@@ -65,11 +78,6 @@ def _scenario_builders():
         "solo_io": solo_io_scenario,
         "fleet_host": fleet_host_scenario,
     }
-
-
-def available_scenarios():
-    """Sorted scenario names a :class:`SimJob` may reference."""
-    return sorted(_scenario_builders())
 
 
 def baseline_policy():
@@ -162,6 +170,64 @@ class SimJob:
         return cls(**payload)
 
 
+def check_job(job):
+    """Raise :class:`~repro.errors.ConfigError` unless :func:`build_system`
+    can build ``job``: a known scenario whose builder accepts the
+    ``scenario_kwargs``, a known workload, a policy mode with its
+    required fields, known overrides and scheduler, and trace ``kinds``
+    that are None or a list of strings (unknown kind names are allowed;
+    they simply match nothing). Never rewrites the job — its spec is
+    the cache identity."""
+    from ..sched import registry as sched_registry
+    from ..workloads import registry as workload_registry
+
+    builders = _scenario_builders()
+    builder = builders.get(job.scenario) if isinstance(job.scenario, str) else None
+    if builder is None:
+        raise ConfigError(
+            "unknown scenario %r (available: %s)" % (job.scenario, ", ".join(sorted(builders)))
+        )
+    try:
+        inspect.signature(builder).bind(seed=job.seed, **job.scenario_kwargs)
+    except TypeError as err:
+        raise ConfigError("scenario %r: %s" % (job.scenario, err)) from None
+    workload = job.scenario_kwargs.get("workload_kind")
+    if workload is not None and workload not in workload_registry.available():
+        raise ConfigError(
+            "unknown workload %r (available: %s)"
+            % (workload, ", ".join(workload_registry.available()))
+        )
+
+    policy = job.policy or {"mode": "baseline"}
+    mode = policy.get("mode", "baseline")
+    if not isinstance(mode, str) or mode not in POLICY_MODES:
+        raise ConfigError(
+            "unknown policy mode %r (available: %s)" % (mode, ", ".join(POLICY_MODES))
+        )
+    missing = [field for field in POLICY_MODES[mode] if field not in policy]
+    if missing:
+        raise ConfigError("policy mode %r requires %s" % (mode, ", ".join(map(repr, missing))))
+
+    unknown = sorted(set(job.overrides or {}) - set(_OVERRIDES))
+    if unknown:
+        raise ConfigError(
+            "unknown scenario overrides %r (unknown override names; allowed: %s)"
+            % (unknown, ", ".join(_OVERRIDES))
+        )
+    scheduler = (job.overrides or {}).get("scheduler")
+    if scheduler is not None:
+        if not isinstance(scheduler, str):
+            raise ConfigError("override 'scheduler' must be a backend name")
+        sched_registry.get(scheduler)  # raises ConfigError on unknown name
+
+    if job.trace is not None:
+        kinds = job.trace.get("kinds")
+        if kinds is not None and not (
+            isinstance(kinds, list) and all(isinstance(kind, str) for kind in kinds)
+        ):
+            raise ConfigError("trace 'kinds' must be null or a list of strings")
+
+
 def build_system(job):
     """Build the ready-to-run :class:`~repro.experiments.scenarios.System`
     a job describes (imports deferred to avoid import cycles)."""
@@ -170,18 +236,10 @@ def build_system(job):
     from ..core.policy import PolicySpec
     from ..hw.ple import PleConfig
 
-    builders = _scenario_builders()
-    builder = builders.get(job.scenario)
-    if builder is None:
-        raise ConfigError(
-            "unknown scenario %r (available: %s)" % (job.scenario, ", ".join(sorted(builders)))
-        )
-    policy = dict(job.policy or {"mode": "baseline"})
+    check_job(job)
+    policy = job.policy or {"mode": "baseline"}
     mode = policy.get("mode", "baseline")
-    if mode not in POLICY_MODES:
-        raise ConfigError("unknown job policy mode %r" % mode)
-
-    scenario = builder(seed=job.seed, **dict(job.scenario_kwargs))
+    scenario = _scenario_builders()[job.scenario](seed=job.seed, **job.scenario_kwargs)
     if mode == "static":
         scenario.policy = PolicySpec.static(
             policy["micro_cores"], user_critical=policy.get("user_critical", False)
@@ -192,17 +250,10 @@ def build_system(job):
             **policy.get("adaptive_kwargs", {})
         )
 
-    overrides = dict(job.overrides or {})
-    if "scheduler" in overrides:
-        scenario.scheduler = overrides.pop("scheduler")
-    if "micro_slice" in overrides:
-        scenario.micro_slice = overrides.pop("micro_slice")
-    if "ple_window" in overrides:
-        scenario.ple = PleConfig(window=overrides.pop("ple_window"))
-    if "pv_spin_rounds" in overrides:
-        scenario.pv_spin_rounds = overrides.pop("pv_spin_rounds")
-    if overrides:
-        raise ConfigError("unknown scenario overrides %r" % sorted(overrides))
+    for name, value in (job.overrides or {}).items():
+        if name == "ple_window":
+            value = PleConfig(window=value)
+        setattr(scenario, _OVERRIDES[name], value)
 
     if job.trace is not None:
         scenario.trace = True

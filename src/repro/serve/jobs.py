@@ -34,20 +34,13 @@ import asyncio
 import itertools
 import time
 
-from ..errors import ReproError
+from ..errors import ConfigError, ReproError
 from ..experiments import registry as experiment_registry
 from ..experiments.results import RunResult
 from ..obs import telemetry
 from ..runner import cache as result_cache
 from ..runner import costmodel, execute_many
-from ..runner.jobs import (
-    KNOWN_OVERRIDES,
-    POLICY_MODES,
-    SimJob,
-    available_scenarios,
-)
-from ..sched import registry as sched_registry
-from ..workloads import registry as workload_registry
+from ..runner.jobs import SimJob, check_job
 
 _SUBMITTED = telemetry.counter("serve.submissions.accepted")
 _CACHE_FAST = telemetry.counter("serve.submissions.cache_fast_path")
@@ -132,15 +125,10 @@ class Work:
         self.driver = driver  # (workers, cache, progress) -> result dict
 
 
-def _validate_scheduler(name):
-    if name is None:
-        return None
-    _require(isinstance(name, str), "'scheduler' must be a backend name")
-    try:
-        sched_registry.get(name)
-    except ReproError as err:
-        raise ValidationError(str(err))
-    return name
+def _check_horizon(tag, horizon_ns):
+    _require(horizon_ns <= MAX_JOB_HORIZON_NS,
+             "job %r: simulated horizon %d ns exceeds the %d ns service limit"
+             % (tag, horizon_ns, MAX_JOB_HORIZON_NS))
 
 
 def _validate_faults(faults):
@@ -158,10 +146,16 @@ def _validate_faults(faults):
     return faults
 
 
+def _rendered(outcome):
+    results, text = outcome
+    return {"results": results, "formatted": text}
+
+
 def compile_experiment(payload):
     """Validate an experiment submission and compile it to
-    :class:`Work`. Raises :class:`ValidationError` on anything a
-    registry does not recognise."""
+    :class:`Work` through :func:`repro.experiments.registry.prepare`.
+    Raises :class:`ValidationError` on anything a registry does not
+    recognise, and on any planned job past the service horizon."""
     _require(isinstance(payload, dict), "expected a JSON object")
     name = payload.get("experiment")
     _require(isinstance(name, str) and name,
@@ -176,106 +170,75 @@ def compile_experiment(payload):
     _require(not unknown, "unknown field(s) %s (allowed: %s)"
              % (", ".join(map(repr, unknown)), ", ".join(allowed)))
 
-    seed = _int_field(payload, "seed", 42)
-    scale = payload.get("scale")
-    if scale is not None:
-        scale = _number_field(payload, "scale", None, minimum=0.0)
-    scheduler = _validate_scheduler(payload.get("scheduler"))
+    kwargs = {"seed": _int_field(payload, "seed", 42), "scale_override": None}
+    if payload.get("scale") is not None:
+        kwargs["scale_override"] = _number_field(payload, "scale", None, minimum=0.0)
+    scheduler = payload.get("scheduler")
+    _require(scheduler is None or isinstance(scheduler, str),
+             "'scheduler' must be a backend name")
     faults = _validate_faults(payload.get("faults"))
+    if "policies" in payload:
+        from ..fleet import placement
 
-    if driver:
-        _require(faults is None,
-                 "driver experiment %r does not accept 'faults'" % name)
-        kwargs = {"seed": seed, "scale_override": scale, "scheduler": scheduler}
-        if "policies" in payload:
-            from ..fleet import placement
-
-            policies = payload["policies"]
-            _require(isinstance(policies, list) and policies
-                     and all(isinstance(p, str) for p in policies),
-                     "'policies' must be a non-empty list of names")
-            for policy in policies:
-                _require(policy in placement.available(),
-                         "unknown placement policy %r (available: %s)"
-                         % (policy, ", ".join(placement.available())))
-            kwargs["policies"] = policies
-        for key in ("hosts", "epochs"):
-            if key in payload:
-                kwargs[key] = _int_field(payload, key, None, minimum=1)
-        for key in ("rate", "overcommit", "migration_cost_ms"):
-            if key in payload:
-                kwargs[key] = _number_field(payload, key, None, minimum=0.0)
-
-        def drive(workers, cache, progress):
-            results = module.drive(
-                workers=workers, cache=cache, progress=progress, **kwargs
-            )
-            return {"results": results, "formatted": module.format_result(results)}
-
-        return Work("experiment", name, driver=drive)
+        policies = payload["policies"]
+        _require(isinstance(policies, list) and policies
+                 and all(isinstance(p, str) for p in policies),
+                 "'policies' must be a non-empty list of names")
+        for policy in policies:
+            _require(policy in placement.available(),
+                     "unknown placement policy %r (available: %s)"
+                     % (policy, ", ".join(placement.available())))
+        kwargs["policies"] = policies
+    for key in ("hosts", "epochs"):
+        if key in payload:
+            kwargs[key] = _int_field(payload, key, None, minimum=1)
+    for key in ("rate", "overcommit", "migration_cost_ms"):
+        if key in payload:
+            kwargs[key] = _number_field(payload, key, None, minimum=0.0)
 
     try:
-        jobs = module.plan(seed=seed, scale_override=scale)
-        experiment_registry._prepare_plan(
-            jobs, trace=None, faults=faults, scheduler=scheduler
+        prepared = experiment_registry.prepare(
+            name, faults=faults, scheduler=scheduler, **kwargs
         )
     except ReproError as err:
         raise ValidationError(str(err))
+    if prepared.jobs is None:
+        def drive(workers, cache, progress):
+            return _rendered(prepared.drive(workers, cache, progress))
+
+        return Work("experiment", name, driver=drive)
+    for job in prepared.jobs:
+        _check_horizon(job.tag, job.warmup_ns + job.duration_ns)
 
     def finalize(by_tag):
-        experiment_registry._check_fault_invariants(by_tag)
-        results = module.reduce(by_tag)
-        return {"results": results, "formatted": module.format_result(results)}
+        return _rendered(prepared.finish(by_tag))
 
-    return Work("experiment", name, jobs=jobs, finalize=finalize)
+    return Work("experiment", name, jobs=prepared.jobs, finalize=finalize)
 
 
 def compile_job(payload):
-    """Validate a raw SimJob submission against the scenario, policy,
-    scheduler, workload, and fault registries; compile to
+    """Validate a raw SimJob submission — JSON types and the service
+    horizon here, the spec itself through
+    :func:`repro.runner.jobs.check_job` — and compile it to
     :class:`Work`."""
     _require(isinstance(payload, dict), "expected a JSON object")
     unknown = sorted(set(payload) - set(_JOB_KEYS))
     _require(not unknown, "unknown field(s) %s (allowed: %s)"
              % (", ".join(map(repr, unknown)), ", ".join(_JOB_KEYS)))
 
-    scenario = payload.get("scenario")
-    scenarios = available_scenarios()
-    _require(scenario in scenarios,
-             "unknown scenario %r (available: %s)"
-             % (scenario, ", ".join(scenarios)))
-
     tag = payload.get("tag", "job")
     _require(isinstance(tag, str) and tag, "'tag' must be a non-empty string")
     duration_ns = _int_field(payload, "duration_ns", None, minimum=1)
     warmup_ns = _int_field(payload, "warmup_ns", 0, minimum=0)
-    _require(warmup_ns + duration_ns <= MAX_JOB_HORIZON_NS,
-             "simulated horizon %d ns exceeds the %d ns service limit"
-             % (warmup_ns + duration_ns, MAX_JOB_HORIZON_NS))
+    _check_horizon(tag, warmup_ns + duration_ns)
     seed = _int_field(payload, "seed", 42)
 
     scenario_kwargs = payload.get("scenario_kwargs", {})
     _require(isinstance(scenario_kwargs, dict), "'scenario_kwargs' must be an object")
-    workload = scenario_kwargs.get("workload_kind")
-    if workload is not None:
-        _require(workload in workload_registry.available(),
-                 "unknown workload %r (available: %s)"
-                 % (workload, ", ".join(workload_registry.available())))
-
     policy = payload.get("policy", {"mode": "baseline"})
     _require(isinstance(policy, dict), "'policy' must be an object")
-    mode = policy.get("mode", "baseline")
-    _require(mode in POLICY_MODES,
-             "unknown policy mode %r (available: %s)"
-             % (mode, ", ".join(POLICY_MODES)))
-
     overrides = payload.get("overrides", {})
     _require(isinstance(overrides, dict), "'overrides' must be an object")
-    bad = sorted(set(overrides) - set(KNOWN_OVERRIDES))
-    _require(not bad, "unknown override(s) %s (allowed: %s)"
-             % (", ".join(map(repr, bad)), ", ".join(KNOWN_OVERRIDES)))
-    _validate_scheduler(overrides.get("scheduler"))
-
     trace = payload.get("trace")
     if trace is not None:
         _require(isinstance(trace, dict) and set(trace) <= {"kinds"},
@@ -289,7 +252,7 @@ def compile_job(payload):
 
     job = SimJob(
         tag=tag,
-        scenario=scenario,
+        scenario=payload.get("scenario"),
         duration_ns=duration_ns,
         warmup_ns=warmup_ns,
         seed=seed,
@@ -299,11 +262,15 @@ def compile_job(payload):
         trace=dict(trace) if trace is not None else None,
         faults=faults,
     )
+    try:
+        check_job(job)
+    except ConfigError as err:
+        raise ValidationError(str(err))
 
     def finalize(by_tag):
         return {"payload": by_tag[tag].to_dict()}
 
-    return Work("job", "%s:%s" % (scenario, tag), jobs=[job], finalize=finalize)
+    return Work("job", "%s:%s" % (job.scenario, tag), jobs=[job], finalize=finalize)
 
 
 class Submission:

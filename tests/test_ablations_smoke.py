@@ -1,7 +1,7 @@
 """Smoke tests for the ablation harnesses (full scale runs live in
 benchmarks/test_ablations.py)."""
 
-from repro.experiments import ablations, table1
+from repro.experiments import ablations, registry
 
 SCALE = 0.15
 
@@ -35,8 +35,9 @@ class TestAblationHarnesses:
 
 class TestTable1Harness:
     def test_reduced_scheme_set(self):
-        results = table1.run(scale_override=SCALE, schemes=("baseline", "vturbo"))
+        results, text = registry.run(
+            "table1", scale_override=SCALE, schemes=("baseline", "vturbo")
+        )
         assert set(results) == {"baseline", "vturbo"}
         assert results["baseline"]["lock_x"] == 1.0
-        text = table1.format_result(results)
         assert "Table 1" in text and "vturbo" in text

@@ -3,19 +3,7 @@ produces structurally complete, formattable output."""
 
 import pytest
 
-from repro.experiments import registry
-from repro.experiments import (
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    table2,
-    table4a,
-    table4b,
-    table4c,
-)
+from repro.experiments import fig4, fig7, registry, table2, table4a, table4b
 
 #: Tiny scale so the whole module stays fast; shape assertions live in
 #: the benchmarks which run at full scale.
@@ -32,6 +20,13 @@ class TestRegistry:
             "table1", "table2", "table4a", "table4b", "table4c",
         ]
 
+    def test_every_module_honours_the_pipeline_contract(self):
+        for name in registry.available():
+            module = registry.get(name)
+            assert callable(getattr(module, "format_result", None)), name
+            planned = all(hasattr(module, attr) for attr in ("plan", "reduce"))
+            assert planned != hasattr(module, "drive"), name
+
     def test_unknown_experiment_rejected(self):
         from repro.errors import ConfigError
 
@@ -41,73 +36,75 @@ class TestRegistry:
 
 class TestTables:
     def test_table2(self):
-        results = table2.run(scale_override=SCALE)
+        results, text = registry.run("table2", scale_override=SCALE)
         assert set(results) == set(table2.WORKLOADS)
         for entry in results.values():
             assert entry["solo"] >= 0 and entry["corun"] >= 0
-        text = table2.format_result(results)
         assert "Table 2" in text and "exim" in text
 
     def test_table4a(self):
-        results = table4a.run(scale_override=SCALE)
+        results, text = registry.run("table4a", scale_override=SCALE)
         assert set(results) == set(table4a.COMPONENTS)
-        text = table4a.format_result(results)
         assert "gmake" in text and "page_alloc" in text
 
     def test_table4b(self):
-        results = table4b.run(scale_override=SCALE)
+        results, text = registry.run("table4b", scale_override=SCALE)
         for kind in table4b.WORKLOADS:
             assert results[kind]["solo"]["count"] >= 0
             assert results[kind]["corun"]["avg"] >= 0
-        assert "TLB" in table4b.format_result(results)
+        assert "TLB" in text
 
     def test_table4c(self):
-        results = table4c.run(scale_override=SCALE)
+        results, text = registry.run("table4c", scale_override=SCALE)
         assert results["solo"]["throughput_mbps"] > 0
-        assert "iPerf" in table4c.format_result(results)
+        assert "iPerf" in text
 
 
 class TestFigures:
     def test_fig4_reduced(self):
-        results = fig4.run(scale_override=SCALE, workloads=("gmake",), core_counts=(0, 1))
+        results, text = registry.run(
+            "fig4", scale_override=SCALE, workloads=("gmake",), core_counts=(0, 1)
+        )
         assert results["gmake"][0]["target"] == 1.0
         assert results["gmake"][1]["target"] > 0
-        assert "Figure 4" in fig4.format_result(results)
+        assert "Figure 4" in text
         assert fig4.best_core_count(results["gmake"]) == 1
 
     def test_fig5_reduced(self):
-        results = fig5.run(scale_override=SCALE, workloads=("exim",), core_counts=(0, 1))
+        results, text = registry.run(
+            "fig5", scale_override=SCALE, workloads=("exim",), core_counts=(0, 1)
+        )
         assert results["exim"][0]["improvement"] == 1.0
-        assert "Figure 5" in fig5.format_result(results)
+        assert "Figure 5" in text
 
     def test_fig6_reduced(self):
-        results = fig6.run(scale_override=SCALE, workloads=("gmake",))
+        results, text = registry.run("fig6", scale_override=SCALE, workloads=("gmake",))
         runs = results["gmake"]
         assert set(runs) == {"baseline", "static", "dynamic"}
         assert runs["baseline"]["improvement"] == 1.0
-        assert "Figure 6" in fig6.format_result(results)
+        assert "Figure 6" in text
 
     def test_fig7_reduced(self):
-        results = fig7.run(scale_override=SCALE, workloads=("gmake",))
+        results, text = registry.run("fig7", scale_override=SCALE, workloads=("gmake",))
         for scheme in fig7.SCHEMES:
             causes = results["gmake"][scheme]
             assert causes["total"] == sum(
                 causes[c] for c in ("ipi", "spinlock", "halt", "other")
             )
-        assert "Figure 7" in fig7.format_result(results)
+        assert "Figure 7" in text
 
     def test_fig8_reduced(self):
-        results = fig8.run(scale_override=SCALE, workloads=("sjeng",))
+        results, text = registry.run("fig8", scale_override=SCALE, workloads=("sjeng",))
         entry = results["sjeng"]
         assert entry["baseline_rate"] > 0
         assert entry["norm_time"] > 0
-        assert "Figure 8" in fig8.format_result(results)
+        assert "Figure 8" in text
 
     def test_fig9_reduced(self):
-        results = fig9.run(scale_override=SCALE, modes=("tcp",))
+        results, text = registry.run("fig9", scale_override=SCALE, modes=("tcp",))
         for config in ("solo", "baseline", "microsliced"):
             assert results["tcp"][config]["throughput_mbps"] > 0
-        assert "Figure 9" in fig9.format_result(results)
+        assert "Figure 9" in text
 
     def test_registry_run_formats(self):
         _results, text = registry.run("table4c", scale_override=SCALE)
@@ -128,12 +125,11 @@ class TestResilience:
     def test_reduced_subset(self):
         from repro.experiments import resilience
 
-        results = resilience.run(
-            seed=1, scale_override=0.05, fault_plans=("slow-ipi",)
+        results, text = registry.run(
+            "resilience", seed=1, scale_override=0.05, fault_plans=("slow-ipi",)
         )
         assert set(results) == {resilience.HEALTHY, "slow-ipi"}
         assert results[resilience.HEALTHY]["vs_healthy"] == 1.0
         assert results["slow-ipi"]["rate"] >= 0
         assert results["slow-ipi"]["violations"] == []
-        text = resilience.format_result(results)
         assert "Resilience" in text and "slow-ipi" in text

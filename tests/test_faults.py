@@ -612,22 +612,29 @@ class TestCliSurfaces:
         with pytest.raises(FaultError, match="starvation"):
             _report_faults(digest)
 
-    def test_registry_invariant_gate_raises(self):
-        from repro.experiments.registry import _check_fault_invariants
+    @staticmethod
+    def _prepared():
+        """A Prepared step over a stub module that reduces to its tags."""
+        from types import SimpleNamespace
 
+        from repro.experiments.registry import Prepared
+
+        module = SimpleNamespace(reduce=sorted, format_result=", ".join)
+        return Prepared(module, [], None)
+
+    def test_registry_invariant_gate_raises(self):
         class _Res:
             faults = {"invariant_violations": ["ipi accounting: op#1 stuck"]}
 
         with pytest.raises(FaultError, match="faulted job"):
-            _check_fault_invariants({"job": _Res()})
+            self._prepared().finish({"job": _Res()})
 
     def test_registry_invariant_gate_passes_clean(self):
-        from repro.experiments.registry import _check_fault_invariants
-
         class _Healthy:
             faults = None
 
         class _Degraded:
             faults = {"invariant_violations": []}
 
-        _check_fault_invariants({"a": _Healthy(), "b": _Degraded()})
+        results, text = self._prepared().finish({"a": _Healthy(), "b": _Degraded()})
+        assert results == ["a", "b"] and text == "a, b"

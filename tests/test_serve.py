@@ -162,6 +162,32 @@ class TestValidation:
         with pytest.raises(ValidationError, match=match):
             compile_job(payload)
 
+    @pytest.mark.parametrize(
+        "patch, match",
+        [
+            ({"scenario": "corun", "scenario_kwargs": {}}, "workload_kind"),
+            ({"trace": {"kinds": 5}}, "kinds"),
+            ({"trace": {"kinds": "deschedule"}}, "kinds"),
+            ({"policy": {"mode": "static"}}, "micro_cores"),
+        ],
+    )
+    def test_job_spec_rules_hold_at_submission_and_build(self, patch, match):
+        """One rule set: what compile_job admits, build_system builds."""
+        from repro.errors import ConfigError
+        from repro.runner.jobs import build_system
+
+        payload = dict(JOB)
+        payload.update(patch)
+        with pytest.raises(ValidationError, match=match):
+            compile_job(payload)
+        job = SimJob(**payload)
+        with pytest.raises(ConfigError, match=match):
+            build_system(job)
+
+    def test_experiment_jobs_obey_the_horizon_limit(self):
+        with pytest.raises(ValidationError, match="service limit"):
+            compile_experiment({"experiment": "fig4", "scale": 1000.0})
+
     def test_builtin_fault_plan_resolved_at_submission(self):
         work = compile_job(dict(JOB, faults="slow-ipi"))
         assert work.jobs[0].faults is not None
@@ -392,6 +418,17 @@ class TestHttpApi:
             json.dumps(local, sort_keys=True)
         )
         assert served["result"]["formatted"] == fig7.format_result(local)
+
+    def test_experiment_text_matches_registry_run(self, server):
+        from repro.experiments import registry
+
+        client = Client(server)
+        spec = {"experiment": "table4c", "scale": 0.05}
+        _, _, body = client.request("POST", "/experiments", spec)
+        assert client.wait_terminal(body["id"], timeout=120)["state"] == "done"
+        _, _, served = client.request("GET", "/jobs/%s/result" % body["id"])
+        _, text = registry.run("table4c", scale_override=0.05, workers=1, cache=False)
+        assert served["result"]["formatted"] == text
 
     def test_cancel_completed_submission_is_a_noop(self, server):
         client = Client(server)
