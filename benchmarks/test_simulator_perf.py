@@ -10,6 +10,7 @@ overwriting, so engine-tuning PRs leave a visible perf history. A
 pre-trajectory flat-dict file is migrated in place as the oldest
 entry. All ``_record`` calls from one process share one snapshot."""
 
+import hashlib
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -111,3 +112,24 @@ class TestScenarioThroughput:
         events = benchmark.pedantic(run_50ms, rounds=1, iterations=1)
         assert events > 0
         _record("corun_events_per_sec", counts[-1] / _mean(benchmark))
+
+
+def test_failed_accelerate_storm(benchmark):
+    """The heaviest payload-manifest job, fig4's vips co-run with one
+    micro core: thousands of yields each try to accelerate every
+    preempted sibling, and almost every attempt finds the one micro
+    slot taken. Times the whole job (build, run, encode) and checks its
+    payload still matches the manifest."""
+    from repro.runner.jobs import run_job
+    from repro.tools import payload_manifest
+
+    manifest = payload_manifest.load()
+    [(key, (job, _tags))] = [
+        item
+        for item in payload_manifest.unique_jobs(manifest["scale"]).items()
+        if "fig4:vips:1" in item[1][1]
+    ]
+    payload = benchmark.pedantic(run_job, args=(job,), rounds=3, iterations=1)
+    digest = hashlib.sha256(payload_manifest.canonical_payload(payload).encode()).hexdigest()
+    assert digest == manifest["entries"][key]["payload_sha256"]
+    _record("cold_heavy_job_ms", _mean(benchmark) * 1e3)

@@ -16,7 +16,10 @@ survive every fault plan:
   period;
 * **pool membership consistency** — every pCPU is in exactly the pool
   it claims membership of, offline pCPUs are in none, and the pool
-  census matches the host topology.
+  census matches the host topology;
+* **runqueue census** (credit-family pools) — each pCPU's queued count
+  equals its list lengths, no vCPU is queued twice, and every queued
+  vCPU's ``runq_pcpu`` names the queue it sits in.
 
 :func:`check_system` returns human-readable violation strings (empty
 means all invariants hold); :func:`assert_invariants` raises
@@ -27,6 +30,7 @@ fault subsystem.
 
 from ..errors import FaultError
 from ..obs.runstate import validate
+from ..sched.credit import CreditScheduler
 from ..sim.time import ms
 
 #: A vCPU continuously runnable for longer than this many normal-pool
@@ -59,6 +63,7 @@ def check_system(system, starvation_ns=None, ipi_grace_ns=None):
         _check_ipis(hv, now, ipi_grace_ns if ipi_grace_ns is not None else _slice_bound(hv))
     )
     violations.extend(_check_pools(hv))
+    violations.extend(_check_runqueues(hv.normal_pool.scheduler))
     return violations
 
 
@@ -151,3 +156,27 @@ def _check_pools(hv):
             "pool membership: pools list %d pcpus but %d are online"
             % (census, seen)
         )
+
+
+def _check_runqueues(scheduler):
+    if not isinstance(scheduler, CreditScheduler):
+        return
+    seen = set()
+    for pcpu, queues in scheduler._runqs.items():
+        counted = scheduler._depth(pcpu)
+        listed = sum(len(queue) for queue in queues.values())
+        if counted != listed:
+            yield (
+                "runqueue census: pcpu%d counts %d queued vCPUs but lists %d"
+                % (pcpu.info.index, counted, listed)
+            )
+        for queue in queues.values():
+            for vcpu in queue:
+                if vcpu in seen:
+                    yield "runqueue census: %s is queued twice" % vcpu.name
+                seen.add(vcpu)
+                if vcpu.runq_pcpu is not pcpu:
+                    yield (
+                        "runqueue census: %s sits on pcpu%d's queue but "
+                        "names another" % (vcpu.name, pcpu.info.index)
+                    )

@@ -77,6 +77,10 @@ class Hypervisor:
         #: the exact instruction stream they always did.
         self.faults = None
         self.stats = HvStats(tracer=tracer)
+        #: Whole-run :meth:`accelerate` calls, a plain int beside the
+        #: payload counters (``runner.jobs`` folds it into telemetry;
+        #: the payload never carries it).
+        self.accelerate_attempts = 0
         self.histograms = HistogramSet()
         #: Host-wide IPI-op id allocator: per-instance (not
         #: process-global) so trace op ids are deterministic per run
@@ -521,7 +525,15 @@ class Hypervisor:
 
     def accelerate(self, vcpu, wake=False):
         """Migrate a preempted (or, with ``wake``, blocked) vCPU onto a
-        micro-sliced core. Returns ``True`` on success."""
+        micro-sliced core. Returns ``True`` on success.
+
+        A failed attempt on a queued vCPU is not a no-op: it goes home
+        through ``requeue``, which drops BOOST, clears the yield flag
+        and re-places it (an idle pCPU, else the tail of its last-ran or
+        the shallowest queue); with ``wake`` a BLOCKED vCPU is made
+        RUNNABLE and queued the same way.
+        """
+        self.accelerate_attempts += 1
         if vcpu.state == vc.RUNNING or vcpu.pool is self.micro_pool:
             return False
         if not self.micro_pool.pcpus:
@@ -536,12 +548,14 @@ class Hypervisor:
             # it and is about to run it. Migrating now would let two
             # pCPUs execute the same vCPU.
             return False
-        vcpu.pool = self.micro_pool
-        if not self.micro_pool.scheduler.assign(vcpu):
-            # Every micro runqueue is full; send the vCPU home.
-            vcpu.pool = self.normal_pool
+        micro = self.micro_pool.scheduler
+        if not micro.has_free_slot():
+            # Every micro runqueue is full (exactly when ``assign``
+            # would fail); send the vCPU home.
             self.normal_pool.scheduler.requeue(vcpu)
             return False
+        vcpu.pool = self.micro_pool
+        micro.assign(vcpu)
         self.stats.count_migration(vcpu)
         emit = self._trace_accelerate
         if emit is not None:

@@ -33,6 +33,10 @@ from ..obs import telemetry
 _JOBS_SIMULATED = telemetry.counter("engine.jobs_simulated")
 _EVENTS_SIMULATED = telemetry.counter("engine.events_simulated")
 _JOB_WALL_SECONDS = telemetry.counter("engine.job_wall_seconds")
+#: Micro-pool acceleration attempts and the ones that migrated; their
+#: ratio is how often a yield's accelerations find a free micro slot.
+_ACCELERATE_ATTEMPTS = telemetry.counter("engine.accelerate_attempts")
+_ACCELERATE_MIGRATIONS = telemetry.counter("engine.accelerate_migrations")
 
 #: Policy modes understood by :func:`build_system`, each with the
 #: fields it requires (the rest have defaults). ``baseline``/``static``/
@@ -290,6 +294,10 @@ def run_job(job):
     payload = json.loads(json.dumps(result.to_dict()))
     _JOBS_SIMULATED.inc()
     _EVENTS_SIMULATED.inc(system.sim.executed_events)
+    _ACCELERATE_ATTEMPTS.inc(system.hv.accelerate_attempts)
+    _ACCELERATE_MIGRATIONS.inc(
+        sum(v.migrations_to_micro for d in system.hv.domains for v in d.vcpus)
+    )
     wall = time.perf_counter() - start
     _JOB_WALL_SECONDS.inc(wall)
     telemetry.observe("engine.job_wall_us", wall * 1e6)

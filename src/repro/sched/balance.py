@@ -78,19 +78,15 @@ class BalanceScheduler(CreditScheduler):
             and self._eligible(vcpu, last)
             and not self._sibling_queued(vcpu, last)
         ):
-            self._runqs[last][priority].append(vcpu)
-            vcpu.runq_pcpu = last
+            self._push(last, priority, vcpu)
             return last
-        target = None
-        best_depth = None
-        for pcpu in self._runqs:
-            if not self._eligible(vcpu, pcpu) or self._has_sibling(vcpu, pcpu):
-                continue
-            depth = self._depth(pcpu)
-            if best_depth is None or depth < best_depth:
-                target, best_depth = pcpu, depth
+        sibling_free = {
+            pcpu: depth
+            for pcpu, depth in self._depths.items()
+            if not self._has_sibling(vcpu, pcpu)
+        }
+        target = self._shallowest(vcpu, sibling_free)
         if target is not None:
-            self._runqs[target][priority].append(vcpu)
-            vcpu.runq_pcpu = target
+            self._push(target, priority, vcpu)
             return target
         return super()._place(vcpu, priority)

@@ -42,17 +42,21 @@ class CreditScheduler(Scheduler):
     def __init__(self, sim, **kwargs):
         super().__init__(sim, **kwargs)
         self._runqs = {}        # pcpu -> {priority: list of vcpus}
+        self._depths = {}       # pcpu -> vcpus queued there (same key order)
 
     # ------------------------------------------------------------------
     # runqueue plumbing
     # ------------------------------------------------------------------
     def register_pcpu(self, pcpu):
-        self._runqs.setdefault(pcpu, {p: [] for p in _PRIORITIES})
+        if pcpu not in self._runqs:
+            self._runqs[pcpu] = {p: [] for p in _PRIORITIES}
+            self._depths[pcpu] = 0
 
     def unregister_pcpu(self, pcpu):
         """Detach a pCPU, respreading its queued vCPUs."""
         self.remove_idle(pcpu)
         queues = self._runqs.pop(pcpu, None)
+        self._depths.pop(pcpu, None)
         if queues:
             for priority in _PRIORITIES:
                 for vcpu in queues[priority]:
@@ -61,31 +65,41 @@ class CreditScheduler(Scheduler):
         return None
 
     def _depth(self, pcpu):
-        queues = self._runqs[pcpu]
-        return sum(len(queues[p]) for p in _PRIORITIES)
+        return self._depths[pcpu]
+
+    def _push(self, pcpu, priority, vcpu):
+        """Append ``vcpu`` to ``pcpu``'s ``priority`` queue: the one
+        place a vCPU joins a runqueue."""
+        self._runqs[pcpu][priority].append(vcpu)
+        self._depths[pcpu] += 1
+        vcpu.runq_pcpu = pcpu
 
     def _place(self, vcpu, priority):
         """Insert ``vcpu`` into a pCPU runqueue: last-ran pCPU when
-        eligible (cache affinity), else the shallowest eligible queue."""
-        target = None
+        eligible (cache affinity), else the shallowest eligible queue
+        (the first one in registration order on a tie)."""
         last = vcpu.last_pcpu
         if last is not None and last in self._runqs and self._eligible(vcpu, last):
             target = last
-        if target is None:
-            best_depth = None
-            for pcpu in self._runqs:
-                if not self._eligible(vcpu, pcpu):
-                    continue
-                depth = self._depth(pcpu)
-                if best_depth is None or depth < best_depth:
-                    target, best_depth = pcpu, depth
+        else:
+            target = self._shallowest(vcpu, self._depths)
             if target is None:
                 raise SchedulerError(
                     "no pCPU in pool %r satisfies affinity of %s"
                     % (self.pool.name if self.pool else "?", vcpu.name)
                 )
-        self._runqs[target][priority].append(vcpu)
-        vcpu.runq_pcpu = target
+        self._push(target, priority, vcpu)
+        return target
+
+    def _shallowest(self, vcpu, depths):
+        """The first pCPU of ``depths`` (a ``{pcpu: depth}`` dict) with
+        the fewest queued vCPUs that ``vcpu`` may run on, or None."""
+        if vcpu.affinity is None:
+            return min(depths, key=depths.__getitem__) if depths else None
+        target = best_depth = None
+        for pcpu, depth in depths.items():
+            if self._eligible(vcpu, pcpu) and (best_depth is None or depth < best_depth):
+                target, best_depth = pcpu, depth
         return target
 
     # ------------------------------------------------------------------
@@ -130,6 +144,7 @@ class CreditScheduler(Scheduler):
                 queues[priority], lambda v: self._eligible(v, runner)
             )
             if vcpu is not None:
+                self._depths[owner] -= 1
                 return vcpu
         return None
 
@@ -150,8 +165,7 @@ class CreditScheduler(Scheduler):
         # Prefer an idle pCPU outright (it can run us immediately).
         pcpu = self._claim_idle(vcpu)
         if pcpu is not None:
-            self._runqs[pcpu][priority].append(vcpu)
-            vcpu.runq_pcpu = pcpu
+            self._push(pcpu, priority, vcpu)
             if trace_on:
                 if priority == BOOST:
                     self.trace("sched_boost", vcpu=vcpu.name, pcpu=pcpu.info.index)
@@ -183,20 +197,18 @@ class CreditScheduler(Scheduler):
     def remove(self, vcpu):
         """Pull a queued vCPU out (migration to the micro pool).
 
-        Returns ``True`` when the vCPU was found in a runqueue.
+        Returns ``True`` when the vCPU was found in a runqueue. A queued
+        vCPU always sits in ``_runqs[vcpu.runq_pcpu][vcpu.priority]``:
+        :meth:`_push` sets the pCPU, :meth:`enqueue` and
+        :meth:`_rebucket_queued` keep the priority in step.
         """
-        owner = vcpu.runq_pcpu
-        candidates = [owner] if owner in self._runqs else list(self._runqs)
-        for pcpu in candidates:
-            queues = self._runqs[pcpu]
-            for priority in _PRIORITIES:
-                try:
-                    queues[priority].remove(vcpu)
-                except ValueError:
-                    continue
-                vcpu.runq_pcpu = None
-                return True
-        return False
+        pcpu = vcpu.runq_pcpu
+        if pcpu is None:
+            return False
+        self._runqs[pcpu][vcpu.priority].remove(vcpu)
+        self._depths[pcpu] -= 1
+        vcpu.runq_pcpu = None
+        return True
 
     def queued(self):
         return [
@@ -207,7 +219,7 @@ class CreditScheduler(Scheduler):
         ]
 
     def queue_depth(self):
-        return sum(self._depth(pcpu) for pcpu in self._runqs)
+        return sum(self._depths.values())
 
     def best_waiting_priority(self, pcpu):
         """Best priority queued on ``pcpu``'s local runqueue; the tick

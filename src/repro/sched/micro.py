@@ -33,7 +33,7 @@ class MicroScheduler(Scheduler):
         return self._slots.pop(pcpu, None)
 
     def has_free_slot(self):
-        return any(v is None for v in self._slots.values())
+        return None in self._slots.values()
 
     def free_slots(self):
         return sum(1 for v in self._slots.values() if v is None)

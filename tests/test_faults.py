@@ -482,6 +482,34 @@ class TestInvariantChecker:
         violations = check_system(_SystemWrap(hv), ipi_grace_ns=ms(1))
         assert any("ipi accounting" in v for v in violations)
 
+    def _queued_system(self):
+        from helpers import make_domain, make_hv, spawn_task, spin_program, start_and_run
+
+        sim, hv = make_hv(num_pcpus=2)
+        vm = make_domain(hv, name="vm1", vcpus=5)
+        for vcpu in vm.vcpus:
+            spawn_task(vcpu, spin_program())
+        start_and_run(sim, hv, duration_ms=5)
+        scheduler = hv.normal_pool.scheduler
+        assert scheduler.queue_depth() == 3
+        assert check_system(_SystemWrap(hv)) == []
+        return hv, scheduler
+
+    def test_runqueue_miscount_is_a_violation(self):
+        hv, scheduler = self._queued_system()
+        scheduler._depths[hv.pcpus[0]] += 1
+        violations = check_system(_SystemWrap(hv))
+        assert any("runqueue census: pcpu0 counts" in v for v in violations)
+
+    def test_vcpu_queued_twice_is_a_violation(self):
+        hv, scheduler = self._queued_system()
+        vcpu = scheduler.queued()[0]
+        other = next(p for p in scheduler._runqs if p is not vcpu.runq_pcpu)
+        scheduler._push(other, vcpu.priority, vcpu)
+        violations = check_system(_SystemWrap(hv))
+        assert any("%s is queued twice" % vcpu.name in v for v in violations)
+        assert any("but names another" in v for v in violations)
+
     def test_completed_ipi_still_in_registry_is_fine(self):
         _sim, hv = self._healthy_system()
         injector = FaultInjector(FaultPlan("probe"), seed=1).install(hv)

@@ -7,7 +7,11 @@ from repro.errors import ConfigError, SchedulerError
 from repro.guest.actions import Compute, Sleep
 from repro.guest.waitqueue import WaitQueue
 from repro.hypervisor import vcpu as vc
+from repro.hypervisor.hypervisor import Hypervisor
+from repro.sched.base import BOOST, OVER, UNDER
+from repro.sim.engine import Simulator
 from repro.sim.time import ms, us
+from repro.sim.trace import Tracer
 
 from helpers import make_domain, make_hv, spawn_task, spin_program
 
@@ -192,6 +196,84 @@ class TestMicroPoolManagement:
         sim.run(until=sim.now + ms(1))
         assert queued.pool is hv.normal_pool
         assert queued.total_ran > ran_before
+
+
+class TestFailedAccelerate:
+    """A failed attempt against a full micro pool is not a no-op: the
+    vCPU goes home through ``requeue``. These pin today's side effects
+    (kept on purpose, see DESIGN.md section 7)."""
+
+    def _full_pool(self):
+        """Two normal pCPUs running four spinners (two queued, none
+        idle) plus one blocked vCPU; the single micro slot holds a
+        just-accelerated vCPU that has not run yet."""
+        sim = Simulator()
+        tracer = Tracer(sim, enabled=True, kinds=("accelerate",))
+        hv = Hypervisor(sim, num_pcpus=3, tracer=tracer)
+        # Created first so it runs (and blocks) before the spinners.
+        sleeper = make_domain(hv, name="idle", vcpus=1).vcpus[0]
+        spinners = make_domain(hv, name="spin", vcpus=4)
+        for vcpu in spinners.vcpus:
+            spawn_task(vcpu, spin_program())
+        hv.start()
+        hv.set_micro_cores(1)
+        sim.run(until=ms(2))
+        queued = [v for v in spinners.vcpus if v.state == vc.RUNNABLE and v.pcpu is None]
+        assert len(queued) == 2
+        assert sleeper.state == vc.BLOCKED
+        filler, subject = queued
+        assert hv.accelerate(filler)
+        assert not hv.micro_pool.scheduler.has_free_slot()
+        return hv, tracer, subject, sleeper
+
+    @staticmethod
+    def _expected_home(scheduler, vcpu):
+        """Last-ran pCPU, else the first shallowest queue once ``vcpu``
+        itself has left its queue."""
+        last = vcpu.last_pcpu
+        if last is not None and last in scheduler._runqs:
+            return last
+        depths = {
+            pcpu: sum(len(q) - (vcpu in q) for q in queues.values())
+            for pcpu, queues in scheduler._runqs.items()
+        }
+        return min(depths, key=depths.__getitem__)
+
+    def test_queued_boost_vcpu_goes_home_deboosted_at_queue_tail(self):
+        hv, tracer, subject, _ = self._full_pool()
+        scheduler = hv.normal_pool.scheduler
+        # Re-queue the subject as a BOOST vCPU with its yield flag set.
+        assert scheduler.remove(subject)
+        subject.credits = max(subject.credits, 1)
+        scheduler.enqueue(subject, boost=True, yielded=True)
+        assert subject.priority == BOOST and subject.yield_flag
+        assert scheduler._idle == []
+        home = self._expected_home(scheduler, subject)
+        migrations = hv.stats.counters.get("migrations")
+        accelerations = len(tracer.find("accelerate"))
+
+        assert not hv.accelerate(subject)
+
+        assert subject.priority == (UNDER if subject.credits > 0 else OVER)
+        assert subject.yield_flag is False
+        assert subject.pool is hv.normal_pool
+        assert subject.runq_pcpu is home
+        assert scheduler._runqs[home][subject.priority][-1] is subject
+        assert scheduler.queued().count(subject) == 1
+        assert hv.stats.counters.get("migrations") == migrations
+        assert len(tracer.find("accelerate")) == accelerations
+        assert all(r.detail["vcpu"] != subject.name for r in tracer.find("accelerate"))
+
+    def test_blocked_vcpu_woken_by_failed_attempt_is_queued(self):
+        hv, _, _, sleeper = self._full_pool()
+        migrations = hv.stats.counters.get("migrations")
+
+        assert not hv.accelerate(sleeper, wake=True)
+
+        assert sleeper.state == vc.RUNNABLE
+        assert sleeper.pool is hv.normal_pool
+        assert sleeper in hv.normal_pool.scheduler.queued()
+        assert hv.stats.counters.get("migrations") == migrations
 
 
 class TestTickPreemption:

@@ -8,9 +8,14 @@ by design and is asserted to do exactly that.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import sched
+from repro.errors import SchedulerError
 from repro.sched import registry
+from repro.sched.base import _PRIORITIES, UNDER
+from repro.sched.credit import CreditScheduler
 from repro.sim.engine import Simulator
 
 
@@ -189,3 +194,180 @@ def test_module_reexports_cover_backends():
         "ShortSliceScheduler",
     ):
         assert hasattr(sched, cls_name)
+
+
+# ----------------------------------------------------------------------
+# runqueue bookkeeping under random operation sequences
+# ----------------------------------------------------------------------
+_OPS = ("enqueue", "wake", "requeue", "pick", "steal", "remove", "account",
+        "unregister")
+
+_op_sequences = st.lists(
+    st.tuples(
+        st.sampled_from(_OPS),
+        st.integers(min_value=0, max_value=63),
+        st.integers(min_value=0, max_value=63),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+def _assert_runqueues(scheduler, expected):
+    queued = scheduler.queued()
+    assert len({id(v) for v in queued}) == len(queued)
+    assert set(queued) == expected
+    assert scheduler.queue_depth() == len(queued)
+    if isinstance(scheduler, CreditScheduler):
+        assert list(scheduler._depths) == list(scheduler._runqs)
+        for pcpu, queues in scheduler._runqs.items():
+            assert scheduler._depth(pcpu) == sum(len(q) for q in queues.values())
+            for priority, queue in queues.items():
+                for vcpu in queue:
+                    assert vcpu.runq_pcpu is pcpu
+                    assert vcpu.priority == priority
+    else:
+        # Global / per-domain queues: no owning pCPU to name.
+        assert all(vcpu.runq_pcpu is None for vcpu in queued)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@given(ops=_op_sequences, credits=st.lists(st.integers(-500, 2000), min_size=6, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_runqueue_bookkeeping_under_random_operations(name, ops, credits):
+    """Every queued vCPU sits on one queue, names it, and the per-pCPU
+    counts match the lists, after every step of a random sequence."""
+    scheduler, pcpus, doms = _scheduler(name, num_pcpus=3, vcpus_per_domain=3)
+    vcpus = [v for d in doms for v in d.vcpus]
+    for vcpu, credit in zip(vcpus, credits):
+        vcpu.credits = credit
+    # Pinned to a set that keeps pcpu0, which is never unregistered.
+    vcpus[0].affinity = frozenset({0})
+    vcpus[1].affinity = frozenset({0, 2})
+    live = list(pcpus)
+    queued = set()
+    for op, a, b, flag in ops:
+        idle = [v for v in vcpus if v not in queued]
+        if op in ("enqueue", "wake", "requeue") and idle:
+            vcpu = idle[a % len(idle)]
+            if op == "enqueue":
+                scheduler.enqueue(vcpu, boost=flag)
+            elif op == "wake":
+                scheduler.wake(vcpu)
+            else:
+                scheduler.requeue(vcpu, yielded=flag)
+            queued.add(vcpu)
+        elif op in ("pick", "steal"):
+            pcpu = live[a % len(live)]
+            vcpu = getattr(scheduler, op)(pcpu)
+            if vcpu is None:
+                if op == "pick":
+                    scheduler.add_idle(pcpu)
+            else:
+                assert vcpu in queued
+                queued.discard(vcpu)
+                scheduler.remove_idle(pcpu)
+                vcpu.last_pcpu = pcpu
+                scheduler.charge(vcpu, b * 50)
+        elif op == "remove":
+            vcpu = vcpus[a % len(vcpus)]
+            assert scheduler.remove(vcpu) == (vcpu in queued)
+            queued.discard(vcpu)
+        elif op == "account":
+            scheduler.account(doms, num_pcpus=len(live))
+        elif op == "unregister" and len(live) > 1:
+            pcpu = live[1 + a % (len(live) - 1)]
+            live.remove(pcpu)
+            scheduler.pool.pcpus.remove(pcpu)
+            assert scheduler.unregister_pcpu(pcpu) is None
+        _assert_runqueues(scheduler, queued)
+
+
+# ----------------------------------------------------------------------
+# placement: the counted-depth choice equals the original list scan
+# ----------------------------------------------------------------------
+def _scan_depth(scheduler, pcpu):
+    queues = scheduler._runqs[pcpu]
+    return sum(len(queues[p]) for p in _PRIORITIES)
+
+
+def _credit_scan(scheduler, vcpu):
+    """credit1 placement as a full scan of the runqueue lists: last-ran
+    pCPU when eligible, else the first shallowest eligible queue."""
+    last = vcpu.last_pcpu
+    if last is not None and last in scheduler._runqs and scheduler._eligible(vcpu, last):
+        return last
+    target = best_depth = None
+    for pcpu in scheduler._runqs:
+        if not scheduler._eligible(vcpu, pcpu):
+            continue
+        depth = _scan_depth(scheduler, pcpu)
+        if best_depth is None or depth < best_depth:
+            target, best_depth = pcpu, depth
+    return target
+
+
+def _balance_scan(scheduler, vcpu):
+    """Balance placement as a full scan: sibling-free last-ran pCPU,
+    else the first shallowest eligible sibling-free queue, else
+    credit1's choice."""
+    last = vcpu.last_pcpu
+    if (
+        last is not None
+        and last in scheduler._runqs
+        and scheduler._eligible(vcpu, last)
+        and not scheduler._sibling_queued(vcpu, last)
+    ):
+        return last
+    target = best_depth = None
+    for pcpu in scheduler._runqs:
+        if not scheduler._eligible(vcpu, pcpu) or scheduler._has_sibling(vcpu, pcpu):
+            continue
+        depth = _scan_depth(scheduler, pcpu)
+        if best_depth is None or depth < best_depth:
+            target, best_depth = pcpu, depth
+    if target is not None:
+        return target
+    return _credit_scan(scheduler, vcpu)
+
+
+_CREDIT_FAMILY = [
+    n for n in BACKENDS if issubclass(registry.get(n), CreditScheduler)
+]
+
+
+@pytest.mark.parametrize("name", _CREDIT_FAMILY)
+@given(
+    homes=st.lists(st.integers(0, 4), max_size=12),
+    last=st.one_of(st.none(), st.integers(0, 5)),
+    affinity=st.one_of(st.none(), st.frozensets(st.integers(0, 5), max_size=4)),
+    unregistered=st.one_of(st.none(), st.integers(0, 4)),
+)
+@settings(max_examples=80, deadline=None)
+def test_place_matches_list_scan(name, homes, last, affinity, unregistered):
+    """Random queue depths (ties included), pinned and free vCPUs, and
+    a last-ran pCPU that may be gone or ineligible: ``_place`` picks
+    exactly the pCPU the full list scan picks."""
+    scheduler, pcpus, doms = _scheduler(
+        name, num_pcpus=5, vcpus_per_domain=7, domains=2
+    )
+    vcpus = [v for d in doms for v in d.vcpus]
+    for vcpu, home in zip(vcpus, homes):
+        vcpu.last_pcpu = pcpus[home]
+        scheduler.enqueue(vcpu)
+    if unregistered is not None:
+        scheduler.unregister_pcpu(pcpus[unregistered])
+    probe = vcpus[-1]
+    if last == 5:
+        probe.last_pcpu = _FakePCpu(5)  # ran outside this pool (a micro core)
+    elif last is not None:
+        probe.last_pcpu = pcpus[last]
+    probe.affinity = affinity
+    oracle = _balance_scan if name == "balance" else _credit_scan
+    expected = oracle(scheduler, probe)
+    if expected is None:
+        with pytest.raises(SchedulerError):
+            scheduler._place(probe, UNDER)
+    else:
+        assert scheduler._place(probe, UNDER) is expected
+        assert scheduler._runqs[expected][UNDER][-1] is probe

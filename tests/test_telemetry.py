@@ -307,6 +307,20 @@ class TestRunTelemetry:
         assert snap["counters"]["runner.jobs_planned"] == 2
         assert snap["counters"]["runner.jobs_unique"] == 2
 
+    def test_accelerate_counters_recorded_beside_payload(self, tmp_path):
+        job = _job(
+            scenario="corun",
+            scenario_kwargs={"workload_kind": "vips"},
+            policy={"mode": "static", "micro_cores": 1, "user_critical": False},
+            duration_ns=ms(5),
+        )
+        result = execute([job], workers=1, cache=False, cache_dir=tmp_path)["point"]
+        counters = telemetry.snapshot()["counters"]
+        migrations = counters["engine.accelerate_migrations"]
+        assert counters["engine.accelerate_attempts"] > migrations > 0
+        # Whole-run (no warmup here) successes are the payload's migrations.
+        assert result.hv_counters["migrations"] == migrations
+
     def test_pooled_run_merges_worker_deltas(self, tmp_path):
         execute(_plan(), workers=2, cache=False, cache_dir=tmp_path)
         snap = telemetry.snapshot()
