@@ -55,7 +55,6 @@ class TestScenarioOverhead:
         scenario = corun_scenario("dedup", seed=7)
         if trace:
             scenario.trace = True
-            scenario.trace_capacity = None
         system = scenario.build()
         system.run(ms(50))
         return system

@@ -122,6 +122,12 @@ REPRO_BENCH_SCALE=0.05 repro run fig7 table1 --workers 2 --no-cache > batch.txt
 grep -q "=== fig7 ===" batch.txt
 grep -q "=== table1 ===" batch.txt
 
+step "ad-hoc sweep: byte-identical serially and through the pool"
+REPRO_CACHE=off repro sweep gmake --max-cores 1 --duration-ms 40 > sweep_serial.txt
+REPRO_CACHE=off REPRO_RUNNER_WORKERS=2 repro sweep gmake --max-cores 1 --duration-ms 40 \
+  > sweep_pool.txt
+cmp sweep_serial.txt sweep_pool.txt
+
 # -- fleet --------------------------------------------------------------
 step "registry lists the placement policies"
 repro list > list.txt

@@ -16,24 +16,27 @@ import argparse
 import json
 import sys
 
-from .core.policy import PolicySpec
+from . import runner
 from .errors import FaultError, ReproError
-from .experiments import common, corun_scenario, registry, solo_scenario
+from .experiments import common, registry
 from .metrics.report import render_table
 from .obs import telemetry
+from .runner.jobs import check_job
 from .sched import registry as sched_registry
 from .sim.time import ms
 from .workloads import registry as workload_registry
 
 
 def _parse_policy(text):
-    """Parse ``baseline`` / ``static:N`` / ``dynamic``."""
+    """Parse ``baseline`` / ``static:N`` / ``dynamic`` into a job
+    policy dict."""
     if text == "baseline":
-        return PolicySpec.baseline()
+        return runner.baseline_policy()
     if text == "dynamic":
-        return common.dynamic_policy()
-    if text.startswith("static:"):
-        return PolicySpec.static(int(text.split(":", 1)[1]))
+        return common.scheme_policy("dynamic")
+    count = text[len("static:"):]
+    if text.startswith("static:") and count.isdigit():
+        return runner.static_policy(int(count))
     raise ReproError("unknown policy %r (baseline | static:N | dynamic)" % text)
 
 
@@ -250,7 +253,7 @@ def _cmd_telemetry(args):
     return 0
 
 
-def _summarise(result, duration_ns):
+def _summarise(result):
     rows = []
     for key, workload in sorted(result.workloads.items()):
         extra = ""
@@ -271,97 +274,94 @@ def _summarise(result, duration_ns):
         print("\nmicro-sliced cores at end: %d" % result.micro_cores)
 
 
-def _cmd_sweep(args):
-    from .sim.time import ms as _ms
+def _job(args, scenario, label, policy, warmup_ns=0):
+    """One ad-hoc job running ``args.workload`` for ``--duration-ms``."""
+    return runner.SimJob(
+        tag=str(label),
+        scenario=scenario,
+        scenario_kwargs={"workload_kind": args.workload},
+        policy=policy,
+        seed=args.seed,
+        duration_ns=ms(args.duration_ms),
+        warmup_ns=warmup_ns,
+    )
 
-    duration = _ms(args.duration_ms)
-    warmup = _ms(min(args.duration_ms // 2, 120))
+
+def _execute(jobs):
+    """Validate every job before any simulates, then run the plan
+    through the runner (result cache, dedup, worker pool)."""
+    for job in jobs:
+        check_job(job)
+    return runner.execute(jobs)
+
+
+def _corun_table(args, points, headers, title, extra):
+    """Run one co-run job per ``(label, policy)`` point and print one
+    row each: label, target rate, rate vs the first point, then the
+    ``extra(result)`` columns."""
+    warmup = ms(min(args.duration_ms // 2, 120))
+    results = _execute([_job(args, "corun", label, policy, warmup) for label, policy in points])
     rows = []
     base_rate = None
-    for cores in range(0, args.max_cores + 1):
-        policy = PolicySpec.baseline() if cores == 0 else PolicySpec.static(cores)
-        result = corun_scenario(args.workload, policy=policy, seed=args.seed).build().run(
-            duration, warmup_ns=warmup
-        )
+    for label, _ in points:
+        result = results[str(label)]
         rate = result.rate(args.workload)
         if base_rate is None:
             base_rate = rate
-        rows.append([
-            cores,
-            "%.0f" % rate,
-            "%.2fx" % (rate / base_rate if base_rate else 0),
-            "%.0f" % result.rate("swaptions"),
-            result.total_yields("vm1"),
-        ])
+        rows.append([label, "%.0f" % rate, "%.2fx" % (rate / base_rate if base_rate else 0)]
+                    + extra(result))
     print(render_table(
-        ["micro cores", "%s/s" % args.workload, "vs baseline", "swaptions/s", "yields"],
-        rows,
-        title="Micro-sliced core sweep: %s + swaptions" % args.workload,
+        [headers[0], "%s/s" % args.workload, "vs baseline"] + headers[1:], rows,
+        title=title % args.workload,
     ))
     return 0
+
+
+def _cmd_sweep(args):
+    return _corun_table(
+        args,
+        [(cores, runner.static_policy(cores) if cores else runner.baseline_policy())
+         for cores in range(0, args.max_cores + 1)],
+        ["micro cores", "swaptions/s", "yields"],
+        "Micro-sliced core sweep: %s + swaptions",
+        lambda result: ["%.0f" % result.rate("swaptions"), result.total_yields("vm1")],
+    )
 
 
 def _cmd_compare(args):
-    from .sim.time import ms as _ms
-
-    duration = _ms(args.duration_ms)
-    warmup = _ms(min(args.duration_ms // 2, 120))
-    rows = []
-    base_rate = None
-    for label, policy in (
-        ("baseline", PolicySpec.baseline()),
-        ("static:%d" % args.cores, PolicySpec.static(args.cores)),
-        ("dynamic", common.dynamic_policy()),
-    ):
-        result = corun_scenario(args.workload, policy=policy, seed=args.seed).build().run(
-            duration, warmup_ns=warmup
-        )
-        rate = result.rate(args.workload)
-        if base_rate is None:
-            base_rate = rate
-        rows.append([
-            label,
-            "%.0f" % rate,
-            "%.2fx" % (rate / base_rate if base_rate else 0),
-            result.hv_counters.get("migrations", 0),
-            result.micro_cores,
-        ])
-    print(render_table(
-        ["policy", "%s/s" % args.workload, "vs baseline", "migrations", "final cores"],
-        rows,
-        title="Policy comparison: %s + swaptions" % args.workload,
-    ))
-    return 0
+    return _corun_table(
+        args,
+        [("baseline", runner.baseline_policy()),
+         ("static:%d" % args.cores, runner.static_policy(args.cores)),
+         ("dynamic", common.scheme_policy("dynamic"))],
+        ["policy", "migrations", "final cores"],
+        "Policy comparison: %s + swaptions",
+        lambda result: [result.hv_counters.get("migrations", 0), result.micro_cores],
+    )
 
 
-def _cmd_scenario(args, builder):
-    scenario = builder(args.workload, policy=_parse_policy(args.policy), seed=args.seed)
-    scheduler = getattr(args, "scheduler", None)
-    if scheduler is not None:
-        sched_registry.get(scheduler)  # unknown name -> ConfigError, exit 2
-        scenario.scheduler = scheduler
-    trace = _trace_request(args)
-    if trace is not None:
-        scenario.trace = True
-        scenario.trace_kinds = tuple(trace["kinds"]) if trace["kinds"] else None
-        if args.trace_out:
-            scenario.trace_capacity = None  # lossless when exporting
-    duration = ms(args.duration_ms)
-    faults_request = getattr(args, "faults", None)
-    if faults_request is not None:
+def _cmd_scenario(args):
+    """``repro corun`` / ``repro solo``: one job, no warmup."""
+    job = _job(args, args.command, args.command, _parse_policy(args.policy))
+    job.trace = _trace_request(args)
+    if args.scheduler not in (None, "credit"):
+        job.overrides["scheduler"] = args.scheduler
+    if args.faults is not None:
         from .faults import resolve_plan
 
-        scenario.faults = resolve_plan(faults_request, duration)
-    system = scenario.build()
-    result = system.run(duration)
-    _summarise(result, duration)
+        job.faults = resolve_plan(args.faults, job.duration_ns).to_dict()
+    result = _execute([job])[job.tag]
+    _summarise(result)
     if result.faults is not None:
         _report_faults(result.faults)
-    if trace is not None:
-        tracer = system.tracer
-        print("\ntrace: %d records (%d dropped)" % (len(tracer), tracer.dropped))
+    if job.trace is not None:
+        records = result.trace
+        dropped = records[-1]["seq"] - len(records) if records else 0  # seq counts all
+        print("\ntrace: %d records (%d dropped)" % (len(records), dropped))
         if args.trace_out:
-            tracer.write_jsonl(args.trace_out)
+            from .sim.trace import write_jsonl
+
+            write_jsonl(args.trace_out, {None: records})  # unlabelled
             print("trace written to %s" % args.trace_out)
     return 0
 
@@ -602,8 +602,8 @@ def main(argv=None):
             return _cmd_list(args)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "corun":
-            return _cmd_scenario(args, corun_scenario)
+        if args.command in ("corun", "solo"):
+            return _cmd_scenario(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "compare":
@@ -620,8 +620,6 @@ def main(argv=None):
             return _cmd_fleet(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "solo":
-            return _cmd_scenario(args, lambda wl, policy, seed: solo_scenario(wl, policy=policy, seed=seed))
     except ReproError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

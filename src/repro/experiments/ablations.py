@@ -13,35 +13,50 @@ These go beyond the paper's own figures:
   pool);
 * **selective acceleration** — disable the vIRQ/vIPI relay hooks and
   keep only yield-driven detection (quantifies the I/O path's share).
+
+Each study is one job plan run through :func:`repro.runner.execute`,
+so its points are validated, cached, deduplicated and fanned out like
+any registered experiment's.
 """
 
-from ..core.microslice import MicroSliceEngine
-from ..core.policy import PolicySpec
-from ..hw.ple import PleConfig
+from .. import runner
 from ..metrics.report import render_table
+from ..runner import SimJob, baseline_policy, static_policy, yield_only_policy
 from ..sim.time import us
 from . import common
-from .scenarios import corun_scenario, mixed_io_scenario
+
+
+def _run(scenario, scenario_kwargs, seed, scale_override, duration, points):
+    """Run ``{label: (policy, overrides)}`` as one job plan on one
+    scenario; returns ``{label: RunResult}`` in ``points`` order."""
+    jobs = [
+        SimJob(
+            tag=str(label),
+            scenario=scenario,
+            scenario_kwargs=dict(scenario_kwargs),
+            policy=policy,
+            overrides=overrides,
+            seed=seed,
+            duration_ns=common.scaled(duration, scale_override),
+            warmup_ns=common.warmup(scale_override),
+        )
+        for label, (policy, overrides) in points.items()
+    ]
+    by_tag = runner.execute(jobs)
+    return {label: by_tag[str(label)] for label in points}
 
 
 def run_fixed_microslice(seed=42, scale_override=None, kind="gmake"):
     """Baseline vs our scheme vs short-slice-everywhere."""
-    _w = common.warmup(scale_override)
-    duration = common.scaled(common.CORUN_DURATION, scale_override)
-    results = {}
-    base = corun_scenario(kind, seed=seed).build().run(duration, warmup_ns=_w)
-    results["baseline"] = {"target": base.rate(kind), "corunner": base.rate("swaptions")}
-
-    ours = corun_scenario(kind, policy=PolicySpec.static(common.STATIC_BEST.get(kind, 1)), seed=seed)
-    res = ours.build().run(duration, warmup_ns=_w)
-    results["micro_pool"] = {"target": res.rate(kind), "corunner": res.rate("swaptions")}
-
-    fixed = corun_scenario(kind, seed=seed)
-    fixed.scheduler = "shortslice"
-    res = fixed.build().run(duration, warmup_ns=_w)
-    results["fixed_100us_all_cores"] = {
-        "target": res.rate(kind),
-        "corunner": res.rate("swaptions"),
+    runs = _run("corun", {"workload_kind": kind}, seed, scale_override,
+                common.CORUN_DURATION, {
+                    "baseline": (baseline_policy(), {}),
+                    "micro_pool": (static_policy(common.STATIC_BEST.get(kind, 1)), {}),
+                    "fixed_100us_all_cores": (baseline_policy(), {"scheduler": "shortslice"}),
+                })
+    results = {
+        label: {"target": res.rate(kind), "corunner": res.rate("swaptions")}
+        for label, res in runs.items()
     }
     base_t = results["baseline"]["target"]
     base_c = results["baseline"]["corunner"]
@@ -53,55 +68,34 @@ def run_fixed_microslice(seed=42, scale_override=None, kind="gmake"):
 
 def run_ple_window(seed=42, scale_override=None, kind="exim", windows_us=(1, 3, 10, 25)):
     """Yield counts and throughput vs the PLE window."""
-    _w = common.warmup(scale_override)
-    duration = common.scaled(common.CORUN_DURATION, scale_override)
-    results = {}
-    for window in windows_us:
-        scenario = corun_scenario(kind, seed=seed)
-        scenario.ple = PleConfig(window=us(window))
-        res = scenario.build().run(duration, warmup_ns=_w)
-        results[window] = {
-            "target_rate": res.rate(kind),
-            "yields": res.total_yields("vm1"),
-        }
-    return results
+    runs = _run("corun", {"workload_kind": kind}, seed, scale_override,
+                common.CORUN_DURATION,
+                {window: (baseline_policy(), {"ple_window": us(window)}) for window in windows_us})
+    return {
+        window: {"target_rate": res.rate(kind), "yields": res.total_yields("vm1")}
+        for window, res in runs.items()
+    }
 
 
 def run_micro_slice_length(seed=42, scale_override=None, kind="dedup", slices_us=(50, 100, 300, 1000)):
     """Target throughput vs the micro pool's slice length."""
-    _w = common.warmup(scale_override)
-    duration = common.scaled(common.CORUN_DURATION, scale_override)
-    results = {}
-    base = corun_scenario(kind, seed=seed).build().run(duration, warmup_ns=_w)
-    results["baseline"] = {"target_rate": base.rate(kind)}
+    policy = static_policy(common.STATIC_BEST.get(kind, 3))
+    points = {"baseline": (baseline_policy(), {})}
     for slice_us in slices_us:
-        scenario = corun_scenario(
-            kind, policy=PolicySpec.static(common.STATIC_BEST.get(kind, 3)), seed=seed
-        )
-        scenario.micro_slice = us(slice_us)
-        res = scenario.build().run(duration, warmup_ns=_w)
-        results[slice_us] = {"target_rate": res.rate(kind)}
-    return results
+        points[slice_us] = (policy, {"micro_slice": us(slice_us)})
+    runs = _run("corun", {"workload_kind": kind}, seed, scale_override,
+                common.CORUN_DURATION, points)
+    return {label: {"target_rate": res.rate(kind)} for label, res in runs.items()}
 
 
 def run_selective_acceleration(seed=42, scale_override=None):
     """Contribution of the relay-time hooks for the mixed-I/O case."""
-    _w = common.warmup(scale_override)
-    duration = common.scaled(common.IO_DURATION, scale_override)
-    results = {}
-    base = mixed_io_scenario(mode="tcp", seed=seed).build().run(duration, warmup_ns=_w)
-    results["baseline"] = base.workload("iperf").extra
-
-    full = mixed_io_scenario(mode="tcp", policy=PolicySpec.static(1), seed=seed)
-    results["full"] = full.build().run(duration, warmup_ns=_w).workload("iperf").extra
-
-    yield_only = mixed_io_scenario(mode="tcp", seed=seed)
-    system = yield_only.build()
-    engine = MicroSliceEngine(accelerate_virq=False, accelerate_vipi=False)
-    system.hv.set_policy(engine)
-    system.hv.set_micro_cores(1)
-    results["yield_only"] = system.run(duration, warmup_ns=_w).workload("iperf").extra
-    return results
+    runs = _run("mixed_io", {"mode": "tcp"}, seed, scale_override, common.IO_DURATION, {
+        "baseline": (baseline_policy(), {}),
+        "full": (static_policy(1), {}),
+        "yield_only": (yield_only_policy(1), {}),
+    })
+    return {label: res.workload("iperf").extra for label, res in runs.items()}
 
 
 def format_fixed_microslice(results):

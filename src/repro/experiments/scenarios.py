@@ -76,8 +76,7 @@ class Scenario:
     ple: PleConfig = None
     pv_spin_rounds: int = 1
     trace: bool = False
-    trace_kinds: tuple = None   # None = all kinds
-    trace_capacity: int = 100_000  # None = lossless (unbounded)
+    trace_kinds: tuple = None   # None = all kinds; traces are lossless
     #: Fault plan (a FaultPlan or its dict form) or None. Resolution of
     #: builtin names / files happens in the CLI and runner layers, which
     #: know the run horizon; by build time this is a concrete plan.
@@ -90,12 +89,7 @@ class Scenario:
 
     def build(self):
         sim = Simulator()
-        tracer = Tracer(
-            sim,
-            enabled=self.trace,
-            capacity=self.trace_capacity,
-            kinds=self.trace_kinds,
-        )
+        tracer = Tracer(sim, enabled=self.trace, capacity=None, kinds=self.trace_kinds)
         hv = Hypervisor(
             sim,
             num_pcpus=self.num_pcpus,

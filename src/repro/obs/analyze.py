@@ -1,7 +1,7 @@
 """The ``repro analyze`` engine — xenalyze for exported traces.
 
-Consumes the JSONL files written by ``repro run --trace --trace-out``
-(or :meth:`repro.sim.trace.Tracer.write_jsonl`) and reconstructs what a
+Consumes the JSONL files written by ``--trace --trace-out`` (or
+:func:`repro.sim.trace.write_jsonl`) and reconstructs what a
 human wants from a raw event stream:
 
 * per-kind record counts;

@@ -174,14 +174,21 @@ class SimJob:
         return cls(**payload)
 
 
+def _is_int(value, minimum):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def check_job(job):
     """Raise :class:`~repro.errors.ConfigError` unless :func:`build_system`
     can build ``job``: a known scenario whose builder accepts the
     ``scenario_kwargs``, a known workload, a policy mode with its
-    required fields, known overrides and scheduler, and trace ``kinds``
+    required fields (core counts are ints >= 1, ``user_critical`` a
+    bool, ``adaptive_kwargs`` binds to the controller), a duration
+    >= 1 ns and warmup >= 0, known overrides and scheduler, and trace ``kinds``
     that are None or a list of strings (unknown kind names are allowed;
     they simply match nothing). Never rewrites the job — its spec is
     the cache identity."""
+    from ..core.adaptive import AdaptiveController
     from ..sched import registry as sched_registry
     from ..workloads import registry as workload_registry
 
@@ -211,6 +218,18 @@ def check_job(job):
     missing = [field for field in POLICY_MODES[mode] if field not in policy]
     if missing:
         raise ConfigError("policy mode %r requires %s" % (mode, ", ".join(map(repr, missing))))
+    for field in ("micro_cores", "turbo_cores", "pool_cores"):
+        if field in policy and not _is_int(policy[field], 1):
+            raise ConfigError("policy %r must be an integer >= 1" % field)
+    if not isinstance(policy.get("user_critical", False), bool):
+        raise ConfigError("policy 'user_critical' must be a boolean")
+    try:  # a non-mapping fails the ** unpacking with a TypeError too
+        inspect.signature(AdaptiveController).bind(**policy.get("adaptive_kwargs", {}))
+    except TypeError as err:
+        raise ConfigError("policy 'adaptive_kwargs': %s" % err) from None
+    for field, minimum in (("duration_ns", 1), ("warmup_ns", 0)):
+        if not _is_int(getattr(job, field), minimum):
+            raise ConfigError("%r must be an integer >= %d" % (field, minimum))
 
     unknown = sorted(set(job.overrides or {}) - set(_OVERRIDES))
     if unknown:
@@ -263,8 +282,6 @@ def build_system(job):
         scenario.trace = True
         kinds = job.trace.get("kinds")
         scenario.trace_kinds = tuple(kinds) if kinds else None
-        # Export-bound traces must be lossless: no ring, no drops.
-        scenario.trace_capacity = None
 
     if job.faults is not None:
         scenario.faults = job.faults

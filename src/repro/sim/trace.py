@@ -4,8 +4,8 @@ Tracing is off by default (a disabled tracer costs its caller one
 attribute check). When enabled, every record carries a monotonically
 increasing sequence number and is counted per kind; the buffer exports
 losslessly to JSONL (``repro analyze`` consumes that). ``capacity``
-bounds the in-memory ring for hot interactive runs — export-bound runs
-pass ``capacity=None`` so nothing is ever dropped.
+bounds the in-memory ring of a standalone tracer; scenario tracers pass
+``capacity=None`` so nothing is ever dropped.
 
 Hot-path contract (see ``docs/performance.md``): emit sites hoist a
 per-kind handle with :meth:`Tracer.want` — ``None`` when this tracer
@@ -125,11 +125,9 @@ class Tracer:
         self.sim = sim
         self.enabled = enabled
         self.kinds = set(kinds) if kinds else None
-        self.capacity = capacity
         self.records = deque(maxlen=capacity)
         self.dropped = 0
         self.seq = 0
-        self._counts = {}
         if debug is None:
             debug = os.environ.get("REPRO_TRACE_DEBUG", "") in ("1", "true", "yes")
         self.debug = debug
@@ -139,13 +137,13 @@ class Tracer:
     def counts(self):
         """Per-kind record counts, tracer-lifetime since the last
         :meth:`clear` (records later pushed out of the ring still
-        count). Aggregated lazily: hot emitters keep a local slot
-        counter that is folded in here on read."""
-        merged = dict(self._counts)
-        for kind, emitter in self._emitters.items():
-            if emitter.count:
-                merged[kind] = merged.get(kind, 0) + emitter.count
-        return merged
+        count). Aggregated lazily: every record goes through an
+        emitter, whose slot counter is folded in here on read."""
+        return {
+            kind: emitter.count
+            for kind, emitter in self._emitters.items()
+            if emitter.count
+        }
 
     def want(self, kind):
         """Precomputed emit handle for ``kind``: ``None`` if this tracer
@@ -160,26 +158,20 @@ class Tracer:
             return None
         if self.kinds is not None and kind not in self.kinds:
             return None
+        return self._emitter(kind)
+
+    def _emitter(self, kind):
         emitter = self._emitters.get(kind)
         if emitter is None:
             emitter = self._emitters[kind] = _Emitter(self, kind)
         return emitter
 
-    def _append(self, kind, detail):
-        if self.debug:
-            _schema_check(kind, detail)
-        if self.records.maxlen is not None and len(self.records) == self.records.maxlen:
-            self.dropped += 1
-        self.seq += 1
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-        self.records.append((self.seq, self.sim.now, kind, detail))
-
     def emit(self, kind, **detail):
-        if not self.enabled:
-            return
-        if self.kinds is not None and kind not in self.kinds:
-            return
-        self._append(kind, detail)
+        """Record one ``kind`` record unless this tracer filters it out
+        (the unhoisted form of :meth:`want`)."""
+        handle = self.want(kind)
+        if handle is not None:
+            handle(**detail)
 
     def record_meta(self, kind, **detail):
         """Emit a metadata record that bypasses the kind filter (but not
@@ -190,7 +182,7 @@ class Tracer:
             return
         if kind not in META_KINDS:
             raise ConfigError("%r is not a meta trace kind" % (kind,))
-        self._append(kind, detail)
+        self._emitter(kind)(**detail)
 
     def find(self, kind):
         """All buffered records of ``kind``, oldest first."""
@@ -207,21 +199,12 @@ class Tracer:
         dropped, so ``dropped + len(records) == seq`` stays exact."""
         self.dropped += len(self.records)
         self.records.clear()
-        self._counts = {}
         for emitter in self._emitters.values():
             emitter.count = 0
 
     def export(self):
         """Buffered records as a list of flat JSON-native dicts."""
         return export_records(self.records)
-
-    def write_jsonl(self, path, job=None):
-        """Write the buffer to ``path`` as one JSON object per line
-        (sorted keys — byte-stable for identical runs). ``job`` labels
-        every record for multi-job trace files."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self.export():
-                write_record(handle, record, job=job)
 
     def __len__(self):
         return len(self.records)
@@ -240,7 +223,9 @@ def write_record(handle, record, job=None):
 
 
 def write_jsonl(path, records_by_job):
-    """Write ``{job_label: [record_dict, ...]}`` to one JSONL file."""
+    """Write ``{job_label: [record_dict, ...]}`` to one JSONL file, one
+    sorted-key object per line (byte-stable for identical runs). A
+    ``None`` label writes that job's records unlabelled."""
     with open(path, "w", encoding="utf-8") as handle:
         for job, records in records_by_job.items():
             for record in records:

@@ -1,9 +1,70 @@
 """Smoke tests for the ablation harnesses (full scale runs live in
 benchmarks/test_ablations.py)."""
 
+import json
+
+import pytest
+
+from repro.core.microslice import MicroSliceEngine
+from repro.core.policy import PolicySpec
 from repro.experiments import ablations, registry
+from repro.experiments.scenarios import corun_scenario, mixed_io_scenario
+from repro.hw.ple import PleConfig
+from repro.runner import SimJob, baseline_policy, run_job, static_policy, yield_only_policy
+from repro.sim.time import ms, us
 
 SCALE = 0.15
+DURATION = ms(20)
+WARMUP = ms(10)
+
+
+def _shortslice():
+    scenario = corun_scenario("gmake", seed=7)
+    scenario.scheduler = "shortslice"
+    return scenario.build()
+
+
+def _ple_window():
+    scenario = corun_scenario("exim", seed=7)
+    scenario.ple = PleConfig(window=us(10))
+    return scenario.build()
+
+
+def _micro_slice():
+    scenario = corun_scenario("dedup", policy=PolicySpec.static(3), seed=7)
+    scenario.micro_slice = us(300)
+    return scenario.build()
+
+
+def _yield_only():
+    system = mixed_io_scenario(mode="tcp", seed=7).build()
+    system.hv.set_policy(MicroSliceEngine(accelerate_virq=False, accelerate_vipi=False))
+    system.hv.set_micro_cores(1)
+    return system
+
+
+#: (scenario, scenario kwargs, job policy, job overrides, hand-built
+#: reference system) for each knob the ablation harnesses turn.
+ABLATION_KNOBS = {
+    "shortslice": ("corun", {"workload_kind": "gmake"}, baseline_policy(),
+                   {"scheduler": "shortslice"}, _shortslice),
+    "ple_window": ("corun", {"workload_kind": "exim"}, baseline_policy(),
+                   {"ple_window": us(10)}, _ple_window),
+    "micro_slice": ("corun", {"workload_kind": "dedup"}, static_policy(3),
+                    {"micro_slice": us(300)}, _micro_slice),
+    "yield_only": ("mixed_io", {"mode": "tcp"}, yield_only_policy(1), {}, _yield_only),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(ABLATION_KNOBS))
+def test_ablation_knob_job_matches_hand_built_scenario(knob):
+    """Each ablation knob, described as a SimJob, simulates exactly the
+    scenario the harnesses used to wire by hand."""
+    scenario, kwargs, policy, overrides, reference = ABLATION_KNOBS[knob]
+    job = SimJob(tag=knob, scenario=scenario, scenario_kwargs=kwargs, policy=policy,
+                 overrides=overrides, seed=7, duration_ns=DURATION, warmup_ns=WARMUP)
+    expected = reference().run(DURATION, warmup_ns=WARMUP).to_dict()
+    assert run_job(job) == json.loads(json.dumps(expected))
 
 
 class TestAblationHarnesses:

@@ -3,28 +3,31 @@
 import pytest
 
 from repro.cli import _parse_policy, build_parser, main
-from repro.core.policy import BASELINE, DYNAMIC, STATIC
 from repro.errors import ReproError
+from repro.experiments import common
+from repro.obs import telemetry
 
 
 class TestPolicyParsing:
     def test_baseline(self):
-        assert _parse_policy("baseline").mode == BASELINE
+        assert _parse_policy("baseline") == {"mode": "baseline"}
 
     def test_static(self):
-        spec = _parse_policy("static:3")
-        assert spec.mode == STATIC
-        assert spec.micro_cores == 3
+        assert _parse_policy("static:3") == {
+            "mode": "static", "micro_cores": 3, "user_critical": False,
+        }
 
     def test_dynamic(self):
-        assert _parse_policy("dynamic").mode == DYNAMIC
+        policy = _parse_policy("dynamic")
+        assert policy == common.scheme_policy("dynamic")
+        assert policy["adaptive_kwargs"] == {"epoch_interval": common.DYNAMIC_EPOCH}
 
     def test_garbage_rejected(self):
         with pytest.raises(ReproError):
             _parse_policy("turbo")
 
     def test_static_without_count_rejected(self):
-        with pytest.raises((ReproError, ValueError)):
+        with pytest.raises(ReproError):
             _parse_policy("static:")
 
 
@@ -70,6 +73,29 @@ class TestMain:
         code = main(["corun", "gmake", "--policy", "warp9", "--duration-ms", "10"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--policy", "static:x"],
+        ["--duration-ms", "0"],
+        ["--duration-ms", "-5"],
+    ])
+    def test_invalid_job_exits_two(self, capsys, argv):
+        assert main(["corun", "gmake"] + argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_corun_replays_from_the_result_cache(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE", "on")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(telemetry.REGISTRY, "enabled", True)
+        argv = ["corun", "gmake", "--policy", "static:1", "--duration-ms", "20"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        hits = telemetry.counter("cache.hits").value
+        inline = telemetry.counter("runner.jobs_inline").value
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert telemetry.counter("cache.hits").value == hits + 1
+        assert telemetry.counter("runner.jobs_inline").value == inline
 
 
 class TestTraceAndAnalyze:

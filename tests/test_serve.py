@@ -169,6 +169,11 @@ class TestValidation:
             ({"trace": {"kinds": 5}}, "kinds"),
             ({"trace": {"kinds": "deschedule"}}, "kinds"),
             ({"policy": {"mode": "static"}}, "micro_cores"),
+            ({"policy": {"mode": "static", "micro_cores": "x"}}, "micro_cores"),
+            ({"policy": {"mode": "static", "micro_cores": 0}}, "micro_cores"),
+            ({"policy": {"mode": "dynamic", "adaptive_kwargs": {"bogus": 1}}},
+             "adaptive_kwargs"),
+            ({"duration_ns": 0}, ">= 1"),
         ],
     )
     def test_job_spec_rules_hold_at_submission_and_build(self, patch, match):
