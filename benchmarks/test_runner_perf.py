@@ -2,8 +2,8 @@
 
 These benchmarks measure a 16-job cold plan dispatched over the warm
 persistent pool at workers=4, the worker scale-up curve, and the
-cache-as-transport payload savings, and fold every headline number
-into ``BENCH_engine.json``.
+per-job payload bytes a worker sends back through the result pipe, and
+fold every headline number into ``BENCH_engine.json``.
 
 Every run has the result cache off so each round pays the full
 simulation cost (cold-plan conditions); the pool is measured warm,
@@ -77,14 +77,12 @@ class TestRunnerScaling:
             _record("runner_scaleup_w%d_jobs_per_sec" % workers, rate)
 
 
-class TestCacheTransportSavings:
-    def test_payload_vs_key_bytes(self, benchmark):
-        """Cache-as-transport ships a 64-byte key back through the
-        result queue instead of the full payload JSON; record the
-        per-job pipe savings."""
+class TestPayloadTransport:
+    def test_payload_bytes(self, benchmark):
+        """Every pooled job ships its payload back through the result
+        queue; record the per-job pipe traffic."""
         job = _plan("x")[0]
         payload = benchmark.pedantic(run_job, args=(job,), rounds=1, iterations=1)
         payload_bytes = len(json.dumps(payload, sort_keys=True).encode())
         assert payload_bytes > 64
         _record("runner_payload_transport_bytes", payload_bytes)
-        _record("runner_cache_transport_bytes", 64)

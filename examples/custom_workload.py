@@ -14,7 +14,7 @@ primitive actions / guest-kernel composites.
 Run:  python examples/custom_workload.py
 """
 
-from repro.experiments.common import dynamic_policy
+from repro.experiments import common
 from repro.experiments.scenarios import Scenario
 from repro.guest import mm
 from repro.guest.actions import Compute
@@ -76,7 +76,10 @@ def main():
 
     rows = [
         run_config("baseline", PolicySpec.baseline()),
-        run_config("dynamic micro-slicing", dynamic_policy()),
+        run_config(
+            "dynamic micro-slicing",
+            PolicySpec.dynamic(epoch_interval=common.DYNAMIC_EPOCH),
+        ),
     ]
     print(render_table(
         ["configuration", "requests/s", "yields", "migrations"],

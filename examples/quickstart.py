@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import PolicySpec, corun_scenario
-from repro.experiments.common import dynamic_policy
+from repro.experiments import common
 from repro.metrics.report import render_table
 from repro.sim.time import ms
 
@@ -40,7 +40,7 @@ def main():
     configs = [
         run_config("baseline", PolicySpec.baseline()),
         run_config("static (1 core)", PolicySpec.static(1)),
-        run_config("dynamic", dynamic_policy()),
+        run_config("dynamic", PolicySpec.dynamic(epoch_interval=common.DYNAMIC_EPOCH)),
     ]
     base = configs[0]["exim"]
     rows = [

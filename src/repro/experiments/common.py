@@ -8,8 +8,7 @@ stable statistics at 4x wall cost).
 
 import os
 
-from ..core.policy import PolicySpec
-from ..runner import baseline_policy, dynamic_policy as dynamic_policy_desc, static_policy
+from ..runner import baseline_policy, dynamic_policy, static_policy
 from ..sim.time import ms
 
 #: Default simulated durations (before scaling).
@@ -47,11 +46,6 @@ def warmup(scale_override=None):
     return scaled(WARMUP, scale_override)
 
 
-def dynamic_policy():
-    """The dynamic policy with the experiment-scaled epoch."""
-    return PolicySpec.dynamic(epoch_interval=DYNAMIC_EPOCH)
-
-
 def scheme_policy(label, static_cores=1):
     """Job-policy descriptor for the standard three-scheme comparison
     (baseline / static-best / dynamic with the experiment epoch)."""
@@ -60,7 +54,7 @@ def scheme_policy(label, static_cores=1):
     if label == "static":
         return static_policy(static_cores)
     if label == "dynamic":
-        return dynamic_policy_desc(epoch_interval=DYNAMIC_EPOCH)
+        return dynamic_policy(epoch_interval=DYNAMIC_EPOCH)
     raise ValueError("unknown scheme label %r" % label)
 
 

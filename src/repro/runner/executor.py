@@ -15,19 +15,14 @@ call the executor:
    lifetime, shared across calls), or runs them inline when
    ``workers <= 1`` / the pool is unavailable.
 
-Three scheduling refinements over a per-call ``Pool.map``:
-
-* **straggler-aware submission** — jobs are submitted longest-first
-  using the persisted cost model (:mod:`repro.runner.costmodel`), and
-  completions stream back unordered instead of blocking on a barrier;
-* **chunking** — many-small-job plans are dispatched in chunks so the
-  per-task queue round-trip amortises;
-* **cache-as-transport** — when the result cache is on, workers
-  persist their own payload and return only the 64-byte cache key plus
-  wall time; the parent never re-pickles multi-megabyte payloads
-  through a pipe, and the cache write path is concurrent-safe by
-  construction (each entry is written exactly once, atomically, by the
-  worker that computed it).
+Pooled jobs are submitted longest-first using the persisted cost
+model (:mod:`repro.runner.costmodel`), many-small-job plans go out in
+chunks so the per-task queue round-trip amortises, and completions
+stream back unordered instead of blocking on a barrier. Workers return
+the payload itself; inline or pooled, every simulated result lands in
+the parent through one function that updates the cost model, stores
+the cache entry and reports progress — so the parent is the cache's
+only writer and its hit/miss counters mean what they say.
 
 ``REPRO_RUNNER_WORKERS`` sets the default pool size (1 = serial,
 inline execution; ``auto`` = one per CPU); ``REPRO_CACHE=off`` disables
@@ -59,12 +54,11 @@ ENV_WORKERS = "REPRO_RUNNER_WORKERS"
 #: re-entry), which was fine while every process had exactly one
 #: ``execute*`` caller — but a long-lived multi-client host
 #: (``repro serve``) reaches this module from several request threads
-#: at once. Without the lock two threads can race the
-#: ``shared.running`` check and the loser degrades to inline
-#: execution (or trips the re-entrancy error); with it, batches queue
-#: up and share the pool in turn, and pool epoch accounting stays
-#: coherent. Cache probes and reduce() stay lock-free — only the
-#: simulate-the-misses phase is serialised.
+#: at once. Without the lock the second thread would trip the
+#: re-entrancy error; with it, batches queue up and share the pool in
+#: turn, and pool epoch accounting stays coherent. Cache probes and
+#: reduce() stay lock-free — only the simulate-the-misses phase is
+#: serialised.
 _DISPATCH_LOCK = threading.Lock()
 
 #: Chunking kicks in when a plan carries more than ``CHUNK_THRESHOLD``
@@ -140,96 +134,66 @@ class Progress:
             self.callback("done", tag, self.done, self.total)
 
 
-def _simulate_inline(pending, use_cache, cache_dir, model, progress):
-    """Serial fallback: run every pending job in this process."""
+def _simulate_pending(pending, workers, use_cache, cache_dir, progress):
+    """Simulate the deduplicated cache-miss jobs; returns ``{key:
+    payload}``. Chooses the persistent pool or inline execution based
+    on ``workers``; either way each result goes through ``land``."""
     payloads = {}
+    with _DISPATCH_LOCK:
+        model = costmodel.CostModel.load(cache_dir)
+
+        def land(job, key, payload, seconds):
+            model.observe(job, seconds)
+            if use_cache:
+                result_cache.store(key, job, payload, cache_dir)
+            payloads[key] = payload
+            progress.finish(job.tag)
+
+        try:
+            shared = pool_mod.shared_pool(workers) if len(pending) > 1 else None
+            if shared is None:
+                _simulate_inline(pending, land, progress)
+            else:
+                _simulate_on_pool(shared, pending, workers, model, land, progress)
+        finally:
+            if use_cache:  # the model lives inside the cache directory
+                model.save()
+    return payloads
+
+
+def _simulate_inline(pending, land, progress):
+    """Serial path: run every pending job in this process."""
     for job, key in pending:
         progress.start(job.tag)
         start = time.perf_counter()
         payload = run_job(job)
-        model.observe(job, time.perf_counter() - start)
         _INLINE.inc()
-        if use_cache:
-            result_cache.store(key, job, payload, cache_dir)
-        payloads[key] = payload
-        progress.finish(job.tag)
-    return payloads
+        land(job, key, payload, time.perf_counter() - start)
 
 
-def _simulate_pending(pending, workers, use_cache, cache_dir, progress=None):
-    """Simulate the deduplicated cache-miss jobs; returns ``{key:
-    payload}``. Chooses the persistent pool or inline execution based
-    on ``workers``."""
-    if progress is None:
-        progress = Progress()
-    with _DISPATCH_LOCK:
-        return _simulate_pending_locked(
-            pending, workers, use_cache, cache_dir, progress
-        )
-
-
-def _simulate_pending_locked(pending, workers, use_cache, cache_dir, progress):
-    model = costmodel.CostModel.load(cache_dir)
-    try:
-        shared = None
-        if len(pending) > 1:
-            shared = pool_mod.shared_pool(workers)
-        if shared is None or shared.running:
-            return _simulate_inline(pending, use_cache, cache_dir, model, progress)
-        return _simulate_on_pool(
-            shared, pending, workers, use_cache, cache_dir, model, progress
-        )
-    finally:
-        if use_cache:  # the model lives inside the cache directory
-            model.save()
-
-
-def _simulate_on_pool(shared, pending, workers, use_cache, cache_dir, model, progress):
+def _simulate_on_pool(shared, pending, workers, model, land, progress):
     """Dispatch ``pending`` over the persistent pool: longest-first
-    submission, streamed unordered completion, cache-as-transport."""
-    ordered_jobs = costmodel.order_longest_first([job for job, _ in pending], model)
+    submission, each result landed as it streams back."""
+    ordered = costmodel.order_longest_first([job for job, _ in pending], model)
     key_of = {id(job): key for job, key in pending}
-    store_dir = str(result_cache.cache_dir(cache_dir)) if use_cache else None
-    entries = [
-        (job.to_dict(), key_of[id(job)] if use_cache else None, store_dir)
-        for job in ordered_jobs
-    ]
+
+    def on_result(job_id, outcome):
+        job = ordered[job_id]
+        if outcome.kind == "payload":
+            land(job, key_of[id(job)], outcome.value, outcome.seconds)
+
     outcomes = shared.run(
-        entries,
-        chunk_size=_chunk_size(len(entries), workers),
+        [job.to_dict() for job in ordered],
+        chunk_size=_chunk_size(len(ordered), workers),
         max_workers=workers,
-        on_result=lambda job_id, _outcome: progress.finish(ordered_jobs[job_id].tag),
-        on_progress=lambda job_id, _tag: progress.start(ordered_jobs[job_id].tag),
+        on_result=on_result,
+        on_progress=lambda job_id, _tag: progress.start(ordered[job_id].tag),
     )
-    payloads = {}
-    for job, outcome in zip(ordered_jobs, outcomes):
-        key = key_of[id(job)]
-        if outcome is None:
-            outcome = pool_mod.JobOutcome("error", "job produced no outcome", 0.0)
-        if outcome.kind == "key":
-            payload = result_cache.load(outcome.value, cache_dir)
-            if payload is None:
-                # The entry vanished between the worker's write and our
-                # read (cache dir wiped mid-run?). Recompute inline.
-                warnings.warn(
-                    "cache-transport entry for job %r disappeared; "
-                    "re-simulating inline" % job.tag,
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                payload = run_job(job)
-            model.observe(job, outcome.seconds)
-        elif outcome.kind == "payload":
-            payload = outcome.value
-            model.observe(job, outcome.seconds)
-            if use_cache:
-                result_cache.store(key, job, payload, cache_dir)
-        else:
+    for job, outcome in zip(ordered, outcomes):
+        if outcome.kind == "error":
             raise WorkerError(
                 "job %r failed in a worker process:\n%s" % (job.tag, outcome.value)
             )
-        payloads[key] = payload
-    return payloads
 
 
 def _probe_plans(plans, use_cache, cache_dir):

@@ -1,22 +1,18 @@
 """Persistent simulation worker pool.
 
-The original executor paid the full ``spawn`` tax on every
-:func:`~repro.runner.executor.execute` call: four fresh interpreters,
-four ``import repro``, four :func:`~repro.runner.cache.code_salt`
-re-hashes — roughly half a second of pure overhead per call, repeated
-for every experiment in a multi-experiment invocation. This module
-spawns the workers **once per process lifetime** and shares them across
-every ``execute()`` call and experiment:
+Workers spawn **once per process lifetime** and are shared by every
+:func:`~repro.runner.executor.execute` call and experiment, so a
+multi-experiment invocation pays the ``spawn`` + ``import repro`` tax
+once instead of once per call:
 
-* each worker pre-imports the scenario machinery and pre-hashes the
-  code salt before accepting its first job;
+* each worker pre-imports the scenario machinery before accepting its
+  first job;
 * the parent dispatches jobs to idle workers one chunk at a time and
   streams completions off a shared result queue — no ``pool.map``
   barrier, so a straggler never blocks the jobs behind it;
-* results travel either as raw payload dicts or, when the result cache
-  is on, *through the cache*: the worker persists the payload itself
-  and sends back only the 64-byte key plus its wall time
-  (cache-as-transport — see :mod:`repro.runner.executor`);
+* every result travels back as the payload dict itself plus its wall
+  time; the parent lands it (cost model, cache store, progress — see
+  :mod:`repro.runner.executor`) as it streams in;
 * a worker that dies mid-job is detected (liveness poll on queue
   timeouts), respawned, and its in-flight chunk retried up to
   :data:`MAX_RETRIES` times before the job surfaces a
@@ -25,9 +21,8 @@ every ``execute()`` call and experiment:
   refusing ``fork``/``spawn``) degrades to inline execution in the
   caller, never to a crash.
 
-The module-level singleton (:func:`shared_pool`) is what the executor
-uses; :class:`WorkerPool` itself is also usable standalone (the
-payload-manifest tool and the benchmarks drive it directly).
+The executor reaches the pool only through the module-level singleton
+(:func:`shared_pool`); tests drive :class:`WorkerPool` directly.
 """
 
 import atexit
@@ -42,7 +37,7 @@ from ..errors import WorkerError
 from ..obs import telemetry
 
 #: Pool telemetry (parent side). Worker-side metrics — engine event
-#: totals, cache stores, per-job wall time — accumulate in each
+#: totals, per-job wall time — accumulate in each
 #: worker's own registry and ride back piggybacked on the chunk result
 #: messages; :func:`WorkerPool._run` merges them in.
 _SPAWNED = telemetry.counter("pool.workers_spawned")
@@ -101,8 +96,8 @@ def _maybe_test_crash(tag):
 def _worker_main(worker_index, task_queue, result_queue):
     """Worker process body: warm up once, then serve job chunks forever.
 
-    A task is ``(epoch, chunk_id, [(job_id, job_dict, key, store_dir),
-    ...])`` or ``None`` to shut down. Two message shapes flow back, both
+    A task is ``(epoch, chunk_id, [(job_id, job_dict), ...])`` or
+    ``None`` to shut down. Two message shapes flow back, both
     epoch-tagged so the parent can discard leftovers from a previous
     ``run()`` call (a worker that posted its result and then died is
     presumed lost and retried; the late message must not corrupt the
@@ -113,29 +108,23 @@ def _worker_main(worker_index, task_queue, result_queue):
       can render a live per-job status line;
     * ``("result", worker_index, epoch, chunk_id, [(job_id, kind,
       value, seconds), ...], telem)`` — one per chunk, where ``kind``
-      is ``"key"`` (value = cache key, payload already persisted by
-      this worker), ``"payload"`` (value = payload dict) or ``"error"``
-      (value = worker-side traceback text), and ``telem`` is this
-      worker's telemetry snapshot *delta* since its last message
-      (engine event totals, cache stores, job wall times) for the
-      parent registry to merge.
+      is ``"payload"`` (value = payload dict) or ``"error"`` (value =
+      worker-side traceback text), and ``telem`` is this worker's
+      telemetry snapshot *delta* since its last message (engine event
+      totals, job wall times) for the parent registry to merge.
     """
-    # One-time warm-up, amortised over every job this worker will run:
-    # import the full scenario/experiment machinery and hash the
-    # package sources for cache keys.
-    from . import cache as result_cache
+    # One-time warm-up, amortised over every job this worker will run.
     from .jobs import SimJob, run_job
 
     import repro.experiments.scenarios  # noqa: F401  (pre-import, heavy)
 
-    result_cache.code_salt()
     while True:
         task = task_queue.get()
         if task is None:
             return
         epoch, chunk_id, entries = task
         results = []
-        for job_id, job_dict, key, store_dir in entries:
+        for job_id, job_dict in entries:
             _maybe_test_crash(job_dict.get("tag"))
             try:  # heartbeat: best-effort, never blocks the job
                 result_queue.put(
@@ -145,18 +134,8 @@ def _worker_main(worker_index, task_queue, result_queue):
                 pass
             start = time.perf_counter()
             try:
-                job = SimJob.from_dict(job_dict)
-                payload = run_job(job)
-                seconds = time.perf_counter() - start
-                if key is not None and store_dir is not None:
-                    # Cache-as-transport: persist here, ship the key.
-                    result_cache.store(key, job, payload, store_dir)
-                    if result_cache.entry_path(key, store_dir).exists():
-                        results.append((job_id, "key", key, seconds))
-                    else:  # store degraded to a warning; ship the payload
-                        results.append((job_id, "payload", payload, seconds))
-                else:
-                    results.append((job_id, "payload", payload, seconds))
+                payload = run_job(SimJob.from_dict(job_dict))
+                results.append((job_id, "payload", payload, time.perf_counter() - start))
             except Exception:
                 seconds = time.perf_counter() - start
                 results.append((job_id, "error", traceback.format_exc(), seconds))
@@ -170,7 +149,7 @@ class JobOutcome:
     __slots__ = ("kind", "value", "seconds", "retries")
 
     def __init__(self, kind, value, seconds, retries=0):
-        self.kind = kind  # "key" | "payload" | "error"
+        self.kind = kind  # "payload" | "error"
         self.value = value
         self.seconds = seconds
         self.retries = retries
@@ -278,8 +257,7 @@ class WorkerPool:
         in *input order* (dispatch order is the caller's submission
         order — sort longest-first for straggler-aware scheduling).
 
-        ``entries`` is a list of ``(job_dict, key, store_dir)``;
-        ``key``/``store_dir`` of ``None`` selects payload transport.
+        ``entries`` is a list of job dicts (``SimJob.to_dict()``).
         Completions stream back unordered; ``on_result(job_id,
         outcome)`` fires as each job lands, and ``on_progress(job_id,
         tag)`` fires when a worker's heartbeat says it *picked the job
@@ -307,12 +285,7 @@ class WorkerPool:
         chunk_size = max(1, int(chunk_size))
         chunks = []
         for start in range(0, len(entries), chunk_size):
-            block = [
-                (job_id, job_dict, key, store_dir)
-                for job_id, (job_dict, key, store_dir) in enumerate(
-                    entries[start : start + chunk_size], start
-                )
-            ]
+            block = list(enumerate(entries[start : start + chunk_size], start))
             chunks.append((len(chunks), block, 0))
         pending = list(reversed(chunks))  # pop() takes submission order
         remaining = len(entries)
@@ -348,7 +321,7 @@ class WorkerPool:
                     on_progress(job_id, tag)
                 return
             _kind, worker_index, msg_epoch, msg_chunk_id, results, telem = message
-            # Worker-side telemetry (engine totals, cache stores) is a
+            # Worker-side telemetry (engine totals, job wall times) is a
             # delta: merging it is correct even for stale-epoch
             # messages — the work really happened.
             telemetry.REGISTRY.merge(telem)
@@ -403,7 +376,7 @@ class WorkerPool:
                     _RETRIED.inc(len(live))
                     pending.append((chunk_id, live, retries + 1))
                 else:
-                    for job_id, job_dict, _key, _store in live:
+                    for job_id, job_dict in live:
                         outcomes[job_id] = JobOutcome(
                             "error",
                             "worker process died repeatedly while running job %r "

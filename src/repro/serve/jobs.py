@@ -572,6 +572,7 @@ class JobManager:
                 self._fail_sync(subs[0])
                 return
             for sub in subs:
+                sub.jobs_done = 0  # the retry re-reports every job
                 self._execute_planned([sub])
             return
         # The engine/cache counter movement this wave caused rides on

@@ -16,8 +16,8 @@ Usage::
 
 Payloads are recomputed through ``runner.execute`` with the result
 cache off. ``--workers N`` (default: ``REPRO_RUNNER_WORKERS``) fans
-them out over the persistent worker pool with payload transport, so
-the identity gate also proves that pooled execution is byte-clean.
+them out over the persistent worker pool, so the identity gate also
+proves that payloads returned by pool workers are byte-clean.
 Serial and pooled runs must (and do) produce identical digests.
 
 The manifest lives at ``tests/data/payload_manifest.json``. Keys are

@@ -7,7 +7,7 @@ re-verify them at full scale with printed tables.
 
 
 from repro.core.policy import PolicySpec
-from repro.experiments.common import dynamic_policy
+from repro.experiments import common
 from repro.experiments.scenarios import (
     corun_scenario,
     mixed_io_scenario,
@@ -91,20 +91,23 @@ class TestMicroSlicedImprovements:
 
     def test_dynamic_improves_over_baseline(self):
         base = corun_scenario("exim").build().run(ms(400), warmup_ns=WARMUP)
-        dyn = corun_scenario("exim", policy=dynamic_policy()).build().run(
+        dynamic = PolicySpec.dynamic(epoch_interval=common.DYNAMIC_EPOCH)
+        dyn = corun_scenario("exim", policy=dynamic).build().run(
             ms(400), warmup_ns=WARMUP
         )
         assert dyn.rate("exim") > 1.2 * base.rate("exim")
 
     def test_dynamic_releases_cores_when_idle(self):
-        dyn = corun_scenario("sjeng", policy=dynamic_policy()).build().run(
+        dynamic = PolicySpec.dynamic(epoch_interval=common.DYNAMIC_EPOCH)
+        dyn = corun_scenario("sjeng", policy=dynamic).build().run(
             ms(400), warmup_ns=WARMUP
         )
         assert dyn.micro_cores <= 1
 
     def test_unaffected_workload_overhead_small(self):
         base = _corun("blackscholes")
-        dyn = corun_scenario("blackscholes", policy=dynamic_policy()).build().run(
+        dynamic = PolicySpec.dynamic(epoch_interval=common.DYNAMIC_EPOCH)
+        dyn = corun_scenario("blackscholes", policy=dynamic).build().run(
             DURATION, warmup_ns=WARMUP
         )
         assert dyn.rate("blackscholes") > 0.9 * base.rate("blackscholes")

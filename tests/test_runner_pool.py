@@ -2,8 +2,8 @@
 crash resilience.
 
 The contract under test: ``execute()``/``execute_many()`` through the
-persistent pool must be byte-identical to serial execution (payloads
-travel either through the pipe or through the cache), the pool must
+persistent pool must be byte-identical to serial execution, the parent
+must land (and, with the cache on, store) every result itself, the pool must
 spawn once and be reused across calls, a crashed worker must cost at
 most one retry — never a hang — and every degraded path must fall back
 inline instead of failing the run.
@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.errors import WorkerError
+from repro.obs import telemetry
 from repro.runner import SimJob, costmodel, execute, execute_many
 from repro.runner import executor as executor_mod
 from repro.runner import pool as pool_mod
@@ -35,6 +36,19 @@ def _norm(results):
     return json.dumps(
         {tag: res.to_dict() for tag, res in results.items()}, sort_keys=True
     )
+
+
+def _cache_counters():
+    counters = telemetry.snapshot()["counters"]
+    return {
+        name: counters.get("cache." + name, 0)
+        for name in ("hits", "misses", "stores", "store_errors")
+    }
+
+
+def _moved(before):
+    after = _cache_counters()
+    return {name: after[name] - before[name] for name in after}
 
 
 @pytest.fixture
@@ -82,13 +96,13 @@ class TestPersistentPool:
         pooled = execute(jobs, workers=2, cache=False)
         assert _norm(serial) == _norm(pooled)
 
-    def test_cache_transport_matches_serial(self, tmp_path):
+    def test_pooled_run_parent_writes_each_cache_entry(self, tmp_path):
         jobs = [_job("j%d" % i, seed=i) for i in range(4)]
         serial = execute(jobs, workers=1, cache=False)
         pooled = execute(jobs, workers=2, cache=True, cache_dir=tmp_path)
         assert _norm(serial) == _norm(pooled)
-        # The workers wrote the entries themselves (cache-as-transport):
-        # every unique job has exactly one valid entry on disk.
+        # The parent stored each pooled result as it landed: every
+        # unique job has exactly one valid entry on disk.
         entries = sorted(tmp_path.glob("*.json"))
         assert len(entries) == len(jobs)
         for entry in entries:
@@ -98,6 +112,36 @@ class TestPersistentPool:
         # ... and the warm replay serves them back bit-identically.
         warm = execute(jobs, workers=2, cache=True, cache_dir=tmp_path)
         assert _norm(warm) == _norm(serial)
+
+    def test_cold_pooled_run_counts_no_cache_hits(self, tmp_path):
+        """Simulated jobs are misses that get stored, never hits; only
+        the warm replay hits."""
+        jobs = [_job("h%d" % i, seed=40 + i) for i in range(4)]
+        before = _cache_counters()
+        execute(jobs, workers=2, cache=True, cache_dir=tmp_path)
+        moved = _moved(before)
+        assert (moved["hits"], moved["misses"], moved["stores"]) == (0, 4, 4)
+        before = _cache_counters()
+        execute(jobs, workers=2, cache=True, cache_dir=tmp_path)
+        assert _moved(before)["hits"] == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_store_failure_warns_and_still_returns_payloads(
+        self, tmp_path, monkeypatch, workers
+    ):
+        jobs = [_job("s%d" % i, seed=60 + i) for i in range(4)]
+        reference = execute(jobs, workers=1, cache=False)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.runner.cache.os.replace", refuse)
+        before = _cache_counters()
+        with pytest.warns(RuntimeWarning, match="could not write"):
+            results = execute(jobs, workers=workers, cache=True, cache_dir=tmp_path)
+        assert _moved(before)["store_errors"] == len(jobs)
+        assert _norm(results) == _norm(reference)
+        assert list(tmp_path.glob("*.json")) == []
 
     def test_grow_on_larger_request(self):
         execute([_job("a", 1), _job("b", 2)], workers=2, cache=False)
@@ -117,8 +161,7 @@ class TestWorkerPoolPrimitive:
         pool = pool_mod.WorkerPool(2)
         try:
             jobs = [_job("c%d" % i, seed=10 + i) for i in range(5)]
-            entries = [(job.to_dict(), None, None) for job in jobs]
-            outcomes = pool.run(entries, chunk_size=2)
+            outcomes = pool.run([job.to_dict() for job in jobs], chunk_size=2)
             assert [o.kind for o in outcomes] == ["payload"] * 5
             inline = [executor_mod.run_job(job) for job in jobs]
             assert [o.value for o in outcomes] == inline
@@ -130,7 +173,7 @@ class TestWorkerPoolPrimitive:
         pool = pool_mod.WorkerPool(1)
         try:
             bad = SimJob(tag="bad", scenario="no-such-scenario", duration_ns=ms(10))
-            (outcome,) = pool.run([(bad.to_dict(), None, None)])
+            (outcome,) = pool.run([bad.to_dict()])
             assert outcome.kind == "error"
             assert "no-such-scenario" in outcome.value
         finally:

@@ -489,6 +489,36 @@ class TestQueuedStates:
         status, _, body = client.request("POST", "/jobs", dict(JOB, seed=3))
         assert status == 429
 
+    def test_failed_wave_retry_does_not_double_count_progress(
+        self, parked, monkeypatch
+    ):
+        """A wave whose batch raises after some jobs reported progress
+        is retried one submission at a time; the retry must count each
+        job once, not on top of the failed attempt."""
+        import repro.serve.jobs as serve_jobs
+
+        real = serve_jobs.execute_many
+
+        def flaky(plans, progress=None, **kwargs):
+            if len(plans) > 1:
+                for jobs in plans.values():
+                    for job in jobs:
+                        progress("done", job.tag, 0, 0)
+                raise RuntimeError("wave failed")
+            return real(plans, progress=progress, **kwargs)
+
+        monkeypatch.setattr(serve_jobs, "execute_many", flaky)
+        a, b = Client(parked, name="a"), Client(parked, name="b")
+        ids = [
+            client.request("POST", "/jobs", dict(JOB, tag=tag, seed=seed))[2]["id"]
+            for client, tag, seed in ((a, "pa", 71), (b, "pb", 72))
+        ]
+        parked.run(parked.app.manager.start())  # both land in one wave
+        for job_id in ids:
+            body = a.wait_terminal(job_id)
+            assert body["state"] == "done"
+            assert (body["jobs_done"], body["jobs_total"]) == (1, 1)
+
     def test_drain_refuses_new_work_with_503(self, parked):
         client = Client(parked, name="late")
         parked.app.admission.draining = True
