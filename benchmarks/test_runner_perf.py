@@ -1,12 +1,13 @@
 """Runner scale-out benchmarks over the persistent worker pool.
 
 These benchmarks measure a 16-job cold plan dispatched over the warm
-persistent pool at workers=4, the worker scale-up curve, and the
-per-job payload bytes a worker sends back through the result pipe, and
-fold every headline number into ``BENCH_engine.json``.
+persistent pool at workers=4, the worker scale-up curve, the per-job
+payload bytes a worker sends back through the result pipe, and the
+warm replay of one cached result, and fold every headline number into
+``BENCH_engine.json``.
 
-Every run has the result cache off so each round pays the full
-simulation cost (cold-plan conditions); the pool is measured warm,
+Every dispatch run has the result cache off so each round pays the
+full simulation cost (cold-plan conditions); the pool is measured warm,
 i.e. after the one-time spawn that real sessions amortise across every
 ``execute()`` call.
 """
@@ -15,7 +16,8 @@ import json
 
 from test_simulator_perf import BENCH_JSON, _mean, _record  # noqa: F401
 
-from repro.runner import SimJob, execute
+from repro.experiments.results import RunResult
+from repro.runner import SimJob, cache, execute
 from repro.runner import pool as pool_mod
 from repro.runner.jobs import run_job
 from repro.sim.time import ms
@@ -86,3 +88,28 @@ class TestPayloadTransport:
         payload_bytes = len(json.dumps(payload, sort_keys=True).encode())
         assert payload_bytes > 64
         _record("runner_payload_transport_bytes", payload_bytes)
+
+
+class TestWarmHydration:
+    def test_load_and_from_dict(self, benchmark, tmp_path):
+        """The per-result stage of every warm replay: read and decode
+        one cache entry, then hydrate it. The job is the manifest-scale
+        seed-42 gmake co-run baseline, the most shared point in the
+        experiment plans."""
+        from repro.tools import payload_manifest
+
+        [job] = [
+            job
+            for job, tags in payload_manifest.unique_jobs().values()
+            if "fig4:gmake:0" in tags
+        ]
+        key = cache.job_key(job)
+        payload = run_job(job)
+        cache.store(key, job, payload, tmp_path)
+
+        def hydrate():
+            return RunResult.from_dict(cache.load(key, tmp_path))
+
+        result = benchmark(hydrate)
+        assert result.to_dict() == payload
+        _record("runner_warm_hydrate_us", _mean(benchmark) * 1e6)

@@ -40,7 +40,7 @@ def reduce(results):
     out = {}
     for tag, res in results.items():
         kind, label = tag.rsplit(":", 1)
-        causes = res.yields_by_cause("vm1")
+        causes = dict(res.yields_by_cause("vm1"))  # reducers are read-only
         causes["total"] = sum(causes.get(c, 0) for c in YIELD_CAUSES)
         out.setdefault(kind, {})[label] = causes
     return out

@@ -1,7 +1,5 @@
 """Result collection for experiment runs."""
 
-import copy
-
 
 def _jsonable(value):
     """Recursively normalize a result payload to JSON-native types
@@ -168,10 +166,12 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, payload):
-        """Rebuild a result from :meth:`to_dict` output. The payload is
-        deep-copied so several hydrated results never share state (some
-        reducers annotate the nested dicts in place)."""
-        payload = copy.deepcopy(payload)
+        """Rebuild a result from :meth:`to_dict` output, taking
+        ownership of ``payload``: its nested dicts and lists become the
+        result's fields, uncopied. Pass a payload nothing else holds (a
+        fresh ``json.loads`` or ``run_job``); a caller that hands one
+        payload to several results copies it for every one but the
+        first (see :func:`repro.runner.executor.execute_many`)."""
         result = cls(payload["scenario_name"], payload["duration_ns"])
         result.workloads = {
             key: WorkloadResult(key, entry["progress"], entry["rate"], entry["extra"])

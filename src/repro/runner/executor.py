@@ -29,6 +29,7 @@ inline execution; ``auto`` = one per CPU); ``REPRO_CACHE=off`` disables
 result caching. Explicit arguments win over all knobs.
 """
 
+import copy
 import os
 import threading
 import time
@@ -279,7 +280,19 @@ def execute_many(plans, workers=None, cache=None, cache_dir=None, progress=None)
         payloads.update(
             _simulate_pending(pending, workers, use_cache, cache_dir, tracker)
         )
+    # from_dict takes ownership of its payload: a key's first consumer
+    # gets it as decoded, every later tag sharing the key (in this plan
+    # or another) a deep copy, so no two results share state.
+    claimed = set()
+
+    def hydrate(key):
+        payload = payloads[key]
+        if key in claimed:
+            payload = copy.deepcopy(payload)
+        claimed.add(key)
+        return RunResult.from_dict(payload)
+
     return {
-        name: {job.tag: RunResult.from_dict(payloads[key]) for job, key in pairs}
+        name: {job.tag: hydrate(key) for job, key in pairs}
         for name, pairs in keyed.items()
     }

@@ -3,6 +3,7 @@ produces structurally complete, formattable output."""
 
 import pytest
 
+from repro import runner
 from repro.experiments import fig4, fig7, registry, table2, table4a, table4b
 
 #: Tiny scale so the whole module stays fast; shape assertions live in
@@ -32,6 +33,23 @@ class TestRegistry:
 
         with pytest.raises(ConfigError):
             registry.get("fig99")
+
+
+class TestReducersAreReadOnly:
+    """``RunResult.from_dict`` owns its payload uncopied, so a reducer
+    or formatter that annotated a result in place would change what a
+    later reader of that result sees."""
+
+    def test_finish_leaves_every_input_result_unchanged(self):
+        names = [n for n in registry.available() if not registry.is_driver(registry.get(n))]
+        prepared = {name: registry.prepare(name, scale_override=0.02) for name in names}
+        by_plan = runner.execute_many({name: p.jobs for name, p in prepared.items()})
+        for name, p in prepared.items():
+            by_tag = by_plan[name]
+            before = {tag: res.to_dict() for tag, res in by_tag.items()}
+            p.finish(by_tag)
+            after = {tag: res.to_dict() for tag, res in by_tag.items()}
+            assert after == before, name
 
 
 class TestTables:

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.runner import SimJob, cache, execute, static_policy
+from repro.obs import telemetry
+from repro.runner import SimJob, cache, execute, execute_many, static_policy
 from repro.sim.time import ms
 
 
@@ -28,6 +29,24 @@ def _job(**overrides):
     )
     spec.update(overrides)
     return SimJob(**spec)
+
+
+def _cache_hits():
+    return telemetry.snapshot()["counters"].get("cache.hits", 0)
+
+
+def _assert_independent(first, second):
+    """Two results of one cache key: equal, yet sharing no state, so
+    mutating one's nested dicts leaves the other as it was."""
+    assert first is not second
+    snapshot = second.to_dict()
+    assert first.to_dict() == snapshot
+    assert first.domain_yields and first.workloads
+    for causes in first.domain_yields.values():
+        causes["mutated"] = 1
+    next(iter(first.workloads.values())).extra["mutated"] = 1
+    first.runstates.clear()
+    assert second.to_dict() == snapshot
 
 
 class TestKeying:
@@ -79,7 +98,24 @@ class TestStorage:
         jobs = [_job(tag="a"), _job(tag="b")]
         results = execute(jobs, workers=1, cache=True, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 1
-        assert results["a"].to_dict() == results["b"].to_dict()
+        _assert_independent(results["a"], results["b"])
+
+    def test_warm_replay_of_a_shared_key_loads_once(self, tmp_path):
+        jobs = [_job(tag="a"), _job(tag="b")]
+        execute(jobs, workers=1, cache=True, cache_dir=tmp_path)
+        hits = _cache_hits()
+        results = execute(jobs, workers=1, cache=True, cache_dir=tmp_path)
+        assert _cache_hits() - hits == 1
+        _assert_independent(results["a"], results["b"])
+
+    def test_key_shared_across_plans_stays_independent(self, tmp_path):
+        for _ in ("cold", "warm"):
+            by_plan = execute_many(
+                {"x": [_job(tag="a")], "y": [_job(tag="b")]},
+                workers=1, cache=True, cache_dir=tmp_path,
+            )
+            _assert_independent(by_plan["x"]["a"], by_plan["y"]["b"])
+        assert len(list(tmp_path.glob("*.json"))) == 1
 
     def test_corrupt_entry_warns_and_resimulates(self, tmp_path):
         baseline = execute([_job()], workers=1, cache=True, cache_dir=tmp_path)

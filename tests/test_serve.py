@@ -519,6 +519,32 @@ class TestQueuedStates:
             assert body["state"] == "done"
             assert (body["jobs_done"], body["jobs_total"]) == (1, 1)
 
+    def test_probe_miss_answered_by_an_earlier_wave_simulates_once(
+        self, parked, monkeypatch
+    ):
+        """Two submissions of one spec both miss the submit-time probe
+        and then run in consecutive waves. The wave-time probe in
+        ``execute_many`` finds the entry the first wave stored, so the
+        job is simulated once: the second probe is load-bearing."""
+        import repro.serve.jobs as serve_jobs
+
+        monkeypatch.setattr(serve_jobs, "WAVE_MAX", 1)
+        a, b = Client(parked, name="a"), Client(parked, name="b")
+        bodies = [client.request("POST", "/jobs", JOB)[2] for client in (a, b)]
+        assert [body["state"] for body in bodies] == ["queued", "queued"]
+        before = telemetry.snapshot()["counters"].get("engine.jobs_simulated", 0)
+        waves = telemetry.snapshot()["counters"].get("serve.dispatch_waves", 0)
+        parked.run(parked.app.manager.start())
+        results = []
+        for body in bodies:
+            assert a.wait_terminal(body["id"])["state"] == "done"
+            result = a.request("GET", "/jobs/%s/result" % body["id"])[2]
+            results.append(result["result"]["payload"])
+        counters = telemetry.snapshot()["counters"]
+        assert counters["engine.jobs_simulated"] - before == 1
+        assert counters["serve.dispatch_waves"] - waves == 2
+        assert results[0] == results[1]
+
     def test_drain_refuses_new_work_with_503(self, parked):
         client = Client(parked, name="late")
         parked.app.admission.draining = True
