@@ -20,7 +20,6 @@ comparator helps the symptom it was designed for and misses the others.
 """
 
 from ..sim.time import ms
-from .microslice import MicroSliceEngine
 
 
 class VTurboPolicy:
@@ -117,8 +116,3 @@ class VTrsPolicy:
                     self.classifications.append((hv.sim.now, vcpu.name, "long"))
         self._events = {}
         hv.sim.schedule(self.epoch, self._reclassify)
-
-
-def microsliced_policy(*args, **kwargs):
-    """The paper's scheme, for symmetric imports in comparison code."""
-    return MicroSliceEngine(*args, **kwargs)

@@ -1,5 +1,7 @@
 """Result collection for experiment runs."""
 
+from ..obs.runstate import encode as encode_runstate, steal_ns
+
 
 def _jsonable(value):
     """Recursively normalize a result payload to JSON-native types
@@ -40,7 +42,7 @@ class RunResult:
         self.micro_cores = 0
         self.utilization = 0.0
         self.adaptive_decisions = []
-        self.runstates = {}      # domain -> {vcpu: runstate snapshot}
+        self.runstates = {}      # domain -> {vcpu: state list (obs.runstate)}
         self.histograms = {}     # name -> histogram snapshot
         self._trace = []         # exported trace records (when tracing)
         self._trace_pending = None   # raw record tuples awaiting export
@@ -93,7 +95,7 @@ class RunResult:
         now = hv.sim.now
         for domain in hv.domains:
             result.runstates[domain.name] = {
-                vcpu.name: vcpu.runstate.snapshot(now) for vcpu in domain.vcpus
+                vcpu.name: encode_runstate(vcpu.runstate, now) for vcpu in domain.vcpus
             }
         result.histograms = hv.histograms.snapshot()
         tracer = system.tracer
@@ -217,7 +219,4 @@ class RunResult:
     def steal_time(self, domain):
         """Total runnable-but-not-running ns across the domain's vCPUs
         (the Xen runstate notion of steal time)."""
-        return sum(
-            snap.get("runnable", 0) + snap.get("offline", 0)
-            for snap in self.runstates.get(domain, {}).values()
-        )
+        return sum(steal_ns(states) for states in self.runstates.get(domain, {}).values())

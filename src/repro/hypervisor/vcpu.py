@@ -128,9 +128,5 @@ class VCpu:
         if self.kernel_work and self.kernel_work[0] is ctx:
             self.kernel_work.popleft()
 
-    @property
-    def has_work(self):
-        return bool(self.kernel_work) or self.guest_cpu.has_runnable
-
     def __repr__(self):
         return "<VCpu %s %s>" % (self.name, self.state)

@@ -1,10 +1,9 @@
 """Fixed-bucket log2 histograms.
 
-:class:`LatencyStat` answers percentile queries from a reservoir
-sample, which is compact but *sampled*: two runs that record the same
-values in a different order can report different tails. The paper's
-latency tables (and the trace ``analyze`` tool) need percentiles that
-export deterministically, so :class:`Histogram` buckets values by
+These are the simulator's only latency tails (:class:`LatencyStat`
+keeps exact aggregates, no percentiles). The paper's latency tables
+(and the trace ``analyze`` tool) need percentiles that export
+deterministically, so :class:`Histogram` buckets values by
 ``int(value).bit_length()`` — bucket 0 holds exactly ``{0}``, bucket
 ``i`` holds ``[2^(i-1), 2^i - 1]`` — and answers p50/p95/p99 by walking
 the cumulative counts. The result is a pure function of the recorded

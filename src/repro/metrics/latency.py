@@ -1,26 +1,21 @@
 """Latency statistics.
 
-:class:`LatencyStat` keeps O(1) aggregates (count/total/min/max) plus a
-bounded reservoir sample for percentile queries — enough for every
-latency table in the paper (spinlock waits, TLB-sync completion times)
-without storing full distributions.
+:class:`LatencyStat` keeps exact O(1) aggregates (count/total/min/max,
+and so the mean) — what every latency table in the paper prints
+(spinlock waits, TLB-sync completion times). Latency tails come from
+the log2 :class:`~repro.metrics.histogram.Histogram` set instead.
 """
-
-import random
 
 
 class LatencyStat:
-    """Streaming latency aggregate with reservoir percentiles."""
+    """Streaming latency aggregate: exact count, total, min and max."""
 
-    def __init__(self, name="", reservoir=2048, seed=1):
+    def __init__(self, name=""):
         self.name = name
         self.count = 0
         self.total = 0
         self.min = None
         self.max = None
-        self._reservoir_size = reservoir
-        self._sample = []
-        self._rng = random.Random(seed)
 
     def record(self, value):
         self.count += 1
@@ -29,72 +24,19 @@ class LatencyStat:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if len(self._sample) < self._reservoir_size:
-            self._sample.append(value)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < self._reservoir_size:
-                self._sample[slot] = value
 
     @property
     def mean(self):
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q):
-        """Approximate ``q``-th percentile (0..100) from the reservoir."""
-        if not self._sample:
-            return 0.0
-        ordered = sorted(self._sample)
-        if len(ordered) == 1:
-            return float(ordered[0])
-        pos = (q / 100.0) * (len(ordered) - 1)
-        low = int(pos)
-        high = min(low + 1, len(ordered) - 1)
-        frac = pos - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
-
-    def merge(self, other):
-        """Fold ``other``'s aggregates into this stat.
-
-        The reservoir merge is approximate but *deterministic*: samples
-        are pooled, sorted, and re-trimmed by picking evenly spaced
-        order statistics. No RNG is involved, so merging ``a.merge(b)``
-        and ``b.merge(a)`` yields identical percentiles — a random
-        re-trim (the previous behaviour) made pooled percentiles depend
-        on merge order and RNG state across otherwise-identical runs.
-        """
-        self.count += other.count
-        self.total += other.total
-        for bound in (other.min, other.max):
-            if bound is None:
-                continue
-            if self.min is None or bound < self.min:
-                self.min = bound
-            if self.max is None or bound > self.max:
-                self.max = bound
-        pooled = sorted(self._sample + other._sample)
-        size = self._reservoir_size
-        if len(pooled) > size:
-            # Evenly spaced order statistics keep both endpoints and
-            # preserve the pooled quantile shape.
-            last = len(pooled) - 1
-            step = size - 1
-            pooled = [pooled[(i * last) // step] for i in range(size)]
-        self._sample = pooled
-
     def snapshot(self):
-        """Plain-dict summary (ns units preserved) including reservoir
-        tail percentiles, so experiment results can report latency
-        tails, not just means."""
+        """Plain-dict summary (ns units preserved)."""
         return {
             "name": self.name,
             "count": self.count,
             "mean": self.mean,
             "min": self.min if self.min is not None else 0,
             "max": self.max if self.max is not None else 0,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
         }
 
     def __repr__(self):

@@ -16,10 +16,21 @@ a conservation invariant: per vCPU, the state times sum to the elapsed
 measurement window, and across the host they sum to ``window x #vCPUs``.
 :func:`validate` checks it; the test suite and ``repro analyze`` both
 call it.
+
+A :class:`~repro.experiments.results.RunResult` stores each vCPU's
+ledger compactly, as the list of its state times in :data:`STATES`
+order (:func:`encode`). The window is the result's own
+``duration_ns``, so it is not stored per vCPU. This module is the only
+code that knows that layout: readers go through :func:`steal_ns`,
+:func:`validate_result` and :func:`steal_report`. Trace records
+(``runstate_final``) keep the dict form of :meth:`RunstateAccount.snapshot`.
 """
 
-#: Accounted states, in report order.
+#: Accounted states, in report order (and in a stored state list).
 STATES = ("running", "runnable", "blocked", "offline")
+
+_RUNNABLE = STATES.index("runnable")
+_OFFLINE = STATES.index("offline")
 
 
 class RunstateAccount:
@@ -61,6 +72,20 @@ class RunstateAccount:
         return self.times["runnable"] + extra
 
 
+def encode(account, now):
+    """One vCPU's ledger as a result stores it: its state times,
+    including the still-open interval, as a list in :data:`STATES`
+    order."""
+    snap = account.snapshot(now)
+    return [snap[name] for name in STATES]
+
+
+def steal_ns(states):
+    """Steal time of one stored state list: ns runnable or offline
+    (the Xen runstate notion)."""
+    return states[_RUNNABLE] + states[_OFFLINE]
+
+
 def validate(snapshot):
     """Check one :meth:`RunstateAccount.snapshot` (or its JSON round
     trip) for conservation: state times must sum exactly to the elapsed
@@ -70,30 +95,32 @@ def validate(snapshot):
 
 
 def validate_result(result):
-    """Validate every vCPU snapshot in a
-    :class:`~repro.experiments.results.RunResult`. Returns a list of
+    """Check every vCPU's stored state list in a
+    :class:`~repro.experiments.results.RunResult`: its times must sum
+    to the result's ``duration_ns``. Returns a list of
     ``(domain, vcpu, difference_ns)`` violations — empty means the
     invariant holds host-wide."""
     violations = []
+    window = result.duration_ns
     for domain, vcpus in sorted(result.runstates.items()):
-        for vcpu, snap in sorted(vcpus.items()):
-            ok, diff = validate(snap)
-            if not ok:
+        for vcpu, states in sorted(vcpus.items()):
+            diff = sum(states) - window
+            if diff:
                 violations.append((domain, vcpu, diff))
     return violations
 
 
 def steal_report(result):
-    """Per-domain steal-time rollup from a result's runstate snapshots:
-    ``{domain: {state: total_ns, ..., "elapsed": ns}}``."""
+    """Per-domain steal-time rollup from a result's stored state lists:
+    ``{domain: {state: total_ns, ..., "elapsed": ns}}``, where
+    ``elapsed`` is the window times the domain's vCPU count."""
     report = {}
     for domain, vcpus in sorted(result.runstates.items()):
-        rollup = {name: 0 for name in STATES}
-        rollup["elapsed"] = 0
-        for snap in vcpus.values():
-            for name in STATES:
-                rollup[name] += snap[name]
-            rollup["elapsed"] += snap["elapsed"]
+        rollup = dict.fromkeys(STATES, 0)
+        for states in vcpus.values():
+            for name, ns in zip(STATES, states):
+                rollup[name] += ns
+        rollup["elapsed"] = result.duration_ns * len(vcpus)
         report[domain] = rollup
     return report
 

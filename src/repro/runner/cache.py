@@ -48,8 +48,12 @@ ENV_TOGGLE = "REPRO_CACHE"
 ENV_DIR = "REPRO_CACHE_DIR"
 DEFAULT_DIR = ".repro-cache"
 
-#: Bump to invalidate every existing entry on a format change.
-FORMAT = 1
+#: Bump to invalidate every existing entry on a format change. It is
+#: part of every key, so an entry of another format is never probed: it
+#: reads as a miss, not as a poisoned entry. Format 2 stores runstates
+#: as per-vCPU state lists and latency stats without reservoir
+#: percentiles.
+FORMAT = 2
 
 _OFF_VALUES = ("off", "0", "false", "no", "disabled")
 
@@ -59,11 +63,15 @@ def enabled():
     return os.environ.get(ENV_TOGGLE, "on").strip().lower() not in _OFF_VALUES
 
 
+def _dir_name(override):
+    if override is not None:
+        return os.fspath(override)
+    return os.environ.get(ENV_DIR) or DEFAULT_DIR
+
+
 def cache_dir(override=None):
     """Resolve the cache directory (override > env > default)."""
-    if override is not None:
-        return Path(override)
-    return Path(os.environ.get(ENV_DIR) or DEFAULT_DIR)
+    return Path(_dir_name(override))
 
 
 @lru_cache(maxsize=1)
@@ -90,7 +98,10 @@ def job_key(job):
 
 
 def entry_path(key, override=None):
-    return cache_dir(override) / ("%s.json" % key)
+    """The entry file for ``key``, as a string: a cache probe is on the
+    warm path, and ``os.path.join`` is several times cheaper than
+    building ``Path`` objects."""
+    return os.path.join(_dir_name(override), key + ".json")
 
 
 def load(key, override=None):
@@ -190,10 +201,10 @@ def store(key, job, result, override=None):
     store opportunistically sweeps tmp files old enough to be such
     leftovers. Failures degrade to a warning — caching is
     best-effort."""
-    directory = cache_dir(override)
+    directory = _dir_name(override)
     path = entry_path(key, override)
-    tmp = directory / ("%s.tmp.%d" % (key, os.getpid()))
-    swept_key = str(directory)
+    tmp = os.path.join(directory, "%s.tmp.%d" % (key, os.getpid()))
+    swept_key = str(Path(directory))
     now = time.monotonic()
     last_swept = _SWEPT_DIRS.get(swept_key)
     if last_swept is None or now - last_swept >= SWEEP_INTERVAL_SECONDS:
@@ -204,8 +215,9 @@ def store(key, job, result, override=None):
         sort_keys=True,
     )
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(blob, encoding="utf-8")
+        os.makedirs(directory, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(blob)
         os.replace(tmp, path)
         _STORES.inc()
         _STORE_BYTES.inc(len(blob))

@@ -332,10 +332,6 @@ class ServerHandle:
         self._loop = loop
         self._thread = thread
 
-    @property
-    def base_url(self):
-        return "http://%s:%d" % (self.host, self.port)
-
     def run(self, coro):
         """Run a coroutine on the server loop and wait for it."""
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout=120)

@@ -4,15 +4,17 @@ Every engine/performance PR is gated on this file: the manifest pins
 the payload digest of every unique job spec across every registered
 experiment (at a reduced scale so regeneration is minutes, not hours).
 ``--verify`` recomputes each payload with the current engine and fails
-on the first divergence; ``--update`` is only legitimate when a PR
-*intends* to change simulation results (new experiment, model change),
-never for a performance PR.
+on the first divergence. ``--update`` is legitimate in two cases only:
+a change that *intends* to change simulation results (new experiment,
+model change), or a representation-only change to the payload format
+that a converter proves — every old payload, converted, must equal the
+new one byte for byte. Never for a plain performance change.
 
 Usage::
 
     python -m repro.tools.payload_manifest --verify   # as in scripts/ci_smoke.sh
     python -m repro.tools.payload_manifest --verify --workers 4   # via the pool
-    python -m repro.tools.payload_manifest --update   # regenerate (model changes only)
+    python -m repro.tools.payload_manifest --update   # regenerate (see above)
 
 Payloads are recomputed through ``runner.execute`` with the result
 cache off. ``--workers N`` (default: ``REPRO_RUNNER_WORKERS``) fans

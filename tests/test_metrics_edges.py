@@ -1,5 +1,6 @@
 """Edge cases for the metric primitives: empty stats, single samples,
-merges with empty peers, and zero-observation histogram export."""
+histogram merges with empty peers, and zero-observation histogram
+export."""
 
 from repro.metrics.histogram import Histogram
 from repro.metrics.latency import LatencyStat
@@ -8,81 +9,17 @@ from repro.metrics.latency import LatencyStat
 class TestLatencyStatEmpty:
     def test_empty_snapshot_is_all_zero(self):
         snap = LatencyStat("empty").snapshot()
-        assert snap == {
-            "name": "empty", "count": 0, "mean": 0.0,
-            "min": 0, "max": 0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
-        }
-
-    def test_empty_mean_and_percentiles(self):
-        stat = LatencyStat()
-        assert stat.mean == 0.0
-        assert stat.percentile(50) == 0.0
-        assert stat.percentile(99) == 0.0
+        assert snap == {"name": "empty", "count": 0, "mean": 0.0, "min": 0, "max": 0}
 
 
 class TestLatencyStatSingleSample:
-    def test_single_sample_collapses_every_percentile(self):
+    def test_single_sample_collapses_min_mean_max(self):
         stat = LatencyStat("one")
         stat.record(700)
         snap = stat.snapshot()
         assert snap["count"] == 1
         assert snap["mean"] == 700.0
         assert snap["min"] == snap["max"] == 700
-        assert snap["p50"] == snap["p95"] == snap["p99"] == 700.0
-
-
-class TestLatencyStatMerge:
-    def test_merge_with_empty_is_identity(self):
-        stat = LatencyStat("a")
-        for value in (10, 20, 30):
-            stat.record(value)
-        before = stat.snapshot()
-        stat.merge(LatencyStat("b"))
-        after = stat.snapshot()
-        assert after == before
-
-    def test_empty_absorbs_populated_peer(self):
-        filled = LatencyStat("src")
-        for value in (10, 20, 30):
-            filled.record(value)
-        empty = LatencyStat("dst")
-        empty.merge(filled)
-        snap = empty.snapshot()
-        assert snap["count"] == 3
-        assert snap["min"] == 10 and snap["max"] == 30
-        assert snap["mean"] == 20.0
-        assert snap["p50"] == 20.0
-
-    def test_merge_of_two_empties_stays_empty(self):
-        stat = LatencyStat("a")
-        stat.merge(LatencyStat("b"))
-        assert stat.snapshot()["count"] == 0
-        assert stat.min is None and stat.max is None
-
-    def test_merge_is_order_independent(self):
-        def build(values, name):
-            stat = LatencyStat(name)
-            for value in values:
-                stat.record(value)
-            return stat
-
-        left_values, right_values = (1, 5, 9, 13), (2, 4, 8, 200)
-        ab = build(left_values, "x")
-        ab.merge(build(right_values, "y"))
-        ba = build(right_values, "x")
-        ba.merge(build(left_values, "y"))
-        assert ab.snapshot() == ba.snapshot()
-
-    def test_merge_overflows_reservoir_deterministically(self):
-        a = LatencyStat("a", reservoir=8)
-        b = LatencyStat("b", reservoir=8)
-        for value in range(8):
-            a.record(value)
-            b.record(100 + value)
-        a.merge(b)
-        assert len(a._sample) == 8
-        # Evenly spaced order statistics keep both pooled endpoints.
-        assert a._sample[0] == 0 and a._sample[-1] == 107
 
 
 class TestHistogramZeroObservations:

@@ -1,6 +1,5 @@
-"""Tests for the observability layer: histograms, deterministic
-latency merges, runstate accounting, trace schema/export, and the
-``repro analyze`` round trip."""
+"""Tests for the observability layer: histograms, runstate accounting,
+trace schema/export, and the ``repro analyze`` round trip."""
 
 import json
 
@@ -8,13 +7,20 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import fig7
+from repro.experiments.results import RunResult
 from repro.experiments.scenarios import corun_scenario
+from repro.faults import make_builtin
 from repro.metrics.histogram import Histogram, HistogramSet
-from repro.metrics.latency import LatencyStat
 from repro.obs import analyze
-from repro.obs.runstate import RunstateAccount, steal_report, validate, validate_result
+from repro.obs.runstate import (
+    STATES,
+    RunstateAccount,
+    steal_report,
+    validate,
+    validate_result,
+)
 from repro.obs.schema import TRACE_SCHEMA
-from repro.runner import execute
+from repro.runner import SimJob, execute
 from repro.sim.engine import Simulator
 from repro.sim.time import ms
 from repro.sim.trace import Tracer, load_jsonl, write_jsonl
@@ -67,40 +73,6 @@ class TestHistogram:
         assert hs.snapshot()["spin_wait"]["count"] == 2
         hs.reset()
         assert len(hs) == 0
-
-
-# ----------------------------------------------------------------------
-# deterministic latency merge (the reservoir order-sensitivity fix)
-# ----------------------------------------------------------------------
-class TestLatencyMergeDeterminism:
-    def _filled(self, values, reservoir=64):
-        stat = LatencyStat(reservoir=reservoir)
-        for value in values:
-            stat.record(value)
-        return stat
-
-    def test_merge_is_order_independent(self):
-        # Overflow the reservoir so the merge must re-trim the pool —
-        # the old implementation sampled with an RNG here, making
-        # a.merge(b) != b.merge(a).
-        left = list(range(0, 2000, 2))
-        right = list(range(1, 2001, 2))
-        ab = self._filled(left)
-        ab.merge(self._filled(right))
-        ba = self._filled(right)
-        ba.merge(self._filled(left))
-        assert ab._sample == ba._sample
-        for q in (50, 95, 99):
-            assert ab.percentile(q) == ba.percentile(q)
-        assert ab.count == ba.count == 2000
-
-    def test_merge_repeatable(self):
-        runs = []
-        for _ in range(2):
-            stat = self._filled(range(500))
-            stat.merge(self._filled(range(500, 1000)))
-            runs.append(stat.snapshot())
-        assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +138,57 @@ class TestRunstateAccount:
             assert sum(rollup[s] for s in ("running", "runnable", "blocked", "offline")) == rollup["elapsed"]
         # 2:1 overcommit: somebody's time must be getting stolen.
         assert result.steal_time("vm1") + result.steal_time("vm2") > 0
+
+
+class TestStoredRunstates:
+    """A result stores each vCPU's ledger as its state times in
+    ``STATES`` order; the window is the result's own ``duration_ns``."""
+
+    def _result(self, vcpus, duration_ns=1000):
+        result = RunResult("stored", duration_ns)
+        result.runstates = {"vm1": vcpus}
+        return result
+
+    def test_validate_result_flags_a_list_off_the_window(self):
+        result = self._result({"vm1.v0": [600, 300, 100, 0], "vm1.v1": [600, 300, 50, 0]})
+        assert validate_result(result) == [("vm1", "vm1.v1", -50)]
+
+    def test_steal_report_and_steal_time_read_the_lists(self):
+        result = self._result({"vm1.v0": [600, 300, 100, 0], "vm1.v1": [500, 200, 280, 20]})
+        assert validate_result(result) == []
+        assert steal_report(result) == {
+            "vm1": {
+                "running": 1100,
+                "runnable": 500,
+                "blocked": 380,
+                "offline": 20,
+                "elapsed": 2000,
+            }
+        }
+        assert result.steal_time("vm1") == 520
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["healthy", "faulted"])
+    def test_payload_round_trip(self, faulted):
+        job = SimJob(
+            tag="t",
+            scenario="corun",
+            scenario_kwargs={"workload_kind": "dedup"},
+            policy={"mode": "baseline"},
+            seed=7,
+            duration_ns=ms(20),
+            warmup_ns=ms(5),
+            faults=make_builtin("lossy-ipi", ms(25)).to_dict() if faulted else None,
+        )
+        result = execute([job], workers=1, cache=False)["t"]
+        assert (result.faults is not None) == faulted
+        payload = result.to_dict()
+        again = RunResult.from_dict(json.loads(json.dumps(payload)))
+        assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(payload, sort_keys=True)
+        for vcpus in again.runstates.values():
+            for states in vcpus.values():
+                assert len(states) == len(STATES)
+        assert validate_result(again) == []
+        assert steal_report(again) == steal_report(result)
 
 
 # ----------------------------------------------------------------------

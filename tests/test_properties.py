@@ -68,15 +68,6 @@ class TestLatencyStatProperties:
         assert stat.min == min(values)
         assert stat.max == max(values)
 
-    @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=100))
-    @settings(max_examples=40, deadline=None)
-    def test_percentiles_monotone_and_bounded(self, values):
-        stat = LatencyStat()
-        for value in values:
-            stat.record(value)
-        p25, p50, p99 = (stat.percentile(q) for q in (25, 50, 99))
-        assert stat.min <= p25 <= p50 <= p99 <= stat.max
-
 
 class TestSymbolTableProperties:
     @given(

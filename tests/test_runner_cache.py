@@ -136,6 +136,25 @@ class TestStorage:
         with pytest.warns(RuntimeWarning, match="malformed"):
             execute([_job()], workers=1, cache=True, cache_dir=tmp_path)
 
+    def test_format_1_entry_is_a_miss_not_poisoned(self, tmp_path, monkeypatch):
+        # FORMAT is part of every key, so an entry written by the old
+        # format sits under another name: never probed, never served.
+        job = _job()
+        with monkeypatch.context() as patch:
+            patch.setattr(cache, "FORMAT", 1)
+            old_key = cache.job_key(job)
+            cache.store(old_key, job, {"stale": True}, tmp_path)
+        assert cache.FORMAT != 1
+        assert cache.job_key(job) != old_key
+        before = telemetry.snapshot()["counters"]
+        results = execute([job], workers=1, cache=True, cache_dir=tmp_path)
+        after = telemetry.snapshot()["counters"]
+        assert results["point"].runstates
+        for name in ("cache.poisoned_entries", "cache.corrupt_entries", "cache.hits"):
+            assert after.get(name, 0) == before.get(name, 0), name
+        assert after["cache.misses"] == before.get("cache.misses", 0) + 1
+        assert len(list(tmp_path.glob("*.json"))) == 2
+
     def test_env_off_disables_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache.ENV_TOGGLE, "off")
         assert not cache.enabled()

@@ -10,6 +10,7 @@ runs; wall-derived metrics are namespaced by suffix (``_seconds``,
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -213,10 +214,10 @@ class TestCacheTelemetry:
     def test_corrupt_and_poisoned_entries_counted(self, tmp_path):
         key = cache.job_key(_job())
         tmp_path.mkdir(exist_ok=True)
-        cache.entry_path(key, tmp_path).write_text("{torn", encoding="utf-8")
+        Path(cache.entry_path(key, tmp_path)).write_text("{torn", encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert cache.load(key, tmp_path) is None
-        cache.entry_path(key, tmp_path).write_text(
+        Path(cache.entry_path(key, tmp_path)).write_text(
             json.dumps({"format": cache.FORMAT, "key": "wrong", "result": {}}),
             encoding="utf-8",
         )
