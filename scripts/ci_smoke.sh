@@ -168,6 +168,7 @@ import json
 metrics = json.load(open("BENCH_engine.json"))[0]["metrics"]
 for key in ("corun_faults_off_events_per_sec",
             "corun_faults_enabled_empty_events_per_sec",
+            "cold_heavy_job_ms",
             "fleet_host_jobs_per_sec"):
     assert key in metrics, (key, sorted(metrics))
 EOF

@@ -23,7 +23,7 @@ modelled by the ``symbol_table`` fault kind). While a guest's
 """
 
 from ..guest.symbols import KERNEL_TEXT_BASE
-from .whitelist import SIBLING_CLASSES, classify
+from .whitelist import classify
 
 
 class Detection:
@@ -58,30 +58,51 @@ class CriticalServiceDetector:
         #: Degraded-mode accounting (symbol_table faults only).
         self.symbol_misses = 0
         self.fallback_hits = 0
+        self._memos = {}          # kernel -> {ip: (symbol, class)}
         self._learned = {}        # kernel -> {(lo, hi): (name, class)}
         self._corrupt_maps = {}   # kernel -> {name: neighbouring name}
 
     def inspect(self, vcpu):
         """Classify one vCPU from its current instruction pointer."""
+        return Detection(vcpu, *self.resolve(vcpu))
+
+    def resolve(self, vcpu):
+        """``(symbol, critical_class)`` for one vCPU's instruction
+        pointer. Healthy resolutions are memoized per kernel by IP: the
+        answer is a pure function of the kernel's symbol table, which
+        never changes after the domain is built. Fault modes bypass the
+        memo."""
         self.inspections += 1
         kernel = vcpu.domain.kernel
-        fault = getattr(kernel, "symbol_fault", None)
+        fault = kernel.symbol_fault
         if fault is None:
-            found = kernel.symbols.lookup(vcpu.ip)
-            symbol = found.name if found is not None else None
-            critical_class = self._classify(symbol)
-            if critical_class is not None:
+            ip = vcpu.ip
+            try:
+                answer = self._memos[kernel][ip]
+            except KeyError:
+                answer = self._resolve_first(kernel, ip)
+            if answer[1] is not None:
                 self.hits += 1
-                self._learn(kernel, found, critical_class)
-            return Detection(vcpu, symbol, critical_class)
+            return answer
         if fault == "miss":
-            return self._inspect_without_table(vcpu, kernel)
-        return self._inspect_corrupted(vcpu, kernel)
+            return self._resolve_without_table(kernel, vcpu.ip)
+        return self._resolve_corrupted(kernel, vcpu.ip)
 
-    def _inspect_without_table(self, vcpu, kernel):
+    def _resolve_first(self, kernel, ip):
+        """Binary-search the table for an IP not yet in the memo,
+        learning the range of a critical hit for the ``miss`` fallback."""
+        found = kernel.symbols.lookup(ip)
+        symbol = found.name if found is not None else None
+        critical_class = self._classify(symbol)
+        if critical_class is not None:
+            self._learn(kernel, found, critical_class)
+        answer = (symbol, critical_class)
+        self._memos.setdefault(kernel, {})[ip] = answer
+        return answer
+
+    def _resolve_without_table(self, kernel, ip):
         """Resolution unavailable: match the IP against address ranges
         learned from earlier healthy hits."""
-        ip = vcpu.ip
         symbol = critical_class = None
         if ip is not None and ip >= KERNEL_TEXT_BASE:
             self.symbol_misses += 1
@@ -94,18 +115,18 @@ class CriticalServiceDetector:
         if critical_class is not None:
             self.hits += 1
             self.fallback_hits += 1
-        return Detection(vcpu, symbol, critical_class)
+        return symbol, critical_class
 
-    def _inspect_corrupted(self, vcpu, kernel):
+    def _resolve_corrupted(self, kernel, ip):
         """Resolution 'works' but hands back the neighbouring symbol."""
-        symbol = kernel.symbols.resolve_name(vcpu.ip)
+        symbol = kernel.symbols.resolve_name(ip)
         if symbol is not None:
             self.symbol_misses += 1
             symbol = self._neighbour(kernel, symbol)
         critical_class = self._classify(symbol)
         if critical_class is not None:
             self.hits += 1
-        return Detection(vcpu, symbol, critical_class)
+        return symbol, critical_class
 
     def _learn(self, kernel, found, critical_class):
         """Remember the address range of a healthy critical hit so the
@@ -129,21 +150,3 @@ class CriticalServiceDetector:
             }
             self._corrupt_maps[kernel] = mapping
         return mapping.get(name, name)
-
-    def scan_preempted_siblings(self, vcpu):
-        """Inspect the *preempted* (runnable but descheduled) siblings of
-        ``vcpu``; returns the critical detections (Figure 1, steps 2-3)."""
-        found = []
-        for sibling in vcpu.domain.siblings_of(vcpu):
-            if sibling.running or sibling.state != "runnable":
-                continue
-            detection = self.inspect(sibling)
-            if detection.critical:
-                found.append(detection)
-        return found
-
-    @staticmethod
-    def needs_siblings(critical_class):
-        """Does accelerating this class require pulling in the sibling
-        vCPUs too (one-to-many IPI protocols)?"""
-        return critical_class in SIBLING_CLASSES

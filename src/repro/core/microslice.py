@@ -16,6 +16,7 @@ three signals (§4.1-4.2):
   rescues mixed I/O+CPU vCPUs that BOOST cannot help.
 """
 
+from ..hypervisor.vcpu import RUNNABLE, RUNNING
 from .detection import CriticalServiceDetector
 
 
@@ -46,13 +47,19 @@ class MicroSliceEngine:
         # The yielding vCPU itself: critical iff its IP says so (a TLB
         # initiator yields inside smp_call_function_many -> accelerated;
         # a plain lock spinner yields in the qspinlock slowpath -> not).
-        detection = self.detector.inspect(vcpu)
-        if detection.critical:
+        resolve = self.detector.resolve
+        if resolve(vcpu)[1] is not None:
             hv.accelerate(vcpu)
-        # Preempted siblings holding critical state (e.g. the preempted
-        # lock holder whose IP sits in a Table-3 critical section).
-        for found in self.detector.scan_preempted_siblings(vcpu):
-            hv.accelerate(found.vcpu)
+        # Preempted (runnable but descheduled) siblings holding critical
+        # state, e.g. the preempted lock holder whose IP sits in a
+        # Table-3 critical section (Figure 1, steps 2-3).
+        for sibling in vcpu.domain.vcpus:
+            if (
+                sibling is not vcpu
+                and sibling._state == RUNNABLE
+                and resolve(sibling)[1] is not None
+            ):
+                hv.accelerate(sibling)
         # IPI waits: the recipients must run to acknowledge; wake and
         # migrate the stragglers (the relay told us who they are).
         if cause == "ipi" and detail is not None and hasattr(detail, "pending"):
@@ -61,7 +68,7 @@ class MicroSliceEngine:
             # (and hence micro-pool queueing) vary run to run.
             pending = detail.pending
             for target in detail.targets:
-                if target in pending and not target.running:
+                if target in pending and target._state != RUNNING:
                     hv.accelerate(target, wake=True)
 
     def on_vipi(self, src, dst, op):

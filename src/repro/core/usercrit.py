@@ -29,7 +29,7 @@ the extension the preempted holder is detected and accelerated.
 """
 
 from ..errors import SymbolTableError
-from .detection import CriticalServiceDetector, Detection
+from .detection import CriticalServiceDetector
 
 #: Criticality class for registered user regions (not part of Table 3).
 USER_CRITICAL = "user_critical"
@@ -86,18 +86,18 @@ class UserCriticalRegistry:
 class UserAwareDetector(CriticalServiceDetector):
     """IP detector that also consults per-domain user registries."""
 
-    def inspect(self, vcpu):
-        detection = super().inspect(vcpu)
-        if detection.critical or detection.symbol is not None:
-            return detection
+    def resolve(self, vcpu):
+        answer = super().resolve(vcpu)
+        if answer[0] is not None or answer[1] is not None:
+            return answer
         registry = getattr(vcpu.domain, "user_critical", None)
         if registry is None:
-            return detection
+            return answer
         region = registry.resolve(vcpu.ip)
         if region is None:
-            return detection
+            return answer
         self.hits += 1
-        return Detection(vcpu, "user:%s" % region, USER_CRITICAL)
+        return "user:%s" % region, USER_CRITICAL
 
 
 def enable_user_critical(domain):

@@ -534,11 +534,12 @@ class Hypervisor:
         RUNNABLE and queued the same way.
         """
         self.accelerate_attempts += 1
-        if vcpu.state == vc.RUNNING or vcpu.pool is self.micro_pool:
+        state = vcpu._state
+        if state == vc.RUNNING or vcpu.pool is self.micro_pool:
             return False
         if not self.micro_pool.pcpus:
             return False
-        if vcpu.state == vc.BLOCKED:
+        if state == vc.BLOCKED:
             if not wake:
                 return False
             vcpu.state = vc.RUNNABLE

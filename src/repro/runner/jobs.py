@@ -37,6 +37,10 @@ _JOB_WALL_SECONDS = telemetry.counter("engine.job_wall_seconds")
 #: ratio is how often a yield's accelerations find a free micro slot.
 _ACCELERATE_ATTEMPTS = telemetry.counter("engine.accelerate_attempts")
 _ACCELERATE_MIGRATIONS = telemetry.counter("engine.accelerate_migrations")
+#: Critical-service detector inspections and the critical answers among
+#: them (0 under a policy without a detector).
+_INSPECTIONS = telemetry.counter("engine.inspections")
+_INSPECTION_HITS = telemetry.counter("engine.inspection_hits")
 
 #: Policy modes understood by :func:`build_system`, each with the
 #: fields it requires (the rest have defaults). ``baseline``/``static``/
@@ -315,6 +319,10 @@ def run_job(job):
     _ACCELERATE_MIGRATIONS.inc(
         sum(v.migrations_to_micro for d in system.hv.domains for v in d.vcpus)
     )
+    detector = getattr(system.hv.policy, "detector", None)
+    if detector is not None:
+        _INSPECTIONS.inc(detector.inspections)
+        _INSPECTION_HITS.inc(detector.hits)
     wall = time.perf_counter() - start
     _JOB_WALL_SECONDS.inc(wall)
     telemetry.observe("engine.job_wall_us", wall * 1e6)

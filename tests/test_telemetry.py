@@ -322,6 +322,24 @@ class TestRunTelemetry:
         # Whole-run (no warmup here) successes are the payload's migrations.
         assert result.hv_counters["migrations"] == migrations
 
+    def test_inspection_counters_recorded_beside_payload(self, tmp_path):
+        corun = _job(
+            scenario="corun",
+            scenario_kwargs={"workload_kind": "vips"},
+            policy={"mode": "static", "micro_cores": 1, "user_critical": False},
+            duration_ns=ms(5),
+        )
+        execute([corun], workers=1, cache=False, cache_dir=tmp_path)
+        counters = telemetry.snapshot()["counters"]
+        inspections = counters["engine.inspections"]
+        hits = counters["engine.inspection_hits"]
+        assert inspections >= hits > 0
+        # A baseline job has no detector: both counters stay put.
+        execute([_job()], workers=1, cache=False, cache_dir=tmp_path)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["engine.inspections"] == inspections
+        assert counters["engine.inspection_hits"] == hits
+
     def test_pooled_run_merges_worker_deltas(self, tmp_path):
         execute(_plan(), workers=2, cache=False, cache_dir=tmp_path)
         snap = telemetry.snapshot()

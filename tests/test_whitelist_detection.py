@@ -1,6 +1,10 @@
 """Tests for the Table-3 whitelist and the IP-based detector."""
 
+from types import SimpleNamespace
+
 from repro.core.detection import CriticalServiceDetector
+from repro.core.microslice import MicroSliceEngine
+from repro.core.usercrit import USER_CRITICAL, UserAwareDetector, enable_user_critical
 from repro.core.whitelist import (
     CRITICAL_SYMBOLS,
     SIBLING_CLASSES,
@@ -8,7 +12,7 @@ from repro.core.whitelist import (
     classify,
     is_critical,
 )
-from repro.guest.symbols import DEFAULT_KERNEL_SYMBOLS
+from repro.guest.symbols import DEFAULT_KERNEL_SYMBOLS, KERNEL_TEXT_BASE, build_table
 
 from helpers import make_domain, make_hv, spawn_task, spin_program
 
@@ -83,28 +87,6 @@ class TestDetector:
         assert addr >= domain.kernel.symbols.addr_of("flush_tlb_func")
         assert domain.kernel.symbols.resolve_name(addr) == "flush_tlb_func"
 
-    def test_scan_preempted_siblings_filters_running_and_blocked(self):
-        _sim, _hv, domain = self._setup()
-        target, running, blocked = domain.vcpus
-        for vcpu in domain.vcpus:
-            vcpu.current_symbol = "release_pages"
-        target.state = "runnable"
-        running.state = "running"
-        blocked.state = "blocked"
-        detector = CriticalServiceDetector()
-        found = detector.scan_preempted_siblings(running)
-        assert [d.vcpu for d in found] == [target]
-
-    def test_scan_skips_non_critical_siblings(self):
-        _sim, _hv, domain = self._setup()
-        a, b, c = domain.vcpus
-        a.state = b.state = c.state = "runnable"
-        a.current_symbol = None
-        b.current_symbol = "do_syscall_64"
-        c.current_symbol = "scheduler_ipi"
-        found = CriticalServiceDetector().scan_preempted_siblings(a)
-        assert [d.vcpu for d in found] == [c]
-
     def test_hit_statistics(self):
         _sim, _hv, domain = self._setup()
         vcpu = domain.vcpus[0]
@@ -116,9 +98,152 @@ class TestDetector:
         assert detector.inspections == 2
         assert detector.hits == 1
 
-    def test_needs_siblings(self):
-        assert CriticalServiceDetector.needs_siblings(CriticalClass.TLB)
-        assert not CriticalServiceDetector.needs_siblings(CriticalClass.MM)
+
+class _StubKernel:
+    def __init__(self, names, fault):
+        self.symbols = build_table(names)
+        self.symbol_fault = fault
+
+
+def _stub_vcpu(names, ip, fault=None):
+    """A vCPU seen only through its register: ``.ip`` plus a domain
+    whose kernel carries a symbol table laid out from ``names``."""
+    kernel = _StubKernel(names, fault)
+    return SimpleNamespace(name="stub", ip=ip, domain=SimpleNamespace(kernel=kernel))
+
+
+class TestResolveMemo:
+    def test_memo_is_per_kernel(self):
+        # Same IP, different tables: release_pages (critical) in one
+        # guest, vfs_read (not critical) in the other.
+        ip = KERNEL_TEXT_BASE + 4
+        first = _stub_vcpu(("release_pages", "vfs_read"), ip)
+        second = _stub_vcpu(("vfs_read", "release_pages"), ip)
+        detector = CriticalServiceDetector()
+        for _ in range(2):
+            assert detector.resolve(first) == ("release_pages", CriticalClass.MM)
+            assert detector.resolve(second) == ("vfs_read", None)
+
+    def test_degraded_mode_transitions_through_memo(self):
+        names = ("free_one_page", "release_pages", "vfs_read")
+        vcpu = _stub_vcpu(names, build_table(names).addr_of("release_pages") + 4)
+        kernel = vcpu.domain.kernel
+        detector = CriticalServiceDetector()
+
+        def counts():
+            return (
+                detector.inspections,
+                detector.hits,
+                detector.symbol_misses,
+                detector.fallback_hits,
+            )
+
+        assert detector.resolve(vcpu) == ("release_pages", CriticalClass.MM)
+        assert counts() == (1, 1, 0, 0)
+        assert detector.resolve(vcpu) == ("release_pages", CriticalClass.MM)
+        assert counts() == (2, 2, 0, 0)
+        kernel.symbol_fault = "miss"  # rescued by the range learned above
+        assert detector.resolve(vcpu) == ("release_pages", CriticalClass.MM)
+        assert counts() == (3, 3, 1, 1)
+        kernel.symbol_fault = "corrupt"  # neighbour: vfs_read, not critical
+        assert detector.resolve(vcpu) == ("vfs_read", None)
+        assert counts() == (4, 3, 2, 1)
+        kernel.symbol_fault = None
+        assert detector.resolve(vcpu) == ("release_pages", CriticalClass.MM)
+        assert counts() == (5, 4, 2, 1)
+
+    def test_fault_answers_never_enter_memo(self):
+        names = ("free_one_page", "release_pages", "vfs_read")
+        vcpu = _stub_vcpu(names, KERNEL_TEXT_BASE + 4, fault="corrupt")
+        detector = CriticalServiceDetector()
+        assert detector.resolve(vcpu) == ("release_pages", CriticalClass.MM)
+        vcpu.domain.kernel.symbol_fault = None
+        assert detector.resolve(vcpu) == ("free_one_page", CriticalClass.MM)
+        vcpu.domain.kernel.symbol_fault = "corrupt"
+        assert detector.resolve(vcpu) == ("release_pages", CriticalClass.MM)
+
+    def test_resolve_matches_unmemoized_classification(self):
+        _sim, hv = make_hv(num_pcpus=2)
+        domain = make_domain(hv, vcpus=1)
+        enable_user_critical(domain).register("queue")
+        vcpu = domain.vcpus[0]
+        symbols = domain.kernel.symbols
+        detectors = (CriticalServiceDetector(), UserAwareDetector())
+        for name in DEFAULT_KERNEL_SYMBOLS + (None,):
+            vcpu.current_symbol = name
+            resolved = symbols.resolve_name(vcpu.ip)
+            expected = (resolved, classify(resolved))
+            for detector in detectors:
+                # First call fills the memo, second is served from it.
+                assert detector.resolve(vcpu) == expected, name
+                assert detector.resolve(vcpu) == expected, name
+        vcpu.current_symbol = "user:queue"
+        resolved = symbols.resolve_name(vcpu.ip)
+        assert detectors[0].resolve(vcpu) == (resolved, classify(resolved))
+        for _ in range(2):
+            assert detectors[1].resolve(vcpu) == ("user:queue", USER_CRITICAL)
+
+
+class _RecordingHv:
+    """Just enough hypervisor for ``on_yield``: a non-empty micro pool
+    and an ``accelerate`` that records who reached it."""
+
+    def __init__(self):
+        self.micro_pool = SimpleNamespace(pcpus=[None])
+        self.accelerated = []
+
+    def accelerate(self, vcpu, wake=False):
+        self.accelerated.append(vcpu)
+        return False
+
+
+class TestYieldSiblingScan:
+    """Which vCPUs a yield sends to ``hv.accelerate`` (Figure 1, steps
+    2-3): the yielder if critical, then its preempted critical siblings."""
+
+    def _engine(self):
+        engine = MicroSliceEngine()
+        engine.start(_RecordingHv())
+        return engine
+
+    def test_filters_running_and_blocked_siblings(self):
+        _sim, hv = make_hv(num_pcpus=2)
+        domain = make_domain(hv, vcpus=4)
+        yielder, target, running, blocked = domain.vcpus
+        for vcpu in domain.vcpus:
+            vcpu.current_symbol = "release_pages"
+        yielder.current_symbol = "native_queued_spin_lock_slowpath"
+        yielder.state = "running"
+        target.state = "runnable"
+        running.state = "running"
+        blocked.state = "blocked"
+        engine = self._engine()
+        engine.on_yield(yielder, "spinlock", None)
+        assert engine.hv.accelerated == [target]
+        # Running and blocked siblings are skipped before inspection.
+        assert engine.detector.inspections == 2
+
+    def test_critical_yielder_accelerated_before_siblings(self):
+        _sim, hv = make_hv(num_pcpus=2)
+        domain = make_domain(hv, vcpus=3)
+        a, b, c = domain.vcpus
+        a.state = b.state = c.state = "runnable"
+        a.current_symbol = b.current_symbol = c.current_symbol = "flush_tlb_func"
+        engine = self._engine()
+        engine.on_yield(b, "ipi", None)
+        assert engine.hv.accelerated == [b, a, c]
+
+    def test_skips_non_critical_siblings(self):
+        _sim, hv = make_hv(num_pcpus=2)
+        domain = make_domain(hv, vcpus=3)
+        a, b, c = domain.vcpus
+        a.state = b.state = c.state = "runnable"
+        a.current_symbol = None
+        b.current_symbol = "do_syscall_64"
+        c.current_symbol = "scheduler_ipi"
+        engine = self._engine()
+        engine.on_yield(a, "spinlock", None)
+        assert engine.hv.accelerated == [c]
 
 
 class TestDetectorWithExecutor:
