@@ -2,12 +2,15 @@
 percentiles for the cache-hit fast path versus cold submissions under
 concurrent clients — stdlib load generator, no external tooling.
 
-Two scenarios against one in-process server (port 0, tmp cache dir):
+Three scenarios against one in-process server (port 0, tmp cache dir):
 
 * **hit** — every client hammers the same already-cached submission;
   measures the fast path (probe + finalize, no pool round-trip);
 * **cold** — every request is a unique tiny simulation; measures the
-  full submit → dispatch → simulate → poll pipeline.
+  full submit → dispatch → simulate → poll pipeline;
+* **mixed** — hit clients keep hammering while cold clients submit
+  simulations, once the server's worker pool is warm; measures how
+  long a hit waits while a wave simulates (``serve_mixed_hit_p90_ms``).
 
 Headline rates and p50/p99 latency land in ``BENCH_engine.json`` via
 the shared trajectory recorder, so serve-path regressions show up in
@@ -29,6 +32,12 @@ from test_simulator_perf import _record
 CLIENTS = 8
 HIT_REQUESTS_PER_CLIENT = 40
 COLD_REQUESTS_PER_CLIENT = 4
+
+#: Mixed phase: cold clients each run this many simulations in turn
+#: while the hit clients loop until they are all done.
+MIXED_COLD_CLIENTS = 2
+MIXED_HIT_CLIENTS = 4
+MIXED_COLD_PER_CLIENT = 6
 
 BASE_JOB = {
     "tag": "bench",
@@ -107,6 +116,70 @@ def _drive(handle, requests_per_client, make_payload, wait):
     return wall, flat
 
 
+def _wait_pool_ready(handle, timeout=60):
+    deadline = time.perf_counter() + timeout
+    while _request(handle, "GET", "/healthz")[1]["pool"] != "ready":
+        assert time.perf_counter() < deadline, "worker pool never warmed up"
+        time.sleep(0.01)
+
+
+def _mixed(handle):
+    """Hits sent while cold jobs simulate; returns (sorted hit
+    latencies, sorted cold submit→terminal latencies) in seconds."""
+    hits, colds, errors = [], [], []
+    cold_left = [MIXED_COLD_CLIENTS]
+    lock = threading.Lock()
+    barrier = threading.Barrier(MIXED_COLD_CLIENTS + MIXED_HIT_CLIENTS)
+
+    def cold_loop(index):
+        name = "mixed-cold-%d" % index
+        try:
+            barrier.wait(timeout=60)
+            for round_no in range(MIXED_COLD_PER_CLIENT):
+                payload = dict(BASE_JOB, duration_ns=ms(8),
+                               seed=700_000 + index * 1000 + round_no)
+                start = time.perf_counter()
+                status, body = _request(handle, "POST", "/jobs", payload, name=name)
+                assert status == 202, (status, body)
+                _wait_done(handle, body["id"], name)
+                with lock:
+                    colds.append(time.perf_counter() - start)
+        except Exception as err:  # noqa: BLE001 - surfaced after join
+            errors.append(repr(err))
+        finally:
+            with lock:
+                cold_left[0] -= 1
+
+    def hit_loop(index):
+        name = "mixed-hit-%d" % index
+        try:
+            barrier.wait(timeout=60)
+            while cold_left[0]:
+                start = time.perf_counter()
+                status, body = _request(handle, "POST", "/jobs", BASE_JOB, name=name)
+                assert status == 200, (status, body)
+                with lock:
+                    hits.append(time.perf_counter() - start)
+        except Exception as err:  # noqa: BLE001 - surfaced after join
+            errors.append(repr(err))
+
+    threads = [
+        threading.Thread(target=cold_loop, args=(i,), daemon=True)
+        for i in range(MIXED_COLD_CLIENTS)
+    ] + [
+        threading.Thread(target=hit_loop, args=(i,), daemon=True)
+        for i in range(MIXED_HIT_CLIENTS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=600)
+    assert errors == [], errors
+    assert len(colds) == MIXED_COLD_CLIENTS * MIXED_COLD_PER_CLIENT
+    assert hits, "no hit overlapped the cold jobs"
+    return sorted(hits), sorted(colds)
+
+
 def _percentile(sorted_values, fraction):
     index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
     return sorted_values[index]
@@ -136,6 +209,8 @@ class TestServeLoad:
                     lambda i, r: dict(BASE_JOB, seed=500_000 + i * 1000 + r),
                     wait=True,
                 )
+                _wait_pool_ready(handle)
+                mixed_hit_lat, mixed_cold_lat = _mixed(handle)
             finally:
                 handle.drain()
                 handle.stop()
@@ -148,7 +223,12 @@ class TestServeLoad:
         _record("serve_hit_p99_ms", _percentile(hit_lat, 0.99) * 1e3)
         _record("serve_cold_p50_ms", _percentile(cold_lat, 0.50) * 1e3)
         _record("serve_cold_p99_ms", _percentile(cold_lat, 0.99) * 1e3)
+        mixed_hit_p90 = _percentile(mixed_hit_lat, 0.90) * 1e3
+        _record("serve_mixed_hit_p90_ms", mixed_hit_p90)
 
         # The fast path must actually be fast: answering from cache has
         # to beat simulate-and-poll by a wide margin.
         assert hit_rps > cold_rps
+        # A hit must not wait out a simulation: with the waves in the
+        # worker process, its tail stays below a cold job's median.
+        assert mixed_hit_p90 < _percentile(mixed_cold_lat, 0.50) * 1e3

@@ -158,7 +158,7 @@ cp "$ROOT/BENCH_engine.json" "$ROOT/bench_report.txt" saved/
 (cd "$ROOT" && python -m pytest -q -p no:cacheprovider \
   benchmarks/test_simulator_perf.py benchmarks/test_tracer_overhead.py \
   benchmarks/test_fault_overhead.py benchmarks/test_runner_perf.py \
-  benchmarks/test_fleet_perf.py \
+  benchmarks/test_fleet_perf.py benchmarks/test_serve_perf.py \
   --benchmark-min-rounds=1 --benchmark-max-time=0.1 --benchmark-warmup=off)
 cp "$ROOT/BENCH_engine.json" "$ROOT/bench_report.txt" .
 python - <<'EOF'
@@ -169,7 +169,8 @@ metrics = json.load(open("BENCH_engine.json"))[0]["metrics"]
 for key in ("corun_faults_off_events_per_sec",
             "corun_faults_enabled_empty_events_per_sec",
             "cold_heavy_job_ms",
-            "fleet_host_jobs_per_sec"):
+            "fleet_host_jobs_per_sec",
+            "serve_mixed_hit_p90_ms"):
     assert key in metrics, (key, sorted(metrics))
 EOF
 
@@ -199,6 +200,34 @@ else:
 EOF
 )
 echo "serving at $BASE"
+
+step "serve: once the pool is ready, a cold job simulates in the worker process"
+python - "$BASE" <<'EOF'
+import json, sys, time, urllib.request
+base = sys.argv[1]
+deadline = time.time() + 60
+while True:
+    with urllib.request.urlopen(base + "/healthz", timeout=5) as resp:
+        pool = json.load(resp)["pool"]
+    if pool == "ready":
+        break
+    assert pool == "warming" and time.time() < deadline, pool
+    time.sleep(0.05)
+job = {"tag": "ci-cold", "scenario": "solo",
+       "scenario_kwargs": {"workload_kind": "gmake"}, "seed": 97,
+       "duration_ns": 4000000}
+req = urllib.request.Request(base + "/jobs", data=json.dumps(job).encode(),
+                             method="POST")
+with urllib.request.urlopen(req, timeout=60) as resp:
+    assert resp.status == 202, resp.status
+    sub = json.load(resp)
+with urllib.request.urlopen(base + "/jobs/%s/events" % sub["id"], timeout=300) as stream:
+    events = [json.loads(line) for line in stream]
+final = [event for event in events if event["event"] != "heartbeat"][-1]
+assert final["event"] == "done", final
+assert final["telemetry"]["pool.jobs_completed"] >= 1, final["telemetry"]
+assert final["telemetry"]["runner.jobs_inline"] == 0, final["telemetry"]
+EOF
 
 step "serve: submit a scaled fig7, stream events to done"
 python - "$BASE" <<'EOF'

@@ -66,6 +66,7 @@ def drive(
     workers=None,
     cache=None,
     progress=None,
+    pool=None,
     seed=42,
     scale_override=None,
     scheduler=None,
@@ -82,7 +83,8 @@ def drive(
         seed=seed, scale_override=scale_override, scheduler=scheduler, **spec_kwargs
     )
     summaries = run_fleet(
-        spec, policies=names, workers=workers, cache=cache, progress=progress
+        spec, policies=names, workers=workers, cache=cache, progress=progress,
+        pool=pool,
     )
     return {"policies": summaries, "checks": checks(summaries)}
 

@@ -107,10 +107,13 @@ class Prepared:
         results = self.module.reduce(by_tag)
         return results, self.module.format_result(results)
 
-    def drive(self, workers=None, cache=None, progress=None):
-        """Run a driver experiment; returns ``(results, formatted_text)``."""
+    def drive(self, workers=None, cache=None, progress=None, pool=None):
+        """Run a driver experiment; returns ``(results, formatted_text)``.
+        ``pool`` is a caller-owned worker pool (see
+        :func:`repro.runner.execute_many`)."""
         results = self.module.drive(
-            workers=workers, cache=cache, progress=progress, **self._kwargs
+            workers=workers, cache=cache, progress=progress, pool=pool,
+            **self._kwargs
         )
         return results, self.module.format_result(results)
 

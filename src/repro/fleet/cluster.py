@@ -346,7 +346,8 @@ class FleetState:
         }
 
 
-def run_fleet(spec, policies=None, workers=None, cache=None, progress=None):
+def run_fleet(spec, policies=None, workers=None, cache=None, progress=None,
+              pool=None):
     """Run one fleet spec under one or more placement policies.
 
     Returns ``{policy_name: summary_dict}``. All policies advance in
@@ -354,6 +355,8 @@ def run_fleet(spec, policies=None, workers=None, cache=None, progress=None):
     single :func:`~repro.runner.execute_many` call, so they share one
     worker pool and one cache probe — and physically identical host
     jobs (policies often coincide in early epochs) simulate once.
+    ``pool`` is a caller-owned worker pool (``repro serve`` passes its
+    own), else the process-wide one is used.
     """
     if policies is None:
         policies = ("first_fit",)
@@ -370,7 +373,8 @@ def run_fleet(spec, policies=None, workers=None, cache=None, progress=None):
         by_plan = {}
         if plans:
             by_plan = execute_many(
-                plans, workers=workers, cache=cache, progress=progress
+                plans, workers=workers, cache=cache, progress=progress,
+                pool=pool,
             )
         for name in names:
             states[name].absorb(epoch, by_plan.get(name, {}))

@@ -13,7 +13,10 @@ call the executor:
 3. fans the remaining simulations out over the **persistent worker
    pool** (:mod:`repro.runner.pool` — spawned once per process
    lifetime, shared across calls), or runs them inline when
-   ``workers <= 1`` / the pool is unavailable.
+   ``workers <= 1`` / the pool is unavailable. A caller that owns a
+   pool (``repro serve``) passes it as ``pool=``: it takes what the
+   shared pool would have taken and, once it is warm, every pending
+   job, even one job at ``workers=1``.
 
 Pooled jobs are submitted longest-first using the persisted cost
 model (:mod:`repro.runner.costmodel`), many-small-job plans go out in
@@ -135,10 +138,23 @@ class Progress:
             self.callback("done", tag, self.done, self.total)
 
 
-def _simulate_pending(pending, workers, use_cache, cache_dir, progress):
+def _pick_pool(pending, workers, owned):
+    """The pool this batch runs on, or ``None`` for inline execution.
+    Without a caller-owned pool, the shared pool takes batches of more
+    than one job at ``workers > 1``. A caller-owned pool takes those
+    too, warm or not, and once it is warm it takes every batch; while
+    it warms up (or once closed) a batch the shared pool would not have
+    taken runs inline."""
+    fans_out = len(pending) > 1 and workers > 1
+    if owned is not None:
+        return owned if owned.alive and (owned.warm or fans_out) else None
+    return pool_mod.shared_pool(workers) if fans_out else None
+
+
+def _simulate_pending(pending, workers, use_cache, cache_dir, progress, owned):
     """Simulate the deduplicated cache-miss jobs; returns ``{key:
-    payload}``. Chooses the persistent pool or inline execution based
-    on ``workers``; either way each result goes through ``land``."""
+    payload}``. Chooses a pool or inline execution (:func:`_pick_pool`);
+    either way each result goes through ``land``."""
     payloads = {}
     with _DISPATCH_LOCK:
         model = costmodel.CostModel.load(cache_dir)
@@ -151,11 +167,11 @@ def _simulate_pending(pending, workers, use_cache, cache_dir, progress):
             progress.finish(job.tag)
 
         try:
-            shared = pool_mod.shared_pool(workers) if len(pending) > 1 else None
-            if shared is None:
+            chosen = _pick_pool(pending, workers, owned)
+            if chosen is None:
                 _simulate_inline(pending, land, progress)
             else:
-                _simulate_on_pool(shared, pending, workers, model, land, progress)
+                _simulate_on_pool(chosen, pending, workers, model, land, progress)
         finally:
             if use_cache:  # the model lives inside the cache directory
                 model.save()
@@ -172,8 +188,8 @@ def _simulate_inline(pending, land, progress):
         land(job, key, payload, time.perf_counter() - start)
 
 
-def _simulate_on_pool(shared, pending, workers, model, land, progress):
-    """Dispatch ``pending`` over the persistent pool: longest-first
+def _simulate_on_pool(worker_pool, pending, workers, model, land, progress):
+    """Dispatch ``pending`` over ``worker_pool``: longest-first
     submission, each result landed as it streams back."""
     ordered = costmodel.order_longest_first([job for job, _ in pending], model)
     key_of = {id(job): key for job, key in pending}
@@ -183,7 +199,7 @@ def _simulate_on_pool(shared, pending, workers, model, land, progress):
         if outcome.kind == "payload":
             land(job, key_of[id(job)], outcome.value, outcome.seconds)
 
-    outcomes = shared.run(
+    outcomes = worker_pool.run(
         [job.to_dict() for job in ordered],
         chunk_size=_chunk_size(len(ordered), workers),
         max_workers=workers,
@@ -247,9 +263,13 @@ def execute(jobs, workers=None, cache=None, cache_dir=None, progress=None):
     )[""]
 
 
-def execute_many(plans, workers=None, cache=None, cache_dir=None, progress=None):
+def execute_many(plans, workers=None, cache=None, cache_dir=None, progress=None,
+                 pool=None):
     """Execute a batch of job plans sharing one pool and one
     cache-probe pass; returns ``{name: {tag: RunResult}}``.
+
+    ``pool`` is a :class:`~repro.runner.pool.WorkerPool` the caller
+    owns and closes; ``None`` uses the process-wide shared pool.
 
     ``plans`` maps a plan name to its job list. Jobs that describe the
     same physical simulation — within one plan or across plans — are
@@ -278,7 +298,7 @@ def execute_many(plans, workers=None, cache=None, cache_dir=None, progress=None)
         tracker.hit(tag)
     if pending:
         payloads.update(
-            _simulate_pending(pending, workers, use_cache, cache_dir, tracker)
+            _simulate_pending(pending, workers, use_cache, cache_dir, tracker, pool)
         )
     # from_dict takes ownership of its payload: a key's first consumer
     # gets it as decoded, every later tag sharing the key (in this plan

@@ -10,6 +10,9 @@ once instead of once per call:
 * the parent dispatches jobs to idle workers one chunk at a time and
   streams completions off a shared result queue — no ``pool.map``
   barrier, so a straggler never blocks the jobs behind it;
+* each worker sets one pool-wide ``warm`` event once its pre-imports
+  are done, so a caller that must not wait for start-up (``repro
+  serve``) can run work inline until :attr:`WorkerPool.warm` is true;
 * every result travels back as the payload dict itself plus its wall
   time; the parent lands it (cost model, cache store, progress — see
   :mod:`repro.runner.executor`) as it streams in;
@@ -21,8 +24,9 @@ once instead of once per call:
   refusing ``fork``/``spawn``) degrades to inline execution in the
   caller, never to a crash.
 
-The executor reaches the pool only through the module-level singleton
-(:func:`shared_pool`); tests drive :class:`WorkerPool` directly.
+The executor reaches the pool through the module-level singleton
+(:func:`shared_pool`) or through a pool its caller owns (``repro serve``
+keeps one per server); tests drive :class:`WorkerPool` directly.
 """
 
 import atexit
@@ -93,8 +97,9 @@ def _maybe_test_crash(tag):
     os._exit(17)
 
 
-def _worker_main(worker_index, task_queue, result_queue):
-    """Worker process body: warm up once, then serve job chunks forever.
+def _worker_main(worker_index, task_queue, result_queue, warm):
+    """Worker process body: warm up once, set ``warm``, then serve job
+    chunks forever.
 
     A task is ``(epoch, chunk_id, [(job_id, job_dict), ...])`` or
     ``None`` to shut down. Two message shapes flow back, both
@@ -118,6 +123,7 @@ def _worker_main(worker_index, task_queue, result_queue):
 
     import repro.experiments.scenarios  # noqa: F401  (pre-import, heavy)
 
+    warm.set()
     while True:
         task = task_queue.get()
         if task is None:
@@ -177,6 +183,7 @@ class WorkerPool:
     def __init__(self, workers, context=None):
         self._ctx = context or multiprocessing.get_context("spawn")
         self._result_queue = self._ctx.Queue()
+        self._warm = self._ctx.Event()
         self._workers = []
         self._closed = False
         self._running = False
@@ -191,7 +198,7 @@ class WorkerPool:
         task_queue = self._ctx.Queue()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(index, task_queue, self._result_queue),
+            args=(index, task_queue, self._result_queue, self._warm),
             daemon=True,
             name="repro-worker-%d" % index,
         )
@@ -218,6 +225,11 @@ class WorkerPool:
     @property
     def alive(self):
         return not self._closed
+
+    @property
+    def warm(self):
+        """True once any worker has finished its pre-imports."""
+        return self._warm.is_set()
 
     @property
     def running(self):

@@ -5,7 +5,8 @@ Glues the three layers below it together — :mod:`repro.serve.http`
 :mod:`repro.serve.jobs` (validation + dispatch) — and owns everything
 HTTP-shaped: the route table, the NDJSON/SSE event streams, the
 ``/metrics`` exposition, and the SIGTERM drain sequence (stop
-admitting → finish in-flight → flush telemetry → exit 0).
+admitting → finish in-flight → close the worker pool → flush
+telemetry → exit 0).
 
 Every request is counted (``serve.requests.<METHOD>_<route>.<status>``)
 and timed (``serve.request_latency_us``); stream lifetimes move the
@@ -97,13 +98,16 @@ class ServeApp:
 
     async def drain(self):
         """SIGTERM semantics: refuse new work, let queued and running
-        submissions finish, flush the telemetry snapshot."""
+        submissions finish, close the worker pool, flush the telemetry
+        snapshot."""
         self.admission.draining = True
         await self.manager.wait_idle()
+        await self.manager.close_pool()
         telemetry.persist(self.config.cache_dir)
 
     async def stop(self):
         await self.manager.stop()
+        await self.manager.close_pool()
         await self.server.stop()
 
     # -- request entry point -------------------------------------------
@@ -176,6 +180,7 @@ class ServeApp:
             "uptime_seconds": round(time.time() - self.started_unix, 3),
             "queued": self.admission.queued,
             "workers": self.manager.workers,
+            "pool": self.manager.pool_state(),
         })
 
     def _metrics(self):

@@ -24,6 +24,14 @@ The :class:`JobManager` owns them end to end:
   :func:`repro.runner.execute_many` call each (cross-submission dedup
   and LPT ordering for free), run in a worker thread so the event loop
   keeps serving requests and streams;
+* **a dedicated simulation core** — the manager owns a
+  :class:`~repro.runner.pool.WorkerPool` of ``workers`` processes,
+  spawned at start-up and passed to planned and driver waves alike;
+  once it is warm every wave simulates there, so hits and streams
+  never queue behind a simulation for this process's interpreter lock.
+  Waves that arrive while it warms up (or after a spawn failure) run
+  inline in the wave thread, unless the executor would have fanned
+  them out anyway (:func:`repro.runner.executor._pick_pool`);
 * **event streams** — every lifecycle transition and every executor
   progress callback (cache hits, pool pickup heartbeats, completions)
   appends to the submission's ordered event list; any number of
@@ -32,7 +40,9 @@ The :class:`JobManager` owns them end to end:
 
 import asyncio
 import itertools
+import threading
 import time
+import warnings
 
 from ..errors import ConfigError, ReproError
 from ..experiments import registry as experiment_registry
@@ -41,6 +51,7 @@ from ..obs import telemetry
 from ..runner import cache as result_cache
 from ..runner import costmodel, execute_many
 from ..runner.jobs import SimJob, check_job
+from ..runner.pool import WorkerPool
 
 _SUBMITTED = telemetry.counter("serve.submissions.accepted")
 _CACHE_FAST = telemetry.counter("serve.submissions.cache_fast_path")
@@ -122,7 +133,7 @@ class Work:
         self.name = name
         self.jobs = jobs  # [SimJob] or None for drivers
         self.finalize = finalize  # {tag: RunResult} -> result dict
-        self.driver = driver  # (workers, cache, progress) -> result dict
+        self.driver = driver  # (workers, cache, progress, pool) -> result dict
 
 
 def _check_horizon(tag, horizon_ns):
@@ -203,8 +214,8 @@ def compile_experiment(payload):
     except ReproError as err:
         raise ValidationError(str(err))
     if prepared.jobs is None:
-        def drive(workers, cache, progress):
-            return _rendered(prepared.drive(workers, cache, progress))
+        def drive(workers, cache, progress, pool):
+            return _rendered(prepared.drive(workers, cache, progress, pool=pool))
 
         return Work("experiment", name, driver=drive)
     for job in prepared.jobs:
@@ -317,9 +328,10 @@ class Submission:
 
 
 class JobManager:
-    """Owns every submission, the dispatch queue, and the worker-thread
-    bridge. Constructed by :class:`repro.serve.app.ServeApp`; all
-    public methods run on the event loop."""
+    """Owns every submission, the dispatch queue, the worker-thread
+    bridge, and the server's worker pool. Constructed by
+    :class:`repro.serve.app.ServeApp`; all public methods run on the
+    event loop."""
 
     def __init__(self, workers=1, cache=None, cache_dir=None, history_limit=512):
         self.workers = max(1, int(workers))
@@ -335,11 +347,26 @@ class JobManager:
         self._loop = None
         self._dispatcher = None
         self._model = costmodel.CostModel.load(cache_dir)
+        self.pool = None
+        #: Held by the wave thread for a whole wave, so the pool is
+        #: never closed under a running ``execute_many``.
+        self._wave_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self):
+        """Spawn the pool (its warm-up overlaps the rest of start-up)
+        and start the dispatcher."""
         self._loop = asyncio.get_running_loop()
+        try:
+            self.pool = WorkerPool(self.workers)
+        except (OSError, ValueError) as err:
+            warnings.warn(
+                "could not start the server's worker pool (%s); "
+                "running waves inline" % err,
+                RuntimeWarning,
+                stacklevel=2,
+            )
         self._dispatcher = asyncio.create_task(self._run_waves())
 
     async def stop(self):
@@ -354,6 +381,24 @@ class JobManager:
     async def wait_idle(self):
         """Block until no submission is queued or running."""
         await self._idle.wait()
+
+    async def close_pool(self):
+        """Shut the worker pool down once any running wave has ended;
+        idempotent. Later waves (if any) run inline."""
+        await asyncio.get_running_loop().run_in_executor(None, self._close_pool_sync)
+
+    def _close_pool_sync(self):
+        with self._wave_lock:
+            if self.pool is not None:
+                self.pool.close()
+
+    def pool_state(self):
+        """Where the next wave simulates (``/healthz`` ``pool``):
+        ``ready`` (in the pool), ``warming`` (inline; the pool is still
+        importing) or ``inline`` (no pool: spawn failed or drained)."""
+        if self.pool is None or not self.pool.alive:
+            return "inline"
+        return "ready" if self.pool.warm else "warming"
 
     # -- admission support --------------------------------------------
 
@@ -531,10 +576,11 @@ class JobManager:
         planned = [s for s in wave if s.work.jobs is not None]
         drivers = [s for s in wave if s.work.jobs is None]
 
-        if planned:
-            self._execute_planned(planned)
-        for sub in drivers:
-            self._execute_driver(sub)
+        with self._wave_lock:
+            if planned:
+                self._execute_planned(planned)
+            for sub in drivers:
+                self._execute_driver(sub)
         self._model = costmodel.CostModel.load(self.cache_dir)
 
     def _execute_planned(self, subs):
@@ -564,6 +610,7 @@ class JobManager:
                 cache=self.cache,
                 cache_dir=self.cache_dir,
                 progress=progress,
+                pool=self.pool,
             )
         except Exception:
             # One poisoned job fails a whole batch; isolate by retrying
@@ -601,7 +648,7 @@ class JobManager:
 
         before = _engine_counters()
         try:
-            sub.result = sub.work.driver(self.workers, self.cache, progress)
+            sub.result = sub.work.driver(self.workers, self.cache, progress, self.pool)
         except Exception:
             self._fail_sync(sub)
             return

@@ -11,6 +11,7 @@ inline instead of failing the run.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -208,6 +209,53 @@ class TestCrashResilience:
         with pytest.warns(RuntimeWarning, match="retrying"):
             with pytest.raises(WorkerError, match="died repeatedly"):
                 execute([_job("victim", 2), _job("ok", 3)], workers=2, cache=False)
+
+
+@pytest.fixture(scope="module")
+def owned_pool():
+    """A caller-owned two-worker pool (what ``repro serve`` keeps),
+    warmed up before the first test uses it."""
+    owned = pool_mod.WorkerPool(2)
+    deadline = time.time() + 60
+    while not owned.warm:
+        assert time.time() < deadline, "the owned pool never warmed up"
+        time.sleep(0.01)
+    yield owned
+    owned.close()
+
+
+class TestCallerOwnedPool:
+    """``execute_many(..., pool=)``: a warm owned pool takes every
+    batch; a cold one takes only what the shared pool would have taken,
+    and the rest runs inline. The shared pool is never used."""
+
+    def _run(self, owned, jobs, workers, monkeypatch):
+        monkeypatch.setattr(pool_mod, "shared_pool",
+                            lambda workers: pytest.fail("shared pool used"))
+        counters = telemetry.snapshot()["counters"]
+        before = {name: counters.get(name, 0)
+                  for name in ("pool.jobs_completed", "runner.jobs_inline")}
+        results = execute_many({"p": jobs}, workers=workers, cache=False, pool=owned)["p"]
+        counters = telemetry.snapshot()["counters"]
+        moved = {name: counters.get(name, 0) - before[name] for name in before}
+        assert _norm(results) == _norm(execute(jobs, workers=1, cache=False))
+        return moved["pool.jobs_completed"], moved["runner.jobs_inline"]
+
+    def test_warm_pool_takes_a_single_job_at_one_worker(self, owned_pool, monkeypatch):
+        assert self._run(owned_pool, [_job("a", 41)], 1, monkeypatch) == (1, 0)
+
+    def test_cold_pool_still_fans_out_a_multi_job_batch(self, owned_pool, monkeypatch):
+        monkeypatch.setattr(pool_mod.WorkerPool, "warm", property(lambda self: False))
+        jobs = [_job("a", 42), _job("b", 43)]
+        assert self._run(owned_pool, jobs, 2, monkeypatch) == (2, 0)
+
+    @pytest.mark.parametrize("jobs, workers", [
+        ([_job("a", 44)], 2),
+        ([_job("a", 45), _job("b", 46)], 1),
+    ])
+    def test_cold_pool_leaves_the_rest_inline(self, owned_pool, monkeypatch, jobs, workers):
+        monkeypatch.setattr(pool_mod.WorkerPool, "warm", property(lambda self: False))
+        assert self._run(owned_pool, jobs, workers, monkeypatch) == (0, len(jobs))
 
 
 class TestExecuteMany:

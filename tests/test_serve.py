@@ -3,9 +3,10 @@ streams, metrics, determinism, and a concurrent soak.
 
 Every HTTP test runs against a real server on a real socket (port 0,
 event loop on a background thread) with the cache pointed at a tmp
-dir — no mocked transport anywhere. Workers default to 1 so jobs run
-inline in the dispatcher thread; the concurrency under test is the
-service's (admission, streams, many clients), not the pool's, which
+dir — no mocked transport anywhere. Workers default to 1: each server
+owns one worker process, and its waves run inline until that worker is
+warm. The concurrency under test is the service's (admission, streams,
+many clients, the dedicated simulation core), not the pool's, which
 has its own suite.
 """
 
@@ -23,6 +24,7 @@ import pytest
 
 import repro
 from repro.obs import telemetry
+from repro.runner import pool as pool_mod
 from repro.runner.jobs import SimJob, run_job
 from repro.serve import ServeConfig, ValidationError, start_in_thread
 from repro.serve.admission import AdmissionController, Rejection
@@ -54,6 +56,19 @@ JOB = {
     "seed": 11,
     "duration_ns": ms(4),
 }
+
+
+def wait_pool_ready(handle, timeout=60):
+    """Block until the server's waves run in its worker pool. Reads the
+    manager in-process, so waiting adds no request to the telemetry."""
+    deadline = time.time() + timeout
+    while handle.app.manager.pool_state() != "ready":
+        assert time.time() < deadline, "the server's worker pool never warmed up"
+        time.sleep(0.01)
+
+
+def counter(name):
+    return telemetry.snapshot()["counters"].get(name, 0)
 
 
 class Client:
@@ -295,6 +310,7 @@ class TestHttpApi:
         assert status == 200
         assert body["status"] == "ok"
         assert body["workers"] == 1
+        assert body["pool"] in ("warming", "ready")
 
     def test_experiment_listing_flags_drivers(self, server):
         status, _, body = Client(server).request("GET", "/experiments")
@@ -588,8 +604,10 @@ class TestMetricsPath:
 
     def test_identical_request_sequences_dump_identically(self, tmp_path):
         """The determinism contract extends to the service: the same
-        request sequence against a fresh server + fresh cache produces
-        a byte-identical non-wall telemetry dump."""
+        request sequence against a fresh, ready server + fresh cache
+        produces a byte-identical non-wall telemetry dump. (Before the
+        pool is ready, which process runs a wave depends on wall
+        time.)"""
 
         def run_sequence(root):
             telemetry.reset()
@@ -598,6 +616,7 @@ class TestMetricsPath:
                 ServeConfig(port=0, workers=1, cache_dir=str(root / "cache"))
             )
             try:
+                wait_pool_ready(handle)
                 client = Client(handle, name="seq")
                 for seed in (21, 22, 21):  # third one is a cache hit
                     _, _, body = client.request(
@@ -613,6 +632,161 @@ class TestMetricsPath:
         first = run_sequence(tmp_path / "a")
         second = run_sequence(tmp_path / "b")
         assert first == second
+
+
+def _terminal(client, job_id):
+    events, _ = client.stream_events(job_id)
+    assert events[-1]["event"] in TERMINAL, events
+    return events[-1]
+
+
+class TestDedicatedCore:
+    """Once its pool is warm, a server simulates every wave in its own
+    worker process; hits never touch the pool."""
+
+    def test_healthz_pool_goes_ready_then_inline_after_drain(self, server):
+        client = Client(server)
+        deadline = time.time() + 60
+        seen = []
+        while not seen or seen[-1] != "ready":
+            assert time.time() < deadline, seen
+            seen.append(client.request("GET", "/healthz")[2]["pool"])
+            time.sleep(0.01)
+        assert set(seen) <= {"warming", "ready"}
+        server.drain()
+        assert client.request("GET", "/healthz")[2]["pool"] == "inline"
+
+    def test_cold_job_runs_in_the_pool_once_ready(self, server):
+        wait_pool_ready(server)
+        client = Client(server)
+        _, _, body = client.request("POST", "/jobs", JOB)
+        final = _terminal(client, body["id"])
+        assert final["event"] == "done"
+        assert final["telemetry"]["pool.jobs_completed"] == 1
+        assert final["telemetry"]["runner.jobs_inline"] == 0
+        result = client.request("GET", "/jobs/%s/result" % body["id"])[2]
+        assert result["result"]["payload"] == run_job(SimJob(**JOB))
+
+    def test_cold_job_runs_inline_while_the_pool_warms(self, server, monkeypatch):
+        monkeypatch.setattr(pool_mod.WorkerPool, "warm", property(lambda self: False))
+        client = Client(server)
+        assert client.request("GET", "/healthz")[2]["pool"] == "warming"
+        _, _, body = client.request("POST", "/jobs", JOB)
+        final = _terminal(client, body["id"])
+        assert final["event"] == "done"
+        assert final["telemetry"]["runner.jobs_inline"] == 1
+        assert final["telemetry"]["pool.jobs_completed"] == 0
+        result = client.request("GET", "/jobs/%s/result" % body["id"])[2]
+        assert result["result"]["payload"] == run_job(SimJob(**JOB))
+
+    def test_hit_during_a_pooled_wave_never_touches_the_pool(self, server):
+        wait_pool_ready(server)
+        client = Client(server)
+        _, _, body = client.request("POST", "/jobs", JOB)
+        assert _terminal(client, body["id"])["event"] == "done"
+        # ~1 s of simulation in the worker: the hit lands well inside it.
+        _, _, long_body = client.request(
+            "POST", "/jobs", dict(JOB, tag="long", seed=12, duration_ns=ms(400))
+        )
+        sub = server.app.manager.submissions[long_body["id"]]
+        deadline = time.time() + 60
+        while not any(e.get("phase") == "start" for e in list(sub.events)):
+            assert time.time() < deadline, "the long job never started"
+            time.sleep(0.005)
+        dispatched = counter("pool.jobs_dispatched")
+        completed = counter("pool.jobs_completed")
+        status, headers, _ = client.request("POST", "/jobs", JOB)
+        assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+        assert counter("pool.jobs_dispatched") == dispatched
+        assert counter("pool.jobs_completed") == completed
+        assert client.request("GET", "/jobs/%s" % long_body["id"])[2]["state"] == "running"
+        assert _terminal(client, long_body["id"])["event"] == "done"
+
+
+    def test_fleet_driver_runs_on_the_servers_own_pool(self, tmp_path, monkeypatch):
+        """A driver submission reuses the server's pool: a ``--workers
+        2`` server never starts the process-wide pool beside it, and
+        the result matches a direct registry run."""
+        from repro.experiments import registry
+
+        shared_calls = []
+        monkeypatch.setattr(pool_mod, "shared_pool",
+                            lambda workers: shared_calls.append(workers))
+        # Cache off: a driver reads the process-wide cache directory,
+        # not the server's, and must simulate here.
+        handle = start_in_thread(
+            ServeConfig(port=0, workers=2, cache=False,
+                        cache_dir=str(tmp_path / "cache"))
+        )
+        try:
+            wait_pool_ready(handle)
+            client = Client(handle)
+            spec = {"experiment": "fleet", "hosts": 2, "epochs": 2,
+                    "rate": 10.0, "scale": 0.02, "policies": ["first_fit"]}
+            _, _, body = client.request("POST", "/experiments", spec)
+            final = _terminal(client, body["id"])
+            assert final["event"] == "done", final
+            assert final["telemetry"]["pool.jobs_completed"] >= 1
+            assert final["telemetry"]["runner.jobs_inline"] == 0
+            assert shared_calls == []
+            _, _, served = client.request("GET", "/jobs/%s/result" % body["id"])
+        finally:
+            handle.stop()
+        _, text = registry.run("fleet", hosts=2, epochs=2, rate=10.0,
+                               scale_override=0.02, policies=["first_fit"],
+                               workers=1, cache=False)
+        assert served["result"]["formatted"] == text
+
+
+class TestWorkerCrashThroughServe:
+    CRASHY = dict(JOB, tag="crashy", seed=31)
+
+    def _server(self, tmp_path, monkeypatch, spec):
+        # The hook is read in the worker, so it must be set before spawn.
+        monkeypatch.setenv(pool_mod.ENV_TEST_CRASH, spec)
+        handle = start_in_thread(
+            ServeConfig(port=0, workers=1, cache_dir=str(tmp_path / "cache"))
+        )
+        wait_pool_ready(handle)
+        return handle
+
+    def test_one_crash_is_retried_and_the_job_completes(self, tmp_path, monkeypatch):
+        handle = self._server(tmp_path, monkeypatch,
+                              "crashy:%s" % (tmp_path / "crashed-once"))
+        try:
+            client = Client(handle)
+            crashes = counter("pool.worker_crashes")
+            _, _, body = client.request("POST", "/jobs", self.CRASHY)
+            final = _terminal(client, body["id"])
+            assert final["event"] == "done"
+            assert counter("pool.worker_crashes") - crashes == 1
+            result = client.request("GET", "/jobs/%s/result" % body["id"])[2]
+            assert result["result"]["payload"] == run_job(SimJob(**self.CRASHY))
+        finally:
+            handle.stop()
+
+    def test_poison_job_fails_and_the_server_keeps_serving(self, tmp_path, monkeypatch):
+        handle = self._server(tmp_path, monkeypatch, "crashy")
+        try:
+            client = Client(handle)
+            _, _, body = client.request("POST", "/jobs", JOB)
+            assert _terminal(client, body["id"])["event"] == "done"
+
+            _, _, body = client.request("POST", "/jobs", self.CRASHY)
+            final = _terminal(client, body["id"])
+            assert final["event"] == "failed"
+            assert "died repeatedly" in final["error"]
+
+            status, headers, _ = client.request("POST", "/jobs", JOB)
+            assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+            _, _, body = client.request("POST", "/jobs", dict(JOB, seed=32))
+            final = _terminal(client, body["id"])
+            assert final["event"] == "done"
+            assert final["telemetry"]["pool.jobs_completed"] == 1
+            states = [row["state"] for row in client.request("GET", "/jobs")[2]["jobs"]]
+            assert all(state in TERMINAL for state in states), states
+        finally:
+            handle.stop()
 
 
 class TestDrain:
@@ -634,8 +808,12 @@ class TestDrain:
             handle.stop()
 
     def test_sigterm_with_idle_keepalive_exits_cleanly(self, tmp_path):
-        # An idle keep-alive connection is open when SIGTERM lands: the
-        # server must end it and exit 0 without a traceback.
+        # SIGTERM lands while a wave runs in the server's worker process
+        # and an idle keep-alive connection is open: the server must
+        # finish the wave, end the connection, exit 0 without a
+        # traceback, and leave no worker process behind (checked where
+        # /proc lists processes).
+        have_proc = os.path.isdir("/proc/self")
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -647,6 +825,16 @@ class TestDrain:
             cwd=str(tmp_path), env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
+
+        def call(method, path, body=None):
+            one = http.client.HTTPConnection(host, int(port), timeout=30)
+            try:
+                one.request(method, path,
+                            body=json.dumps(body) if body is not None else None)
+                return json.loads(one.getresponse().read())
+            finally:
+                one.close()
+
         try:
             line = proc.stdout.readline()
             assert "listening on http://" in line, line
@@ -657,8 +845,20 @@ class TestDrain:
             resp.read()
             assert resp.status == 200
             assert resp.getheader("Connection") == "keep-alive"
+
+            deadline = time.time() + 60
+            while call("GET", "/healthz")["pool"] != "ready":
+                assert time.time() < deadline, "worker pool never warmed up"
+                time.sleep(0.02)
+            workers = _spawned_children(proc.pid) if have_proc else []
+            assert len(workers) == int(have_proc), workers
+            job_id = call("POST", "/jobs", dict(JOB, duration_ns=ms(300)))["id"]
+            while call("GET", "/jobs/%s" % job_id)["state"] != "running":
+                assert time.time() < deadline, "the wave never started"
+                time.sleep(0.005)
+
             proc.send_signal(signal.SIGTERM)
-            _out, err = proc.communicate(timeout=60)
+            out, err = proc.communicate(timeout=60)
             conn.close()
         finally:
             if proc.poll() is None:
@@ -666,6 +866,36 @@ class TestDrain:
                 proc.communicate()
         assert proc.returncode == 0
         assert "Traceback" not in err, err
+        assert "drained cleanly" in out, out
+        assert not any(_running(pid) for pid in workers), workers
+
+
+def _spawned_children(parent_pid):
+    """PIDs of ``parent_pid``'s multiprocessing ``spawn`` workers (not
+    its resource tracker), from ``/proc``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % entry) as stat:
+                ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
+            with open("/proc/%s/cmdline" % entry, "rb") as cmdline:
+                argv = cmdline.read()
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == parent_pid and b"spawn_main" in argv:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open("/proc/%d/stat" % pid) as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 @pytest.mark.slow
