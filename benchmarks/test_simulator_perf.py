@@ -114,12 +114,9 @@ class TestScenarioThroughput:
         _record("corun_events_per_sec", counts[-1] / _mean(benchmark))
 
 
-def test_failed_accelerate_storm(benchmark):
-    """The heaviest payload-manifest job, fig4's vips co-run with one
-    micro core: thousands of yields each try to accelerate every
-    preempted sibling, and almost every attempt finds the one micro
-    slot taken. Times the whole job (build, run, encode) and checks its
-    payload still matches the manifest."""
+def _time_manifest_job(benchmark, tag, rounds):
+    """Time ``run_job`` (build, run, encode) on the manifest job tagged
+    ``tag`` and check its payload still matches the manifest."""
     from repro.runner.jobs import run_job
     from repro.tools import payload_manifest
 
@@ -127,9 +124,24 @@ def test_failed_accelerate_storm(benchmark):
     [(key, (job, _tags))] = [
         item
         for item in payload_manifest.unique_jobs(manifest["scale"]).items()
-        if "fig4:vips:1" in item[1][1]
+        if tag in item[1][1]
     ]
-    payload = benchmark.pedantic(run_job, args=(job,), rounds=3, iterations=1)
+    payload = benchmark.pedantic(run_job, args=(job,), rounds=rounds, iterations=1)
     digest = hashlib.sha256(payload_manifest.canonical_payload(payload).encode()).hexdigest()
     assert digest == manifest["entries"][key]["payload_sha256"]
-    _record("cold_heavy_job_ms", _mean(benchmark) * 1e3)
+    return _mean(benchmark) * 1e3
+
+
+def test_failed_accelerate_storm(benchmark):
+    """The heaviest payload-manifest job, fig4's vips co-run with one
+    micro core: thousands of yields each try to accelerate every
+    preempted sibling, and almost every attempt finds the one micro
+    slot taken."""
+    _record("cold_heavy_job_ms", _time_manifest_job(benchmark, "fig4:vips:1", 3))
+
+
+def test_idle_steal_io_job(benchmark):
+    """Figure 9's solo UDP point, the cold job of a served request:
+    an I/O guest that leaves pCPUs idle, so most scheduler work is idle
+    pCPUs scanning empty runqueues for something to steal."""
+    _record("cold_io_job_ms", _time_manifest_job(benchmark, "fig9:udp:solo", 10))

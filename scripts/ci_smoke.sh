@@ -169,6 +169,7 @@ metrics = json.load(open("BENCH_engine.json"))[0]["metrics"]
 for key in ("corun_faults_off_events_per_sec",
             "corun_faults_enabled_empty_events_per_sec",
             "cold_heavy_job_ms",
+            "cold_io_job_ms",
             "fleet_host_jobs_per_sec",
             "serve_mixed_hit_p90_ms"):
     assert key in metrics, (key, sorted(metrics))

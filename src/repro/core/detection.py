@@ -75,8 +75,8 @@ class CriticalServiceDetector:
         self.inspections += 1
         kernel = vcpu.domain.kernel
         fault = kernel.symbol_fault
+        ip = kernel.addr_for(vcpu.current_symbol)
         if fault is None:
-            ip = vcpu.ip
             try:
                 answer = self._memos[kernel][ip]
             except KeyError:
@@ -85,8 +85,8 @@ class CriticalServiceDetector:
                 self.hits += 1
             return answer
         if fault == "miss":
-            return self._resolve_without_table(kernel, vcpu.ip)
-        return self._resolve_corrupted(kernel, vcpu.ip)
+            return self._resolve_without_table(kernel, ip)
+        return self._resolve_corrupted(kernel, ip)
 
     def _resolve_first(self, kernel, ip):
         """Binary-search the table for an IP not yet in the memo,

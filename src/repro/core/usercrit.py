@@ -93,7 +93,7 @@ class UserAwareDetector(CriticalServiceDetector):
         registry = getattr(vcpu.domain, "user_critical", None)
         if registry is None:
             return answer
-        region = registry.resolve(vcpu.ip)
+        region = registry.resolve(vcpu.domain.kernel.addr_for(vcpu.current_symbol))
         if region is None:
             return answer
         self.hits += 1

@@ -67,6 +67,7 @@ def drive(
     cache=None,
     progress=None,
     pool=None,
+    cache_dir=None,
     seed=42,
     scale_override=None,
     scheduler=None,
@@ -84,7 +85,7 @@ def drive(
     )
     summaries = run_fleet(
         spec, policies=names, workers=workers, cache=cache, progress=progress,
-        pool=pool,
+        pool=pool, cache_dir=cache_dir,
     )
     return {"policies": summaries, "checks": checks(summaries)}
 

@@ -107,13 +107,14 @@ class Prepared:
         results = self.module.reduce(by_tag)
         return results, self.module.format_result(results)
 
-    def drive(self, workers=None, cache=None, progress=None, pool=None):
+    def drive(self, workers=None, cache=None, progress=None, pool=None,
+              cache_dir=None):
         """Run a driver experiment; returns ``(results, formatted_text)``.
-        ``pool`` is a caller-owned worker pool (see
-        :func:`repro.runner.execute_many`)."""
+        ``pool`` is a caller-owned worker pool and ``cache_dir`` a
+        result-cache directory (see :func:`repro.runner.execute_many`)."""
         results = self.module.drive(
             workers=workers, cache=cache, progress=progress, pool=pool,
-            **self._kwargs
+            cache_dir=cache_dir, **self._kwargs
         )
         return results, self.module.format_result(results)
 

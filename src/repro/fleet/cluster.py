@@ -347,7 +347,7 @@ class FleetState:
 
 
 def run_fleet(spec, policies=None, workers=None, cache=None, progress=None,
-              pool=None):
+              pool=None, cache_dir=None):
     """Run one fleet spec under one or more placement policies.
 
     Returns ``{policy_name: summary_dict}``. All policies advance in
@@ -356,7 +356,8 @@ def run_fleet(spec, policies=None, workers=None, cache=None, progress=None,
     worker pool and one cache probe — and physically identical host
     jobs (policies often coincide in early epochs) simulate once.
     ``pool`` is a caller-owned worker pool (``repro serve`` passes its
-    own), else the process-wide one is used.
+    own), else the process-wide one is used; ``cache_dir`` likewise
+    names the result cache (``None``: the process-wide one).
     """
     if policies is None:
         policies = ("first_fit",)
@@ -373,8 +374,8 @@ def run_fleet(spec, policies=None, workers=None, cache=None, progress=None,
         by_plan = {}
         if plans:
             by_plan = execute_many(
-                plans, workers=workers, cache=cache, progress=progress,
-                pool=pool,
+                plans, workers=workers, cache=cache, cache_dir=cache_dir,
+                progress=progress, pool=pool,
             )
         for name in names:
             states[name].absorb(epoch, by_plan.get(name, {}))

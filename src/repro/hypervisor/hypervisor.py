@@ -528,34 +528,44 @@ class Hypervisor:
         micro-sliced core. Returns ``True`` on success.
 
         A failed attempt on a queued vCPU is not a no-op: it goes home
-        through ``requeue``, which drops BOOST, clears the yield flag
-        and re-places it (an idle pCPU, else the tail of its last-ran or
-        the shallowest queue); with ``wake`` a BLOCKED vCPU is made
-        RUNNABLE and queued the same way.
+        through the scheduler's ``bounce`` (``remove`` then ``requeue``),
+        which drops BOOST, clears the yield flag and re-places it (an
+        idle pCPU, else the tail of its last-ran or the shallowest
+        queue); with ``wake`` a BLOCKED vCPU is made RUNNABLE and queued
+        the same way. Asking for a free slot before touching the
+        runqueue changes nothing but the call count: the slot check
+        reads only the micro pool.
         """
         self.accelerate_attempts += 1
         state = vcpu._state
         if state == vc.RUNNING or vcpu.pool is self.micro_pool:
             return False
-        if not self.micro_pool.pcpus:
+        micro_pool = self.micro_pool
+        if not micro_pool.pcpus:
             return False
+        micro = micro_pool.scheduler
+        scheduler = self.normal_pool.scheduler
+        # Every micro runqueue full is exactly when ``assign`` would
+        # fail: the vCPU goes home.
         if state == vc.BLOCKED:
             if not wake:
                 return False
             vcpu.state = vc.RUNNABLE
             vcpu.lazy_tlb = False
-        elif not self.normal_pool.scheduler.remove(vcpu):
+            if not micro.has_free_slot():
+                scheduler.requeue(vcpu)
+                return False
+        elif not micro.has_free_slot():
+            # A vCPU a pCPU has already dequeued is not queued: the
+            # bounce leaves it alone.
+            scheduler.bounce(vcpu)
+            return False
+        elif not scheduler.remove(vcpu):
             # Not actually in the runqueue: a pCPU has already dequeued
             # it and is about to run it. Migrating now would let two
             # pCPUs execute the same vCPU.
             return False
-        micro = self.micro_pool.scheduler
-        if not micro.has_free_slot():
-            # Every micro runqueue is full (exactly when ``assign``
-            # would fail); send the vCPU home.
-            self.normal_pool.scheduler.requeue(vcpu)
-            return False
-        vcpu.pool = self.micro_pool
+        vcpu.pool = micro_pool
         micro.assign(vcpu)
         self.stats.count_migration(vcpu)
         emit = self._trace_accelerate

@@ -75,7 +75,7 @@ class BalanceScheduler(CreditScheduler):
         if (
             last is not None
             and last in self._runqs
-            and self._eligible(vcpu, last)
+            and (vcpu.affinity is None or self._eligible(vcpu, last))
             and not self._sibling_queued(vcpu, last)
         ):
             self._push(last, priority, vcpu)

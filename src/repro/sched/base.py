@@ -3,13 +3,13 @@
 A :class:`Scheduler` drives one :class:`~repro.hypervisor.cpupool.CpuPool`:
 pCPU executors call :meth:`pick`/:meth:`slice_for`, the hypervisor's
 wake/deschedule paths call :meth:`enqueue`/:meth:`requeue`/:meth:`wake`/
-:meth:`remove`, and the periodic loops call :meth:`account` and
-:meth:`on_tick`. Concrete backends live in sibling modules and register
-themselves in :mod:`repro.sched.registry`; the shared plumbing here —
-idle-pCPU bookkeeping, the one-shot yield-flag pass-over, affinity
-eligibility, credit refill, slice jitter, trace emission — used to be
-copy-pasted between ``CreditScheduler`` and ``MicroScheduler`` and is
-now written once.
+:meth:`remove`/:meth:`bounce`, and the periodic loops call
+:meth:`account` and :meth:`on_tick`. Concrete backends live in sibling
+modules and register themselves in :mod:`repro.sched.registry`; the
+shared plumbing here — idle-pCPU bookkeeping, the one-shot yield-flag
+pass-over, affinity eligibility, credit refill, slice jitter, trace
+emission — used to be copy-pasted between ``CreditScheduler`` and
+``MicroScheduler`` and is now written once.
 
 Contract highlights (the cross-backend invariants the test suite
 asserts for every registered backend):
@@ -121,6 +121,16 @@ class Scheduler:
         Returns ``True`` when the vCPU was found in a runqueue."""
         raise NotImplementedError
 
+    def bounce(self, vcpu):
+        """Send a queued vCPU home after a failed acceleration: exactly
+        :meth:`remove` then :meth:`requeue` (BOOST dropped, yield flag
+        cleared, re-placed on an idle pCPU or at a queue tail). Returns
+        ``False``, changing nothing, when the vCPU was not queued."""
+        if not self.remove(vcpu):
+            return False
+        self.requeue(vcpu)
+        return True
+
     def steal(self, pcpu):
         """Work stealing: take a vCPU queued elsewhere for ``pcpu`` to
         run. Backends without stealing return None."""
@@ -184,9 +194,15 @@ class Scheduler:
     def _claim_idle(self, vcpu):
         """Pop and return the first idle pCPU eligible for ``vcpu``
         (it can run the vCPU immediately), or None."""
-        for position, pcpu in enumerate(self._idle):
-            if self._eligible(vcpu, pcpu):
-                del self._idle[position]
+        idle = self._idle
+        if not idle:
+            return None
+        affinity = vcpu.affinity
+        if affinity is None:
+            return idle.pop(0)
+        for position, pcpu in enumerate(idle):
+            if pcpu.info.index in affinity:
+                del idle[position]
                 return pcpu
         return None
 
@@ -200,9 +216,10 @@ class Scheduler:
     def _weight_of(vcpu):
         return getattr(vcpu.domain, "weight", 256) or 1
 
-    def take_eligible(self, queue, eligible):
-        """Take the first eligible vCPU from ``queue`` (a list, best
-        first), honouring the one-shot yield flag.
+    def take_eligible(self, queue, runner):
+        """Take the first vCPU from ``queue`` (a list, best first) that
+        may run on pCPU ``runner`` (its affinity allows it), honouring
+        the one-shot yield flag.
 
         Yield-flag semantics follow csched_vcpu_yield: a yielding vCPU
         defers to eligible peers in the same queue once — the flag is
@@ -211,10 +228,12 @@ class Scheduler:
         burning its share in spin/yield cycles instead of silently
         donating it to the other VM.
         """
+        index = runner.info.index
         flagged = None
         skipped = []
         for position, vcpu in enumerate(queue):
-            if not eligible(vcpu):
+            affinity = vcpu.affinity
+            if affinity is not None and index not in affinity:
                 continue
             if vcpu.yield_flag:
                 skipped.append(vcpu)
@@ -242,11 +261,6 @@ class Scheduler:
             emit = tracer.want(kind)
             if emit is not None:
                 emit(**fields)
-
-    @property
-    def trace_on(self):
-        tracer = self.tracer
-        return tracer is not None and tracer.enabled
 
     def count(self, counter, amount=1):
         """Bump a hypervisor-wide counter when stats are attached (they

@@ -107,7 +107,7 @@ class CoScheduler(Scheduler):
         queue = self._domq.get(gang)
         vcpu = None
         if queue:
-            vcpu = self.take_eligible(queue, lambda v: self._eligible(v, pcpu))
+            vcpu = self.take_eligible(queue, pcpu)
         if vcpu is not None:
             self.trace(
                 "sched_switch",

@@ -79,7 +79,11 @@ class CreditScheduler(Scheduler):
         eligible (cache affinity), else the shallowest eligible queue
         (the first one in registration order on a tie)."""
         last = vcpu.last_pcpu
-        if last is not None and last in self._runqs and self._eligible(vcpu, last):
+        if (
+            last is not None
+            and last in self._runqs
+            and (vcpu.affinity is None or self._eligible(vcpu, last))
+        ):
             target = last
         else:
             target = self._shallowest(vcpu, self._depths)
@@ -116,8 +120,8 @@ class CreditScheduler(Scheduler):
         return self.steal(pcpu)
 
     def steal(self, pcpu):
-        for other in self._runqs:
-            if other is pcpu:
+        for other, depth in self._depths.items():
+            if not depth or other is pcpu:
                 continue
             vcpu = self._pick_from(other, pcpu)
             if vcpu is not None:
@@ -135,17 +139,18 @@ class CreditScheduler(Scheduler):
         """Take the best eligible vCPU from ``owner``'s runqueue for
         ``runner`` to execute (yield flag honoured per priority class:
         a yielding vCPU defers to same-priority peers once, but still
-        beats lower-priority vCPUs)."""
-        queues = self._runqs.get(owner)
-        if queues is None:
+        beats lower-priority vCPUs). An empty or unknown runqueue costs
+        one dict lookup."""
+        if not self._depths.get(owner):
             return None
+        queues = self._runqs[owner]
         for priority in _PRIORITIES:
-            vcpu = self.take_eligible(
-                queues[priority], lambda v: self._eligible(v, runner)
-            )
-            if vcpu is not None:
-                self._depths[owner] -= 1
-                return vcpu
+            queue = queues[priority]
+            if queue:
+                vcpu = self.take_eligible(queue, runner)
+                if vcpu is not None:
+                    self._depths[owner] -= 1
+                    return vcpu
         return None
 
     def enqueue(self, vcpu, boost=False, yielded=False):
@@ -154,16 +159,17 @@ class CreditScheduler(Scheduler):
         # priority label is sticky between accounting points, so a vCPU
         # that slept before burning through its credits keeps its boost
         # eligibility even if the balance dipped to zero.
-        eligible = vcpu.credits > 0 or vcpu.priority in (BOOST, UNDER)
-        if boost and eligible:
+        credited = vcpu.credits > 0
+        if boost and (credited or vcpu.priority in (BOOST, UNDER)):
             priority = BOOST
         else:
-            priority = UNDER if vcpu.credits > 0 else OVER
+            priority = UNDER if credited else OVER
         vcpu.priority = priority
         vcpu.yield_flag = yielded
-        trace_on = self.trace_on
+        tracer = self.tracer
+        trace_on = tracer is not None and tracer.enabled
         # Prefer an idle pCPU outright (it can run us immediately).
-        pcpu = self._claim_idle(vcpu)
+        pcpu = self._claim_idle(vcpu) if self._idle else None
         if pcpu is not None:
             self._push(pcpu, priority, vcpu)
             if trace_on:
@@ -208,6 +214,19 @@ class CreditScheduler(Scheduler):
         self._runqs[pcpu][vcpu.priority].remove(vcpu)
         self._depths[pcpu] -= 1
         vcpu.runq_pcpu = None
+        return True
+
+    def bounce(self, vcpu):
+        """:meth:`remove` then :meth:`requeue`, inlined: the one call a
+        failed acceleration makes. Queues through :meth:`enqueue`, so a
+        subclass's placement (balance's ``_place``) still applies."""
+        pcpu = vcpu.runq_pcpu
+        if pcpu is None:
+            return False
+        self._runqs[pcpu][vcpu.priority].remove(vcpu)
+        self._depths[pcpu] -= 1
+        vcpu.runq_pcpu = None
+        self.enqueue(vcpu)
         return True
 
     def queued(self):

@@ -90,9 +90,7 @@ class Credit2Scheduler(Scheduler):
             pcpu.tickle()
 
     def pick(self, pcpu):
-        vcpu = self.take_eligible(
-            self._queue_of(pcpu), lambda v: self._eligible(v, pcpu)
-        )
+        vcpu = self.take_eligible(self._queue_of(pcpu), pcpu)
         if vcpu is None:
             vcpu = self.steal(pcpu)
         if vcpu is not None:
@@ -109,7 +107,7 @@ class Credit2Scheduler(Scheduler):
         for queue in self._queues:
             if queue is mine:
                 continue
-            vcpu = self.take_eligible(queue, lambda v: self._eligible(v, pcpu))
+            vcpu = self.take_eligible(queue, pcpu)
             if vcpu is not None:
                 self.steals += 1
                 self.trace(

@@ -133,7 +133,7 @@ class Work:
         self.name = name
         self.jobs = jobs  # [SimJob] or None for drivers
         self.finalize = finalize  # {tag: RunResult} -> result dict
-        self.driver = driver  # (workers, cache, progress, pool) -> result dict
+        self.driver = driver  # (workers, cache, progress, pool, cache_dir) -> result
 
 
 def _check_horizon(tag, horizon_ns):
@@ -214,8 +214,10 @@ def compile_experiment(payload):
     except ReproError as err:
         raise ValidationError(str(err))
     if prepared.jobs is None:
-        def drive(workers, cache, progress, pool):
-            return _rendered(prepared.drive(workers, cache, progress, pool=pool))
+        def drive(workers, cache, progress, pool, cache_dir):
+            return _rendered(prepared.drive(
+                workers, cache, progress, pool=pool, cache_dir=cache_dir
+            ))
 
         return Work("experiment", name, driver=drive)
     for job in prepared.jobs:
@@ -648,7 +650,9 @@ class JobManager:
 
         before = _engine_counters()
         try:
-            sub.result = sub.work.driver(self.workers, self.cache, progress, self.pool)
+            sub.result = sub.work.driver(
+                self.workers, self.cache, progress, self.pool, self.cache_dir
+            )
         except Exception:
             self._fail_sync(sub)
             return

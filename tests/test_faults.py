@@ -160,6 +160,12 @@ class _StubKernel:
         self.symbols = build_table(("free_one_page", "release_pages", "vfs_read"))
         self.symbol_fault = None
 
+    @staticmethod
+    def addr_for(register):
+        """The detector reads the IP through the kernel; a stub vCPU's
+        ``current_symbol`` already holds the raw register value."""
+        return register
+
 
 class _StubDomain:
     def __init__(self, kernel):
@@ -171,7 +177,7 @@ class _StubVcpu:
 
     def __init__(self, kernel, ip):
         self.domain = _StubDomain(kernel)
-        self.ip = ip
+        self.current_symbol = ip
 
 
 class TestDetectorDegradation:

@@ -7,6 +7,8 @@ pass-over, and work conservation — except ``cosched``, which gang-idles
 by design and is asserted to do exactly that.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -371,3 +373,210 @@ def test_place_matches_list_scan(name, homes, last, affinity, unregistered):
     else:
         assert scheduler._place(probe, UNDER) is expected
         assert scheduler._runqs[expected][UNDER][-1] is probe
+
+
+# ----------------------------------------------------------------------
+# hot-path differentials: bounce, take_eligible, empty runqueues
+# ----------------------------------------------------------------------
+def _portable(value):
+    """``value`` with every fake vCPU/pCPU/domain replaced by its name
+    and every dict by its item list (order is state too), so the state
+    of a scheduler and of its clone compare with ``==``."""
+    if isinstance(value, (_FakeVcpu, _FakePCpu, _FakeDomain)):
+        return repr(value) if isinstance(value, _FakePCpu) else value.name
+    if isinstance(value, dict):
+        return [(_portable(k), _portable(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_portable(item) for item in value]
+    return value
+
+
+_NOT_STATE = ("sim", "pool", "stats", "tracer", "_rng")
+
+
+def _state(scheduler, pcpus, vcpus):
+    """Everything a scheduler call may touch: the backend's own fields
+    (runqueue order, ``_depths``, idle list, steal count, ...), each
+    vCPU's queue-facing fields and each pCPU's tickles and preempts."""
+    fields = {
+        name: _portable(value)
+        for name, value in vars(scheduler).items()
+        if name not in _NOT_STATE
+    }
+    per_vcpu = [
+        (v.name, _portable(v.runq_pcpu), v.priority, v.yield_flag, v.credits)
+        for v in vcpus
+    ]
+    per_pcpu = [(p.index, p.tickled, p.preempt_requested) for p in pcpus]
+    return fields, per_vcpu, per_pcpu
+
+
+def _clone(scheduler, pcpus, vcpus):
+    """A deep copy of one scheduler world (the simulator is shared)."""
+    return copy.deepcopy((scheduler, pcpus, vcpus), {id(scheduler.sim): scheduler.sim})
+
+
+def _drive(scheduler, pcpus, vcpus, ops):
+    """Apply a random operation sequence; returns the queued set."""
+    queued = set()
+    for op, a, b, flag in ops:
+        idle = [v for v in vcpus if v not in queued]
+        if op in ("enqueue", "wake", "requeue") and idle:
+            vcpu = idle[a % len(idle)]
+            if op == "enqueue":
+                scheduler.enqueue(vcpu, boost=flag)
+            elif op == "wake":
+                scheduler.wake(vcpu)
+            else:
+                scheduler.requeue(vcpu, yielded=flag)
+            queued.add(vcpu)
+        elif op in ("pick", "steal"):
+            pcpu = pcpus[a % len(pcpus)]
+            vcpu = getattr(scheduler, op)(pcpu)
+            if vcpu is None:
+                if op == "pick":
+                    scheduler.add_idle(pcpu)
+            else:
+                queued.discard(vcpu)
+                scheduler.remove_idle(pcpu)
+                vcpu.last_pcpu = pcpu
+                scheduler.charge(vcpu, b * 50)
+        elif op == "remove":
+            vcpu = vcpus[a % len(vcpus)]
+            scheduler.remove(vcpu)
+            queued.discard(vcpu)
+        elif op == "account":
+            scheduler.account(list({v.domain: None for v in vcpus}), len(pcpus))
+    return queued
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@given(
+    ops=_op_sequences,
+    credits=st.lists(st.integers(-500, 2000), min_size=6, max_size=6),
+    victim=st.integers(0, 5),
+    idle=st.lists(st.integers(0, 2), max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_bounce_equals_remove_then_requeue(name, ops, credits, victim, idle):
+    """``bounce(v)`` leaves exactly the state ``remove(v); requeue(v)``
+    leaves on a clone: queue order, depths, ``runq_pcpu``, priority,
+    yield flag, idle list and tickles — queued or not, pinned or not."""
+    scheduler, pcpus, doms = _scheduler(name, num_pcpus=3, vcpus_per_domain=3)
+    vcpus = [v for d in doms for v in d.vcpus]
+    for vcpu, credit in zip(vcpus, credits):
+        vcpu.credits = credit
+    vcpus[0].affinity = frozenset({0})
+    vcpus[1].affinity = frozenset({1, 2})
+    _drive(scheduler, pcpus, vcpus, ops)
+    for index in idle:
+        scheduler.add_idle(pcpus[index])
+    twin, twin_pcpus, twin_vcpus = _clone(scheduler, pcpus, vcpus)
+    assert _state(twin, twin_pcpus, twin_vcpus) == _state(scheduler, pcpus, vcpus)
+
+    found = twin.remove(twin_vcpus[victim])
+    if found:
+        twin.requeue(twin_vcpus[victim])
+    assert scheduler.bounce(vcpus[victim]) is found
+    assert _state(scheduler, pcpus, vcpus) == _state(twin, twin_pcpus, twin_vcpus)
+
+
+def _take_eligible_by_predicate(queue, eligible):
+    """The former ``take_eligible(queue, eligible)``: the same scan with
+    a predicate object per call."""
+    flagged = None
+    skipped = []
+    for position, vcpu in enumerate(queue):
+        if not eligible(vcpu):
+            continue
+        if vcpu.yield_flag:
+            skipped.append(vcpu)
+            if flagged is None:
+                flagged = vcpu
+            continue
+        del queue[position]
+        vcpu.runq_pcpu = None
+        for passed in skipped:
+            passed.yield_flag = False
+        return vcpu
+    if flagged is not None:
+        queue.remove(flagged)
+        flagged.runq_pcpu = None
+        flagged.yield_flag = False
+        return flagged
+    return None
+
+
+@pytest.mark.parametrize("name", BACKENDS + ["micro"])
+@given(
+    members=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.frozensets(st.integers(0, 3), max_size=3)),
+            st.booleans(),
+        ),
+        max_size=8,
+    ),
+    runner=st.integers(0, 3),
+)
+@settings(max_examples=80, deadline=None)
+def test_take_eligible_matches_predicate_scan(name, members, runner):
+    """Random affinities and yield flags: ``take_eligible(queue, pcpu)``
+    takes what the lambda-predicate scan took and leaves the queue and
+    the flags as it left them."""
+    if name == "micro":
+        scheduler = sched.MicroScheduler(Simulator(), slice_ns=100_000)
+    else:
+        scheduler = registry.get(name)(Simulator(), slice_jitter=0)
+    vcpus = _FakeDomain("dom").grow(len(members)).vcpus
+    owner = _FakePCpu(9)
+    for vcpu, (affinity, flag) in zip(vcpus, members):
+        vcpu.affinity = affinity
+        vcpu.yield_flag = flag
+        vcpu.runq_pcpu = owner
+    twins = copy.deepcopy(vcpus)
+    pcpu = _FakePCpu(runner)
+    queue, twin_queue = list(vcpus), list(twins)
+
+    taken = scheduler.take_eligible(queue, pcpu)
+    expected = _take_eligible_by_predicate(
+        twin_queue, lambda v: scheduler._eligible(v, pcpu)
+    )
+    assert _portable(taken) == _portable(expected)
+    assert _portable(queue) == _portable(twin_queue)
+    assert [(v.yield_flag, _portable(v.runq_pcpu)) for v in vcpus] == [
+        (v.yield_flag, _portable(v.runq_pcpu)) for v in twins
+    ]
+
+
+@pytest.mark.parametrize("name", BACKENDS + ["micro"])
+@given(churn=st.lists(st.integers(0, 5), max_size=8), idle=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_pick_and_steal_over_empty_runqueues_change_nothing(name, churn, idle):
+    """With every runqueue empty (fresh, or emptied by enqueue/remove
+    churn), ``pick`` and ``steal`` on every pCPU return None and leave
+    the scheduler, its vCPUs and its pCPUs exactly as they were."""
+    if name == "micro":
+        scheduler = sched.MicroScheduler(Simulator(), slice_ns=100_000)
+        pcpus = [_FakePCpu(i) for i in range(3)]
+        scheduler.pool = _Pool(pcpus)
+        for pcpu in pcpus:
+            scheduler.register_pcpu(pcpu)
+        vcpus = _FakeDomain("dom0").grow(6).vcpus
+        for index in churn:
+            assert scheduler.assign(vcpus[index])
+            assert scheduler.remove(vcpus[index])
+    else:
+        scheduler, pcpus, doms = _scheduler(name, num_pcpus=3, vcpus_per_domain=3)
+        vcpus = [v for d in doms for v in d.vcpus]
+        vcpus[0].affinity = frozenset({0})
+        for index in churn:
+            scheduler.enqueue(vcpus[index])
+            assert scheduler.remove(vcpus[index])
+    if idle:
+        scheduler.add_idle(pcpus[1])
+    assert scheduler.queued() == []
+    before = _state(scheduler, pcpus, vcpus)
+    for pcpu in pcpus:
+        assert scheduler.pick(pcpu) is None
+        assert scheduler.steal(pcpu) is None
+    assert _state(scheduler, pcpus, vcpus) == before

@@ -24,6 +24,7 @@ import pytest
 
 import repro
 from repro.obs import telemetry
+from repro.runner import cache
 from repro.runner import pool as pool_mod
 from repro.runner.jobs import SimJob, run_job
 from repro.serve import ServeConfig, ValidationError, start_in_thread
@@ -704,19 +705,22 @@ class TestDedicatedCore:
 
 
     def test_fleet_driver_runs_on_the_servers_own_pool(self, tmp_path, monkeypatch):
-        """A driver submission reuses the server's pool: a ``--workers
-        2`` server never starts the process-wide pool beside it, and
-        the result matches a direct registry run."""
+        """A driver submission reuses the server's pool and cache: a
+        ``--workers 2`` server never starts the process-wide pool
+        beside it, the fleet's host results land in the server's cache
+        directory and not in the process-wide one, and the result
+        matches a direct registry run."""
         from repro.experiments import registry
 
         shared_calls = []
         monkeypatch.setattr(pool_mod, "shared_pool",
                             lambda workers: shared_calls.append(workers))
-        # Cache off: a driver reads the process-wide cache directory,
-        # not the server's, and must simulate here.
+        process_cache = tmp_path / "process-cache"
+        monkeypatch.setenv(cache.ENV_DIR, str(process_cache))
+        monkeypatch.delenv(cache.ENV_TOGGLE, raising=False)
+        server_cache = tmp_path / "cache"
         handle = start_in_thread(
-            ServeConfig(port=0, workers=2, cache=False,
-                        cache_dir=str(tmp_path / "cache"))
+            ServeConfig(port=0, workers=2, cache_dir=str(server_cache))
         )
         try:
             wait_pool_ready(handle)
@@ -732,6 +736,9 @@ class TestDedicatedCore:
             _, _, served = client.request("GET", "/jobs/%s/result" % body["id"])
         finally:
             handle.stop()
+        assert final["telemetry"]["cache.stores"] >= 1, final["telemetry"]
+        assert len(list(server_cache.glob("*.json"))) == final["telemetry"]["cache.stores"]
+        assert not list(process_cache.glob("*.json"))
         _, text = registry.run("fleet", hosts=2, epochs=2, rate=10.0,
                                scale_override=0.02, policies=["first_fit"],
                                workers=1, cache=False)

@@ -340,6 +340,37 @@ class TestRunTelemetry:
         assert counters["engine.inspections"] == inspections
         assert counters["engine.inspection_hits"] == hits
 
+    #: What one ``run_job`` adds to the engine counters, per manifest
+    #: job. A hot-path change that does the same work in fewer calls
+    #: leaves these exactly as they are; one that skipped an inspection
+    #: or an acceleration attempt could keep every payload byte and
+    #: still move them.
+    PINNED_ENGINE_COUNTERS = {
+        "fig4:vips:1": (20233, 93451, 4754, 53806, 49042),
+        "fig9:udp:solo": (2762, 0, 0, 0, 0),
+        "baselines:credit2:vips:memclone": (29521, 0, 0, 0, 0),
+        "baselines:micro_pool:gmake:memclone": (11129, 7, 6, 1422, 7),
+    }
+
+    @pytest.mark.parametrize("tag", sorted(PINNED_ENGINE_COUNTERS))
+    def test_run_job_moves_engine_counters_by_pinned_amounts(self, tag):
+        from repro.runner.jobs import run_job
+        from repro.tools import payload_manifest
+
+        manifest = payload_manifest.load()
+        [job] = [
+            job
+            for job, tags in payload_manifest.unique_jobs(manifest["scale"]).values()
+            if tag in tags
+        ]
+        names = ("engine.events_simulated", "engine.accelerate_attempts",
+                 "engine.accelerate_migrations", "engine.inspections",
+                 "engine.inspection_hits")
+        run_job(job)
+        counters = telemetry.snapshot()["counters"]
+        moved = tuple(counters.get(name, 0) for name in names)
+        assert moved == self.PINNED_ENGINE_COUNTERS[tag]
+
     def test_pooled_run_merges_worker_deltas(self, tmp_path):
         execute(_plan(), workers=2, cache=False, cache_dir=tmp_path)
         snap = telemetry.snapshot()

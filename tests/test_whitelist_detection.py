@@ -104,12 +104,20 @@ class _StubKernel:
         self.symbols = build_table(names)
         self.symbol_fault = fault
 
+    @staticmethod
+    def addr_for(register):
+        """The detector reads the IP through the kernel; a stub vCPU's
+        ``current_symbol`` already holds the raw register value."""
+        return register
+
 
 def _stub_vcpu(names, ip, fault=None):
-    """A vCPU seen only through its register: ``.ip`` plus a domain
+    """A vCPU seen only through its register (the IP) plus a domain
     whose kernel carries a symbol table laid out from ``names``."""
     kernel = _StubKernel(names, fault)
-    return SimpleNamespace(name="stub", ip=ip, domain=SimpleNamespace(kernel=kernel))
+    return SimpleNamespace(
+        name="stub", current_symbol=ip, domain=SimpleNamespace(kernel=kernel)
+    )
 
 
 class TestResolveMemo:
