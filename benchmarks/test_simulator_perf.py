@@ -6,11 +6,14 @@ headline rate into ``BENCH_engine.json`` at the repo root.
 
 That file is an append-only *trajectory* (latest entry first): every
 benchmark session prepends one timestamped snapshot instead of
-overwriting, so engine-tuning PRs leave a visible perf history. A
-pre-trajectory flat-dict file is migrated in place as the oldest
-entry. All ``_record`` calls from one process share one snapshot."""
+overwriting, so engine-tuning PRs leave a visible perf history. All
+``_record`` calls from one process share one snapshot, stamped once
+with ``host_probe_us``: the host-speed probe of ``perfbench/common.py``,
+so snapshots from hosts or hours of different speed compare as ratios
+to it."""
 
 import hashlib
+import importlib.util
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,16 +37,18 @@ def _load_trajectory():
         data = json.loads(BENCH_JSON.read_text())
     except ValueError:
         return []
-    if isinstance(data, dict):
-        # Legacy flat dict: migrate as the oldest (untimestamped) entry.
-        return [
-            {
-                "recorded_at": None,
-                "note": "pre-trajectory flat-dict snapshot (migrated)",
-                "metrics": data,
-            }
-        ]
     return data if isinstance(data, list) else []
+
+
+def _host_probe_us():
+    """One run of perfbench's host-speed probe, in µs (the module is
+    imported by path, as perfbench's own processes do)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_common", BENCH_JSON.parent / "perfbench" / "common.py"
+    )
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    return round(common.probe() * 1e6, 1)
 
 
 def _record(key, value):
@@ -57,7 +62,7 @@ def _record(key, value):
     if entries and entries[0].get("recorded_at") == stamp:
         entry = entries[0]
     else:
-        entry = {"recorded_at": stamp, "metrics": {}}
+        entry = {"recorded_at": stamp, "host_probe_us": _host_probe_us(), "metrics": {}}
         entries.insert(0, entry)
     entry["metrics"][key] = round(value, 1)
     BENCH_JSON.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")

@@ -165,7 +165,9 @@ python - <<'EOF'
 import json
 # Trajectory, latest first: every _record call of the run above
 # folded into the one snapshot at its head.
-metrics = json.load(open("BENCH_engine.json"))[0]["metrics"]
+snapshot = json.load(open("BENCH_engine.json"))[0]
+assert snapshot["host_probe_us"] > 0, snapshot
+metrics = snapshot["metrics"]
 for key in ("corun_faults_off_events_per_sec",
             "corun_faults_enabled_empty_events_per_sec",
             "cold_heavy_job_ms",
@@ -245,9 +247,11 @@ with urllib.request.urlopen(base + "/jobs/%s/events" % job["id"], timeout=300) a
 kinds = [kind for kind in kinds if kind != "heartbeat"]
 assert kinds[0] == "queued" and kinds[-1] == "done", kinds
 assert "progress" in kinds, kinds
+with urllib.request.urlopen(base + "/jobs/%s/result" % job["id"], timeout=60) as resp:
+    json.dump(json.load(resp)["result"]["claims"], open("fig7_claims.json", "w"))
 EOF
 
-step "serve: repeat submission is a cache hit, same text as repro run"
+step "serve: repeat submission is a cache hit, same text as repro run, same claims"
 # One pipeline: the CLI replays the served run's cache entries and must
 # render the very same table.
 repro run fig7 --scale 0.02 > fig7_cli.txt
@@ -261,6 +265,9 @@ with urllib.request.urlopen(req, timeout=60) as resp:
     job = json.load(resp)
 assert job["state"] == "done" and job["result"], job["state"]
 assert job["result"]["formatted"] + "\n" == open("fig7_cli.txt").read()
+claims = job["result"]["claims"]
+assert claims == json.load(open("fig7_claims.json")), claims
+assert claims and all(type(ok) is bool for ok in claims.values()), claims
 EOF
 
 step "serve: /metrics validates"

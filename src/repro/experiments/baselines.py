@@ -20,8 +20,8 @@ renders the trade-off:
 * ``micro_pool`` (credit + the paper's static-best micro-sliced cores)
   improves the target without taxing the co-runner or idling cores.
 
-``reduce()`` emits a ``checks`` dict with the paper-shaped ordering
-assertions; the full-scale benchmark test requires them all true.
+``reduce()`` stores the paper-shaped ordering as ``checks`` (rendered
+under the table); :func:`claims` adds that every scheme ran.
 """
 
 import math
@@ -196,14 +196,22 @@ def reduce(results):
             "steal_ns": blocky.get("steal_ns", 0),
         }
 
-    out["checks"] = _checks(out)
+    out["checks"] = _ordering(out)
     return out
 
 
-def _checks(out):
+def claims(results):
+    """The ordering ``reduce`` stored as ``checks``, plus
+    ``all_schemes_ran`` (not rendered), as ``{name: bool}``."""
+    return dict(
+        results.get("checks", {}),
+        all_schemes_ran=all(scheme in results for scheme in SCHEMES),
+    )
+
+
+def _ordering(out):
     """The paper-shaped ordering (§2.3 / Table 1), as booleans. Each key
-    names one claimed cost/benefit of a mitigation; the full-scale
-    benchmark run asserts them all."""
+    names one claimed cost/benefit of a mitigation."""
     checks = {}
     credit = out.get("credit")
     short = out.get("shortslice")

@@ -46,6 +46,15 @@ def warmup(scale_override=None):
     return scaled(WARMUP, scale_override)
 
 
+def claim(check):
+    """A shape claim's verdict: ``check()`` as a bool, False when what
+    it reads is missing or degenerate (a reduced plan, an empty list)."""
+    try:
+        return bool(check())
+    except (LookupError, ValueError, ArithmeticError, TypeError):
+        return False
+
+
 def scheme_policy(label, static_cores=1):
     """Job-policy descriptor for the standard three-scheme comparison
     (baseline / static-best / dynamic with the experiment epoch)."""

@@ -77,6 +77,24 @@ def best_core_count(per_cores):
     return min(candidates)[1] if candidates else 0
 
 
+def claims(results):
+    """Figure 4's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    # TLB-bound: one micro core cannot serve eleven shootdown recipients
+    # with a one-slot runqueue; three give a clear win.
+    out = {
+        "vips_gains_at_3_cores": common.claim(lambda: results["vips"][3]["target"] < 0.75),
+        "vips_1_core_clearly_worse": common.claim(
+            lambda: results["vips"][1]["target"] > results["vips"][3]["target"] + 0.15),
+        "dedup_gains_at_3_cores": common.claim(lambda: results["dedup"][3]["target"] < 0.8),
+        "dedup_1_core_worse": common.claim(
+            lambda: results["dedup"][1]["target"] > results["dedup"][3]["target"]),
+    }
+    for kind in ("gmake", "memclone"):
+        out["improves_within_3_cores:" + kind] = common.claim(
+            lambda: min(results[kind][c]["target"] for c in (1, 2, 3)) < 1.0)
+    return out
+
+
 def format_result(results):
     core_counts = sorted(next(iter(results.values())))
     headers = ["workload", "series"] + ["%d cores" % c for c in core_counts]

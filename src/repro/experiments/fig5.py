@@ -58,6 +58,15 @@ def reduce(results):
     return out
 
 
+def claims(results):
+    """Figure 5's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    return {
+        "exim_gain_at_1_core": common.claim(lambda: results["exim"][1]["improvement"] > 1.5),
+        "psearchy_best_gain": common.claim(
+            lambda: max(results["psearchy"][c]["improvement"] for c in (1, 2, 3)) > 1.2),
+    }
+
+
 def format_result(results):
     core_counts = sorted(next(iter(results.values())))
     headers = ["workload", "series"] + ["%d cores" % c for c in core_counts]

@@ -51,6 +51,18 @@ def reduce(results):
     return out
 
 
+def claims(results):
+    """Figure 6's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    out = {}
+    for kind in WORKLOADS:
+        runs = results.get(kind, {})
+        out["static_not_worse:" + kind] = common.claim(lambda: runs["static"]["improvement"] > 0.9)
+    for kind in ("exim", "psearchy"):
+        out["dynamic_beats_baseline:" + kind] = common.claim(
+            lambda: results[kind]["dynamic"]["improvement"] > 1.1)
+    return out
+
+
 def format_result(results):
     rows = []
     for kind, runs in results.items():

@@ -46,6 +46,21 @@ def reduce(results):
     return out
 
 
+def claims(results):
+    """Figure 7's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    out = {}
+    for kind in ("dedup", "vips"):
+        runs = results.get(kind, {})
+        out["ipi_dominant:" + kind] = common.claim(
+            lambda: runs["baseline"]["ipi"] > runs["baseline"]["spinlock"])
+        out["static_cuts_yields:" + kind] = common.claim(
+            lambda: runs["static"]["total"] < runs["baseline"]["total"])
+    exim = results.get("exim", {}).get("baseline", {})
+    out["exim_lock_yields_dwarf_halts"] = common.claim(
+        lambda: exim["spinlock"] + exim["ipi"] > exim["halt"])
+    return out
+
+
 def format_result(results):
     rows = []
     for kind, per_scheme in results.items():

@@ -61,6 +61,15 @@ def reduce(results):
     return out
 
 
+def claims(results):
+    """Figure 8's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    overheads = [entry["overhead_pct"] for entry in results.values()]
+    return {
+        "mean_overhead_below_8pct": common.claim(lambda: sum(overheads) / len(overheads) < 8.0),
+        "max_overhead_below_15pct": common.claim(lambda: max(overheads) < 15.0),
+    }
+
+
 def format_result(results):
     rows = []
     for kind, entry in results.items():

@@ -58,6 +58,21 @@ def reduce(results):
     return out
 
 
+def claims(results):
+    """Figure 9's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    out = {}
+    for mode in MODES:
+        runs = results.get(mode, {})
+        micro = runs.get("microsliced", {})
+        out["beats_baseline:" + mode] = common.claim(
+            lambda: micro["throughput_mbps"] > runs["baseline"]["throughput_mbps"])
+        out["halves_jitter:" + mode] = common.claim(
+            lambda: micro["jitter_ms"] < 0.5 * runs["baseline"]["jitter_ms"])
+        out["near_solo:" + mode] = common.claim(
+            lambda: micro["throughput_mbps"] > 0.85 * runs["solo"]["throughput_mbps"])
+    return out
+
+
 def format_result(results):
     rows = []
     for mode, configs in results.items():

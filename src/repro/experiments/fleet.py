@@ -18,7 +18,7 @@ manifest (which freezes the closed set of plannable jobs) is
 unaffected: fleet host jobs are cache-governed by the same content
 hashing, just not pinned.
 
-The paper-shaped expectation checked by ``checks()``: informed
+The paper-shaped expectation checked by ``claims()``: informed
 placement (``first_fit`` bin-packing, ``steal_aware`` feedback) beats
 ``random`` on the fleet p99 vIRQ tail at equal packing density —
 contention stacked onto a few hosts hurts the tail more than the same
@@ -28,7 +28,6 @@ micro-sliced cores then attack *within* each host.
 
 from ..errors import ConfigError
 from ..fleet import FleetSpec, run_fleet
-from ..fleet import placement
 from ..metrics.report import render_table
 
 #: Policies compared by default (every registered one, random first so
@@ -87,15 +86,15 @@ def drive(
         spec, policies=names, workers=workers, cache=cache, progress=progress,
         pool=pool, cache_dir=cache_dir,
     )
-    return {"policies": summaries, "checks": checks(summaries)}
+    return {"policies": summaries, "checks": claims({"policies": summaries})}
 
 
-def checks(summaries):
-    """The paper-shaped ordering assertions over one comparison run.
-
-    Only meaningful when ``random`` and at least one informed policy
-    ran; with a single policy the dict is empty."""
+def claims(results):
+    """The paper-shaped ordering over one comparison run, ``{name:
+    bool}``. Only meaningful when ``random`` and at least one informed
+    policy ran; with a single policy the dict is empty."""
     out = {}
+    summaries = results["policies"]
     random_summary = summaries.get("random")
     if random_summary is None or len(summaries) < 2:
         return out

@@ -5,10 +5,11 @@ An experiment module either exposes ``plan()`` (emit the job list),
 ``reduce()`` (fold ``{tag: RunResult}`` into the result shape) and
 ``format_result()`` (render the table), or — for a driver, whose job
 set depends on intermediate results — ``drive()`` and
-``format_result()``. :func:`prepare` binds a module to its options and
-applies the cross-cutting ones (``trace``, ``faults``, ``scheduler``)
-to every job; :meth:`Prepared.finish` gates on fault invariants, then
-reduces and formats. The CLI, ``repro serve`` and the benchmarks all go
+``format_result()``; one that asserts a shape adds ``claims(results)``.
+:func:`prepare` binds a module to its options and applies the
+cross-cutting ones (``trace``, ``faults``, ``scheduler``) to every job;
+:meth:`Prepared.finish` gates on fault invariants, then reduces and
+formats. The CLI, ``repro serve`` and the benchmarks all go
 through these two steps, so a result is the same function of its spec
 on every path."""
 
@@ -106,6 +107,11 @@ class Prepared:
             )
         results = self.module.reduce(by_tag)
         return results, self.module.format_result(results)
+
+    def claims(self, results):
+        """``{name: bool}`` from the module's ``claims`` (``{}`` if it has
+        none); not part of :meth:`finish`, so rendering pays nothing."""
+        return self.module.claims(results) if hasattr(self.module, "claims") else {}
 
     def drive(self, workers=None, cache=None, progress=None, pool=None,
               cache_dir=None):

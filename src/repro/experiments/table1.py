@@ -101,6 +101,24 @@ def reduce(results):
     return out
 
 
+def claims(results):
+    """Table 1's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    ours, fixed, vturbo = (results.get(s, {}) for s in ("microsliced", "fixed_uslice", "vturbo"))
+    return {
+        "lock_gain": common.claim(lambda: ours["lock_x"] > 1.3),
+        "tlb_gain": common.claim(lambda: ours["tlb_x"] > 1.0),
+        "io_gain": common.claim(lambda: ours["io_x"] > 1.2),
+        "corunner_cost_bounded": common.claim(lambda: ours["corunner_x"] > 0.7),
+        "fixed_uslice_taxes_corunner": common.claim(
+            lambda: fixed["corunner_x"] < ours["corunner_x"]),
+        # vTurbo's static I/O core has no detection mechanism: it helps
+        # I/O but not the lock- or TLB-bound cases.
+        "vturbo_io_gain": common.claim(lambda: vturbo["io_x"] > 1.2),
+        "vturbo_lock_below_ours": common.claim(lambda: vturbo["lock_x"] < ours["lock_x"]),
+        "vturbo_tlb_below_ours": common.claim(lambda: vturbo["tlb_x"] < ours["tlb_x"]),
+    }
+
+
 def format_result(results):
     rows = []
     for scheme, entry in results.items():

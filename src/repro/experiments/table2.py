@@ -92,6 +92,16 @@ def reduce(results):
     return out
 
 
+def claims(results):
+    """Table 2's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    out = {}
+    for kind in ("dedup", "vips"):
+        out["inflation_over_10x:" + kind] = common.claim(lambda: results[kind]["inflation"] > 10)
+    for kind in WORKLOADS:
+        out["inflation_over_3x:" + kind] = common.claim(lambda: results[kind]["inflation"] > 3)
+    return out
+
+
 def format_result(results):
     rows = []
     for kind in WORKLOADS:

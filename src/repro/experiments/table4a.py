@@ -66,6 +66,17 @@ def reduce(results):
     return out
 
 
+def claims(results):
+    """Table 4a's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    solo = [entry["solo_us"] for entry in results.values() if entry["solo_count"]]
+    inflations = [entry["corun_us"] / entry["solo_us"] for entry in results.values()
+                  if entry["solo_us"] and entry["corun_count"]]
+    return {
+        "solo_microseconds": common.claim(lambda: solo and max(solo) < 50),
+        "corun_inflation_over_50x": common.claim(lambda: max(inflations) > 50),
+    }
+
+
 def format_result(results):
     rows = []
     for component in COMPONENTS:

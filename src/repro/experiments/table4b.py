@@ -72,6 +72,18 @@ def reduce(results):
     return out
 
 
+def claims(results):
+    """Table 4b's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    out = {}
+    for kind in WORKLOADS:
+        runs = results.get(kind, {})
+        out["solo_tens_of_us:" + kind] = common.claim(lambda: runs["solo"]["avg"] < 200)
+        out["corun_milliseconds:" + kind] = common.claim(lambda: runs["corun"]["avg"] > 1_000)
+        out["corun_over_20x_solo:" + kind] = common.claim(
+            lambda: runs["corun"]["avg"] > 20 * runs["solo"]["avg"])
+    return out
+
+
 def format_result(results):
     rows = []
     for kind in WORKLOADS:

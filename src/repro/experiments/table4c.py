@@ -50,6 +50,17 @@ def reduce(results):
     return {tag: res.workload("iperf").extra for tag, res in results.items()}
 
 
+def claims(results):
+    """Table 4c's shape, ``{name: bool}``; EXPERIMENTS.md lists the thresholds."""
+    solo, mixed = results.get("solo", {}), results.get("mixed", {})
+    return {
+        "mixed_throughput_drop": common.claim(
+            lambda: solo["throughput_mbps"] > mixed["throughput_mbps"] * 1.2),
+        "mixed_jitter_over_10x": common.claim(
+            lambda: mixed["jitter_ms"] > 10 * max(solo["jitter_ms"], 0.001)),
+    }
+
+
 def format_result(results):
     rows = []
     for config in ("solo", "mixed"):

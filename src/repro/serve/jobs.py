@@ -157,9 +157,9 @@ def _validate_faults(faults):
     return faults
 
 
-def _rendered(outcome):
+def _rendered(prepared, outcome):
     results, text = outcome
-    return {"results": results, "formatted": text}
+    return {"results": results, "formatted": text, "claims": prepared.claims(results)}
 
 
 def compile_experiment(payload):
@@ -215,7 +215,7 @@ def compile_experiment(payload):
         raise ValidationError(str(err))
     if prepared.jobs is None:
         def drive(workers, cache, progress, pool, cache_dir):
-            return _rendered(prepared.drive(
+            return _rendered(prepared, prepared.drive(
                 workers, cache, progress, pool=pool, cache_dir=cache_dir
             ))
 
@@ -224,7 +224,7 @@ def compile_experiment(payload):
         _check_horizon(job.tag, job.warmup_ns + job.duration_ns)
 
     def finalize(by_tag):
-        return _rendered(prepared.finish(by_tag))
+        return _rendered(prepared, prepared.finish(by_tag))
 
     return Work("experiment", name, jobs=prepared.jobs, finalize=finalize)
 

@@ -1,8 +1,8 @@
 """The ``baselines`` experiment: plan shape, reduction, rendering, and
 tri-path (serial == parallel == cache-replay) determinism.
 
-Full-scale paper-shaped ordering assertions live in
-``benchmarks/test_baselines.py``.
+Its paper-shaped ordering is ``baselines.claims()``, asserted at full
+scale by ``benchmarks/test_claims.py``.
 """
 
 import json

@@ -1,14 +1,30 @@
 """Smoke tests: every paper table/figure harness runs at tiny scale and
 produces structurally complete, formattable output."""
 
+import copy
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import runner
-from repro.experiments import fig4, fig7, registry, table2, table4a, table4b
+from repro.experiments import common, fig4, fig7, registry, table2, table4a, table4b
 
-#: Tiny scale so the whole module stays fast; shape assertions live in
-#: the benchmarks which run at full scale.
+#: Tiny scale so the whole module stays fast; each experiment's
+#: ``claims()`` holds its shape thresholds, asserted at full scale by
+#: ``benchmarks/test_claims.py``.
 SCALE = 0.15
+
+#: ``{experiment: [claim names]}``, from the "Claims (`<name>.claims()`)
+#: ...:" bullet lists in EXPERIMENTS.md.
+DOCUMENTED_CLAIMS = {
+    name: re.findall(r"^- `([^`]+)`", block, re.M)
+    for name, block in re.findall(
+        r"^Claims \(`(\w+)\.claims\(\)`\)[^:]*:\n((?:- .*\n)+)",
+        (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text(),
+        re.M,
+    )
+}
 
 
 class TestRegistry:
@@ -27,6 +43,8 @@ class TestRegistry:
             assert callable(getattr(module, "format_result", None)), name
             planned = all(hasattr(module, attr) for attr in ("plan", "reduce"))
             assert planned != hasattr(module, "drive"), name
+            if name != "resilience":  # the one experiment that asserts no shape
+                assert callable(getattr(module, "claims", None)), name
 
     def test_unknown_experiment_rejected(self):
         from repro.errors import ConfigError
@@ -38,18 +56,28 @@ class TestRegistry:
 class TestReducersAreReadOnly:
     """``RunResult.from_dict`` owns its payload uncopied, so a reducer
     or formatter that annotated a result in place would change what a
-    later reader of that result sees."""
+    later reader of that result sees. ``claims()`` reads the reduced
+    results the same way, and always answers with the names
+    EXPERIMENTS.md documents. On a full plan every claim's check runs
+    unguarded, so a mistyped key or a bad comparison raises here
+    instead of reading as a failed shape."""
 
-    def test_finish_leaves_every_input_result_unchanged(self):
+    def test_finish_leaves_every_input_result_unchanged(self, monkeypatch):
+        monkeypatch.setattr(common, "claim", lambda check: bool(check()))
         names = [n for n in registry.available() if not registry.is_driver(registry.get(n))]
         prepared = {name: registry.prepare(name, scale_override=0.02) for name in names}
         by_plan = runner.execute_many({name: p.jobs for name, p in prepared.items()})
         for name, p in prepared.items():
             by_tag = by_plan[name]
             before = {tag: res.to_dict() for tag, res in by_tag.items()}
-            p.finish(by_tag)
+            results, _text = p.finish(by_tag)
             after = {tag: res.to_dict() for tag, res in by_tag.items()}
             assert after == before, name
+            reduced = copy.deepcopy(results)
+            claims = p.claims(results)
+            assert results == reduced, name
+            assert sorted(claims) == sorted(DOCUMENTED_CLAIMS.get(name, [])), name
+            assert all(type(ok) is bool for ok in claims.values()), name
 
 
 class TestTables:
@@ -87,6 +115,8 @@ class TestFigures:
         assert results["gmake"][1]["target"] > 0
         assert "Figure 4" in text
         assert fig4.best_core_count(results["gmake"]) == 1
+        # A reduced plan lacks what every claim reads: False, not an error.
+        assert set(fig4.claims(results).values()) == {False}
 
     def test_fig5_reduced(self):
         results, text = registry.run(

@@ -319,17 +319,17 @@ class TestExperimentWiring:
             return {"virq": {"p99_ns": p99},
                     "packing": {"mean_density": density}}
 
-        checks = fleet_experiment.checks({
+        checks = fleet_experiment.claims({"policies": {
             "random": summary(1000, 0.5),
             "first_fit": summary(100, 0.5),
             "steal_aware": summary(2000, 0.5),
-        })
+        }})
         assert checks == {
             "equal_density": True,
             "first_fit_beats_random": True,
             "steal_aware_beats_random": False,
         }
-        assert fleet_experiment.checks({"random": summary(1, 0.5)}) == {}
+        assert fleet_experiment.claims({"policies": {"random": summary(1, 0.5)}}) == {}
 
     def test_manifest_is_unaffected_by_the_fleet_experiment(self):
         from repro.tools import payload_manifest

@@ -449,8 +449,14 @@ class TestHttpApi:
         _, _, body = client.request("POST", "/experiments", spec)
         assert client.wait_terminal(body["id"], timeout=120)["state"] == "done"
         _, _, served = client.request("GET", "/jobs/%s/result" % body["id"])
-        _, text = registry.run("table4c", scale_override=0.05, workers=1, cache=False)
+        results, text = registry.run("table4c", scale_override=0.05, workers=1, cache=False)
         assert served["result"]["formatted"] == text
+        # The claims travel with the result, the same on a cold run and
+        # on the cache hit that replays it.
+        assert served["result"]["claims"] == registry.get("table4c").claims(results)
+        status, headers, hit = client.request("POST", "/experiments", spec)
+        assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+        assert hit["result"]["claims"] == served["result"]["claims"]
 
     def test_cancel_completed_submission_is_a_noop(self, server):
         client = Client(server)

@@ -8,6 +8,7 @@ runs; wall-derived metrics are namespaced by suffix (``_seconds``,
 ``_us``, ``_pct``) and excluded from that comparison mechanically.
 """
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -350,26 +351,46 @@ class TestRunTelemetry:
         "fig9:udp:solo": (2762, 0, 0, 0, 0),
         "baselines:credit2:vips:memclone": (29521, 0, 0, 0, 0),
         "baselines:micro_pool:gmake:memclone": (11129, 7, 6, 1422, 7),
+        "fig9:udp:microsliced@0.2": (16610, 447, 447, 0, 0),
+    }
+
+    #: Payload digests of the pinned jobs the manifest does not hold.
+    #: At the manifest's scale Figure 9's micro-sliced jobs never reach
+    #: the vIRQ acceleration path (``MicroSliceEngine.on_virq``); at
+    #: scale 0.2 every attempt migrates.
+    PINNED_OFF_MANIFEST_SHA256 = {
+        "fig9:udp:microsliced@0.2":
+            "7da587c4e96a947140bed81bd6fa0c7cf2a6a1619c9443235ec4f9a4236ccf59",
     }
 
     @pytest.mark.parametrize("tag", sorted(PINNED_ENGINE_COUNTERS))
     def test_run_job_moves_engine_counters_by_pinned_amounts(self, tag):
+        from repro.experiments import registry
         from repro.runner.jobs import run_job
         from repro.tools import payload_manifest
 
         manifest = payload_manifest.load()
-        [job] = [
-            job
-            for job, tags in payload_manifest.unique_jobs(manifest["scale"]).values()
-            if tag in tags
-        ]
+        tag_in_plan, _, scale = tag.partition("@")
+        if scale:
+            name, plan_tag = tag_in_plan.split(":", 1)
+            [job] = [job for job in registry.get(name).plan(scale_override=float(scale))
+                     if job.tag == plan_tag]
+        else:
+            [job] = [
+                job
+                for job, tags in payload_manifest.unique_jobs(manifest["scale"]).values()
+                if tag in tags
+            ]
         names = ("engine.events_simulated", "engine.accelerate_attempts",
                  "engine.accelerate_migrations", "engine.inspections",
                  "engine.inspection_hits")
-        run_job(job)
+        payload = run_job(job)
         counters = telemetry.snapshot()["counters"]
         moved = tuple(counters.get(name, 0) for name in names)
         assert moved == self.PINNED_ENGINE_COUNTERS[tag]
+        if scale:
+            digest = hashlib.sha256(payload_manifest.canonical_payload(payload).encode())
+            assert digest.hexdigest() == self.PINNED_OFF_MANIFEST_SHA256[tag]
 
     def test_pooled_run_merges_worker_deltas(self, tmp_path):
         execute(_plan(), workers=2, cache=False, cache_dir=tmp_path)
