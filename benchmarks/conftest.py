@@ -14,12 +14,10 @@ import pytest
 #: The reproduction report, written next to the repository root.
 REPORT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench_report.txt")
 
-
-def pytest_sessionstart(session):
-    """Truncate the report at the start of a benchmark session."""
-    with open(REPORT_PATH, "w") as report:
-        report.write("Reproduction report (regenerated by pytest benchmarks/)\n")
-        report.write("=" * 60 + "\n")
+#: Whether this session has started the report. The first table a
+#: session emits truncates it, so a session that renders no table (one
+#: that only records ``BENCH_engine.json`` figures) leaves it as it was.
+_REPORT = {"started": False}
 
 
 @pytest.fixture
@@ -35,7 +33,12 @@ def once(benchmark):
 
 def emit(text):
     """Print a reproduction table (visible with ``-s``) and append it to
-    the persistent report file."""
+    the persistent report file, which the session's first table
+    truncates."""
     print("\n" + text + "\n")
-    with open(REPORT_PATH, "a") as report:
+    with open(REPORT_PATH, "a" if _REPORT["started"] else "w") as report:
+        if not _REPORT["started"]:
+            report.write("Reproduction report (regenerated by pytest benchmarks/)\n")
+            report.write("=" * 60 + "\n")
+            _REPORT["started"] = True
         report.write("\n" + text + "\n")

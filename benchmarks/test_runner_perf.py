@@ -3,8 +3,8 @@
 These benchmarks measure a 16-job cold plan dispatched over the warm
 persistent pool at workers=4, the worker scale-up curve, the per-job
 payload bytes a worker sends back through the result pipe, and the
-warm replay of one cached result, and fold every headline number into
-``BENCH_engine.json``.
+warm replay of one cached result (decoded, and reused from the decode
+memo), and fold every headline number into ``BENCH_engine.json``.
 
 Every dispatch run has the result cache off so each round pays the
 full simulation cost (cold-plan conditions); the pool is measured warm,
@@ -14,9 +14,11 @@ i.e. after the one-time spawn that real sessions amortise across every
 
 import json
 
+import pytest
 from test_simulator_perf import BENCH_JSON, _mean, _record  # noqa: F401
 
 from repro.experiments.results import RunResult
+from repro.obs import telemetry
 from repro.runner import SimJob, cache, execute
 from repro.runner import pool as pool_mod
 from repro.runner.jobs import run_job
@@ -26,6 +28,10 @@ from repro.sim.time import ms
 #: durations so the benchmark measures dispatch cost, not simulation.
 JOB_COUNT = 16
 WORKERS = 4
+
+#: Rounds of the decode-path hydration benchmark: each round empties
+#: the decode memo first (untimed), so rounds are counted, not timed.
+DECODE_ROUNDS = 200
 
 
 def _plan(prefix):
@@ -90,26 +96,56 @@ class TestPayloadTransport:
         _record("runner_payload_transport_bytes", payload_bytes)
 
 
-class TestWarmHydration:
-    def test_load_and_from_dict(self, benchmark, tmp_path):
-        """The per-result stage of every warm replay: read and decode
-        one cache entry, then hydrate it. The job is the manifest-scale
-        seed-42 gmake co-run baseline, the most shared point in the
-        experiment plans."""
-        from repro.tools import payload_manifest
+@pytest.fixture(scope="class")
+def warm_entry(tmp_path_factory):
+    """One stored cache entry: the manifest-scale seed-42 gmake co-run
+    baseline, the most shared point in the experiment plans. Returns
+    ``(key, directory, payload)``."""
+    from repro.tools import payload_manifest
 
-        [job] = [
-            job
-            for job, tags in payload_manifest.unique_jobs().values()
-            if "fig4:gmake:0" in tags
-        ]
-        key = cache.job_key(job)
-        payload = run_job(job)
-        cache.store(key, job, payload, tmp_path)
+    [job] = [
+        job
+        for job, tags in payload_manifest.unique_jobs().values()
+        if "fig4:gmake:0" in tags
+    ]
+    key = cache.job_key(job)
+    payload = run_job(job)
+    directory = tmp_path_factory.mktemp("warm")
+    cache.store(key, job, payload, directory)
+    return key, directory, payload
+
+
+class TestWarmHydration:
+    def test_load_and_from_dict(self, benchmark, warm_entry):
+        """The per-result stage of a process's first warm replay of an
+        entry: read and decode it, then hydrate it. The decode memo is
+        emptied before every round, so this keeps timing the JSON
+        decode and its checks."""
+        key, directory, payload = warm_entry
 
         def hydrate():
-            return RunResult.from_dict(cache.load(key, tmp_path))
+            return RunResult.from_dict(cache.load(key, directory))
+
+        result = benchmark.pedantic(
+            hydrate, setup=cache.forget_decoded, rounds=DECODE_ROUNDS, iterations=1
+        )
+        assert result.to_dict() == payload
+        _record("runner_warm_hydrate_us", _mean(benchmark) * 1e6)
+
+    def test_rehydrate_from_decode_memo(self, benchmark, warm_entry):
+        """Every later replay of the same bytes in one process (serve's
+        hit fast path, a test session, a benchmark loop): read the
+        entry, compare it with the memoized text, copy the memoized
+        result, hydrate it."""
+        key, directory, payload = warm_entry
+        cache.forget_decoded()
+        cache.load(key, directory)
+        reuses = telemetry.snapshot()["counters"].get("cache.decode_reuses", 0)
+
+        def hydrate():
+            return RunResult.from_dict(cache.load(key, directory))
 
         result = benchmark(hydrate)
         assert result.to_dict() == payload
-        _record("runner_warm_hydrate_us", _mean(benchmark) * 1e6)
+        assert telemetry.snapshot()["counters"]["cache.decode_reuses"] > reuses
+        _record("runner_warm_rehydrate_us", _mean(benchmark) * 1e6)

@@ -173,6 +173,8 @@ for key in ("corun_faults_off_events_per_sec",
             "cold_heavy_job_ms",
             "cold_io_job_ms",
             "fleet_host_jobs_per_sec",
+            "runner_warm_hydrate_us",
+            "runner_warm_rehydrate_us",
             "serve_mixed_hit_p90_ms"):
     assert key in metrics, (key, sorted(metrics))
 EOF

@@ -17,11 +17,29 @@ Environment knobs:
 
 Corrupt or poisoned cache files are ignored with a ``RuntimeWarning``
 and transparently re-simulated, never crash a run.
+
+Decode memo. A process that replays the same entries again (``repro
+serve``'s cache-hit fast path, a test session, a benchmark loop) used to
+``json.loads`` the same bytes on every probe. :func:`load` still opens
+and reads the entry on every call, but when the text it read is equal
+to the text it last validated for that path, it skips the JSON decode
+and the checks and returns a fresh copy of the remembered result (a
+``marshal`` round trip, several times cheaper than ``json.loads``). The
+memo is keyed on the entry's bytes, not on its file metadata: a
+same-size rewrite within one mtime tick is still seen. It is filled
+only after an entry passed every check, so corrupt and poisoned
+entries warn and count on every call; every counter moves as it would
+without the memo, and ``cache.decode_reuses`` counts the reuses. The
+memo lives in memory only, bounded by :data:`DECODE_MEMO_BYTES` and
+:data:`DECODE_MEMO_ENTRY_BYTES`, oldest entries first out; marshal
+data is never written to or read from disk.
 """
 
 import hashlib
 import json
+import marshal
 import os
+import threading
 import time
 import warnings
 from functools import lru_cache
@@ -43,6 +61,7 @@ _STORE_BYTES = telemetry.counter("cache.store_bytes")
 _STORE_ERRORS = telemetry.counter("cache.store_errors")
 _SWEEP_RUNS = telemetry.counter("cache.sweep_runs")
 _SWEEP_REMOVED = telemetry.counter("cache.sweep_removed")
+_DECODE_REUSES = telemetry.counter("cache.decode_reuses")
 
 ENV_TOGGLE = "REPRO_CACHE"
 ENV_DIR = "REPRO_CACHE_DIR"
@@ -104,13 +123,68 @@ def entry_path(key, override=None):
     return os.path.join(_dir_name(override), key + ".json")
 
 
+#: Bounds of the decode memo: total text plus marshal blob held, and
+#: the largest single entry remembered (traced payloads run to
+#: megabytes and are decoded as before).
+DECODE_MEMO_BYTES = 8 << 20
+DECODE_MEMO_ENTRY_BYTES = 256 << 10
+
+#: ``{path: (text, blob)}`` in insertion order: the last validated text
+#: of each entry and its result, marshalled. Reads are single dict
+#: lookups; every write holds :data:`_DECODED_LOCK` (serve probes from
+#: executor threads).
+_DECODED = {}
+_DECODED_LOCK = threading.Lock()
+_decoded_bytes = 0
+
+
+def forget_decoded():
+    """Empty the decode memo, so the next :func:`load` of every entry
+    decodes its JSON again (benchmarks time that path this way)."""
+    global _decoded_bytes
+    with _DECODED_LOCK:
+        _DECODED.clear()
+        _decoded_bytes = 0
+
+
+def _remember(path, text, result):
+    """Memoize a validated entry's decode, evicting the oldest entries
+    to stay within :data:`DECODE_MEMO_BYTES`."""
+    global _decoded_bytes
+    limit = min(DECODE_MEMO_ENTRY_BYTES, DECODE_MEMO_BYTES)
+    if len(text) > limit:
+        return
+    blob = marshal.dumps(result)
+    size = len(text) + len(blob)
+    if size > limit:
+        return
+    with _DECODED_LOCK:
+        old = _DECODED.pop(path, None)
+        if old is not None:
+            _decoded_bytes -= len(old[0]) + len(old[1])
+        while _DECODED and _decoded_bytes + size > DECODE_MEMO_BYTES:
+            oldest = _DECODED.pop(next(iter(_DECODED)))
+            _decoded_bytes -= len(oldest[0]) + len(oldest[1])
+        _DECODED[path] = (text, blob)
+        _decoded_bytes += size
+
+
 def load(key, override=None):
     """Return the cached result payload for ``key``, or ``None`` on a
-    miss. Unreadable or poisoned entries warn and count as misses."""
+    miss. Unreadable or poisoned entries warn and count as misses.
+    Every hit returns an object nothing else holds; an entry whose
+    bytes equal the last ones validated for its path skips the decode
+    (see the module docstring)."""
     path = entry_path(key, override)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
+        memo = _DECODED.get(path)
+        if memo is not None and memo[0] == text:
+            _DECODE_REUSES.inc()
+            _HITS.inc()
+            _HIT_BYTES.inc(len(text))
+            return marshal.loads(memo[1])
         payload = json.loads(text)
     except FileNotFoundError:
         _MISSES.inc()
@@ -138,9 +212,11 @@ def load(key, override=None):
             stacklevel=2,
         )
         return None
+    result = payload["result"]
+    _remember(path, text, result)
     _HITS.inc()
     _HIT_BYTES.inc(len(text))
-    return payload["result"]
+    return result
 
 
 #: A ``*.tmp.<pid>`` file older than this is presumed leaked by a

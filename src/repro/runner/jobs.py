@@ -41,6 +41,9 @@ _ACCELERATE_MIGRATIONS = telemetry.counter("engine.accelerate_migrations")
 #: them (0 under a policy without a detector).
 _INSPECTIONS = telemetry.counter("engine.inspections")
 _INSPECTION_HITS = telemetry.counter("engine.inspection_hits")
+#: Fault-free jobs whose finished system passed every invariant of
+#: :mod:`repro.faults.invariants` (a violation raises instead).
+_INVARIANT_CHECKS = telemetry.counter("engine.invariant_checks")
 
 #: Policy modes understood by :func:`build_system`, each with the
 #: fields it requires (the rest have defaults). ``baseline``/``static``/
@@ -308,10 +311,21 @@ def run_job(job):
     dict. The payload is round-tripped through JSON so that a cold run,
     a worker-process run, and a cache replay all yield bit-identical
     structures. Telemetry (event/wall totals) is recorded *beside* the
-    payload, never inside it — the byte-identity gate depends on that."""
+    payload, never inside it — the byte-identity gate depends on that.
+
+    A fault-free run must satisfy every system invariant
+    (:func:`~repro.faults.invariants.assert_invariants` raises
+    :class:`~repro.errors.FaultError` otherwise, and nothing is
+    cached); a faulted run records its violations in its payload
+    instead."""
+    from ..faults.invariants import assert_invariants
+
     start = time.perf_counter()
     system = build_system(job)
     result = system.run(job.duration_ns, warmup_ns=job.warmup_ns)
+    if system.hv.faults is None:
+        assert_invariants(system)
+        _INVARIANT_CHECKS.inc()
     payload = json.loads(json.dumps(result.to_dict()))
     _JOBS_SIMULATED.inc()
     _EVENTS_SIMULATED.inc(system.sim.executed_events)

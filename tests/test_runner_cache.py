@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -31,8 +32,25 @@ def _job(**overrides):
     return SimJob(**spec)
 
 
+def _counter(name):
+    return telemetry.snapshot()["counters"].get(name, 0)
+
+
 def _cache_hits():
-    return telemetry.snapshot()["counters"].get("cache.hits", 0)
+    return _counter("cache.hits")
+
+
+def _rewrite_keeping_stat(entry, text):
+    """Overwrite ``entry`` in place with ``text`` of the same length,
+    then restore its timestamps: only the bytes tell it changed."""
+    before = entry.stat()
+    assert len(text) == before.st_size
+    entry.write_text(text, encoding="utf-8")
+    os.utime(entry, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = entry.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns
+    )
 
 
 def _assert_independent(first, second):
@@ -169,6 +187,183 @@ class TestStorage:
         monkeypatch.setenv(cache.ENV_TOGGLE, "off")
         execute([_job()], workers=1, cache=True, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+class TestDecodeMemo:
+    """A repeated load of unchanged bytes reuses the decode; anything
+    else takes the full path, with its checks, warnings and counters."""
+
+    def _entry(self, tmp_path):
+        job = _job()
+        key = cache.job_key(job)
+        execute([job], workers=1, cache=True, cache_dir=tmp_path)
+        return key, Path(cache.entry_path(key, tmp_path))
+
+    def test_memoized_load_equals_the_decoded_entry(self, tmp_path):
+        key, entry = self._entry(tmp_path)
+        expected = json.loads(entry.read_text())["result"]
+        reuses = _counter("cache.decode_reuses")
+        hits, hit_bytes = _cache_hits(), _counter("cache.hit_bytes")
+        first = cache.load(key, tmp_path)
+        second = cache.load(key, tmp_path)
+        assert first == second == expected
+        assert json.dumps(second, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert _counter("cache.decode_reuses") - reuses == 1
+        assert _cache_hits() - hits == 2
+        assert _counter("cache.hit_bytes") - hit_bytes == 2 * entry.stat().st_size
+
+    def test_mutating_a_returned_payload_never_reaches_the_next_load(self, tmp_path):
+        key, entry = self._entry(tmp_path)
+        expected = json.loads(entry.read_text())["result"]
+        for _ in range(3):  # the decoding load, then two memo hits
+            payload = cache.load(key, tmp_path)
+            assert payload == expected
+            payload["hv_counters"]["mutated"] = 1
+            next(iter(payload["workloads"].values()))["extra"]["mutated"] = 1
+            payload["runstates"].clear()
+        assert cache.load(key, tmp_path) == expected
+
+    def test_same_length_corrupt_rewrite_is_seen(self, tmp_path):
+        key, entry = self._entry(tmp_path)
+        baseline = execute([_job()], workers=1, cache=True, cache_dir=tmp_path)
+        assert cache.load(key, tmp_path) is not None  # memoized by now
+        size = entry.stat().st_size
+        _rewrite_keeping_stat(entry, "{" + "x" * (size - 1))
+        corrupt = _counter("cache.corrupt_entries")
+        simulated = _counter("engine.jobs_simulated")
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            again = execute([_job()], workers=1, cache=True, cache_dir=tmp_path)
+        assert _counter("cache.corrupt_entries") - corrupt == 1
+        assert _counter("engine.jobs_simulated") - simulated == 1
+        assert again["point"].to_dict() == baseline["point"].to_dict()
+        assert json.loads(entry.read_text())["key"] == key
+
+    def test_same_length_valid_rewrite_is_served_as_written(self, tmp_path):
+        key, entry = self._entry(tmp_path)
+        text = entry.read_text()
+        assert cache.load(key, tmp_path) == cache.load(key, tmp_path)
+        payload = json.loads(text)
+        old = payload["result"]["duration_ns"]
+        payload["result"]["duration_ns"] = old + 1
+        rewritten = json.dumps(payload, sort_keys=True)
+        assert len(rewritten) == len(text)
+        _rewrite_keeping_stat(entry, rewritten)
+        assert cache.load(key, tmp_path)["duration_ns"] == old + 1
+
+    @pytest.mark.parametrize("damage", ["corrupt", "malformed"])
+    def test_bad_entries_warn_and_count_on_every_call(self, tmp_path, damage):
+        key, entry = self._entry(tmp_path)
+        if damage == "corrupt":
+            entry.write_text("{torn", encoding="utf-8")
+            name = "cache.corrupt_entries"
+        else:
+            payload = json.loads(entry.read_text())
+            payload["key"] = "0" * 64
+            entry.write_text(json.dumps(payload), encoding="utf-8")
+            name = "cache.poisoned_entries"
+        before, misses = _counter(name), _counter("cache.misses")
+        reuses = _counter("cache.decode_reuses")
+        for _ in range(3):
+            with pytest.warns(RuntimeWarning, match=damage):
+                assert cache.load(key, tmp_path) is None
+        assert _counter(name) - before == 3
+        assert _counter("cache.misses") - misses == 3
+        assert _counter("cache.decode_reuses") == reuses
+
+    def test_byte_bound_holds_and_oldest_go_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "_DECODED", {})
+        monkeypatch.setattr(cache, "_decoded_bytes", 0)
+        result = {"blob": "y" * 1000}
+        keys = ["%064x" % index for index in range(12)]
+        for key in keys:
+            cache.store(key, _job(), result, tmp_path)
+        bound = 4 * (len(Path(cache.entry_path(keys[0], tmp_path)).read_text()) + 1100)
+        monkeypatch.setattr(cache, "DECODE_MEMO_BYTES", bound)
+        for key in keys:
+            assert cache.load(key, tmp_path) == result
+            held = sum(len(text) + len(blob) for text, blob in cache._DECODED.values())
+            assert held == cache._decoded_bytes <= bound
+        remembered = [os.path.basename(path)[:64] for path in cache._DECODED]
+        assert remembered == keys[-len(remembered):]
+        assert 2 <= len(remembered) < len(keys)
+        # A bound below one entry's size remembers nothing at all.
+        cache.forget_decoded()
+        monkeypatch.setattr(cache, "DECODE_MEMO_BYTES", 1000)
+        assert cache.load(keys[0], tmp_path) == result
+        assert cache._DECODED == {} and cache._decoded_bytes == 0
+
+    def test_oversized_entry_is_never_memoized(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "_DECODED", {})
+        monkeypatch.setattr(cache, "_decoded_bytes", 0)
+        key = "f" * 64
+        result = {"blob": "z" * (cache.DECODE_MEMO_ENTRY_BYTES + 1)}
+        cache.store(key, _job(), result, tmp_path)
+        reuses = _counter("cache.decode_reuses")
+        assert cache.load(key, tmp_path) == cache.load(key, tmp_path) == result
+        assert cache._DECODED == {}
+        assert _counter("cache.decode_reuses") == reuses
+
+    def test_forget_decoded_forces_a_decode(self, tmp_path):
+        key, _ = self._entry(tmp_path)
+        cache.load(key, tmp_path)
+        reuses = _counter("cache.decode_reuses")
+        cache.forget_decoded()
+        assert cache._DECODED == {} and cache._decoded_bytes == 0
+        cache.load(key, tmp_path)
+        assert _counter("cache.decode_reuses") == reuses
+        cache.load(key, tmp_path)
+        assert _counter("cache.decode_reuses") == reuses + 1
+
+    def test_concurrent_loads_return_equal_payloads(self, tmp_path, monkeypatch):
+        """Four threads (more than the cores) load eight entries through a
+        memo too small for all of them, switching every microsecond:
+        every load equals its entry and is owned by its caller, and the
+        memo's byte count matches what it holds (a lost update in the
+        eviction bookkeeping breaks that)."""
+        monkeypatch.setattr(cache, "_DECODED", {})
+        monkeypatch.setattr(cache, "_decoded_bytes", 0)
+        results = {
+            "%064x" % index: {"index": index, "nested": {"values": list(range(50))}}
+            for index in range(8)
+        }
+        for key, result in results.items():
+            cache.store(key, _job(), result, tmp_path)
+        entry_bytes = len(Path(cache.entry_path(key, tmp_path)).read_text())
+        bound = 3 * 2 * entry_bytes
+        monkeypatch.setattr(cache, "DECODE_MEMO_BYTES", bound)
+        keys = sorted(results)
+        barrier = threading.Barrier(4)
+        errors = []
+        loads = []
+
+        def probe(offset):
+            try:
+                barrier.wait(timeout=30)
+                for step in range(160):
+                    key = keys[(offset + step) % len(keys)]
+                    payload = cache.load(key, tmp_path)
+                    assert payload == results[key], key
+                    payload["nested"]["values"].append(-1)  # the caller's own copy
+                    loads.append(payload)
+            except Exception as err:  # reported below, with its thread
+                errors.append((offset, repr(err)))
+
+        threads = [threading.Thread(target=probe, args=(index,)) for index in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(loads) == 4 * 160
+        assert len({id(payload["nested"]) for payload in loads}) == len(loads)
+        held = sum(len(text) + len(blob) for text, blob in cache._DECODED.values())
+        assert held == cache._decoded_bytes <= bound
 
 
 class TestStaleTmpSweep:

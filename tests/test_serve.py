@@ -802,6 +802,41 @@ class TestWorkerCrashThroughServe:
             handle.stop()
 
 
+class TestCorruptEntryThroughServe:
+    def test_same_length_garbage_under_a_hit_is_resimulated(self, server):
+        """A hit's entry is overwritten in place by garbage of the same
+        length, its mtime restored: the re-POST must see the bytes,
+        re-simulate to ``done`` with the first answer, and leave every
+        submission terminal."""
+        client = Client(server)
+        _, _, first = client.request("POST", "/jobs", JOB)
+        assert _terminal(client, first["id"])["event"] == "done"
+        status, headers, hit = client.request("POST", "/jobs", JOB)
+        assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+        expected = client.request("GET", "/jobs/%s/result" % first["id"])[2]["result"]
+        assert hit["result"] == expected
+
+        key = cache.job_key(SimJob(**JOB))
+        entry = Path(cache.entry_path(key, server.app.manager.cache_dir))
+        before = entry.stat()
+        entry.write_text("{" + "x" * (before.st_size - 1), encoding="utf-8")
+        os.utime(entry, ns=(before.st_atime_ns, before.st_mtime_ns))
+        corrupt = counter("cache.corrupt_entries")
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            status, headers, body = client.request("POST", "/jobs", JOB)
+            assert (status, headers["X-Repro-Cache"]) == (202, "miss")
+            final = _terminal(client, body["id"])
+        assert final["event"] == "done"
+        # Two probes read the garbage: the hit fast path, then the
+        # wave's own probe; each counts once and neither is memoized.
+        assert counter("cache.corrupt_entries") - corrupt == 2
+        again = client.request("GET", "/jobs/%s/result" % body["id"])[2]["result"]
+        assert again == expected
+        assert json.loads(entry.read_text())["result"] == expected["payload"]
+        states = [row["state"] for row in client.request("GET", "/jobs")[2]["jobs"]]
+        assert len(states) == 3 and all(state in TERMINAL for state in states), states
+
+
 class TestDrain:
     def test_drain_finishes_inflight_and_persists_telemetry(self, tmp_path):
         cache_dir = tmp_path / "cache"
