@@ -11,9 +11,12 @@ Serial and cache-off so every round pays full simulation cost and the
 number is comparable across machines with different core counts.
 """
 
+import functools
+
 from test_simulator_perf import BENCH_JSON, _mean, _record  # noqa: F401
 
 from repro.fleet import FleetSpec, run_fleet
+from repro.runner import execute_many
 
 #: Small but non-trivial: enough sessions that placement and the
 #: histogram merge are exercised, scaled epochs so a round stays fast.
@@ -24,8 +27,8 @@ class TestFleetThroughput:
     def test_fleet_host_jobs_per_sec(self, benchmark):
         summaries = benchmark.pedantic(
             run_fleet,
-            args=(SPEC,),
-            kwargs={"policies": ("first_fit",), "workers": 0, "cache": False},
+            args=(SPEC, ("first_fit",),
+                  functools.partial(execute_many, workers=0, cache=False)),
             rounds=1,
             iterations=1,
         )

@@ -142,6 +142,16 @@ fleet_args=(--hosts 4 --epochs 4 --rate 16 --scale 0.02 --workers 2 --json)
 repro fleet "${fleet_args[@]}" > fleet1.json
 repro fleet "${fleet_args[@]}" > fleet2.json
 cmp fleet1.json fleet2.json
+# credit is the default backend: the same host jobs, all replayed.
+repro fleet "${fleet_args[@]}" --scheduler credit > fleet3.json
+cmp fleet1.json fleet3.json
+repro telemetry > fleet3_telemetry.json
+python - <<'EOF'
+import json
+counters = json.load(open("fleet3_telemetry.json"))["counters"]
+assert counters.get("cache.misses", 0) == 0, counters
+assert counters["cache.hits"] > 0, counters
+EOF
 python - <<'EOF'
 import json
 payload = json.load(open("fleet1.json"))

@@ -134,30 +134,42 @@ class _ProgressLine:
             self.stream.flush()
 
 
-def _cmd_run(args):
-    names = list(args.experiment)
-    if args.all:
-        names = registry.available()
-    elif not names:
-        raise ReproError("specify at least one experiment (or --all)")
+def _run_experiments(args, names, **options):
+    """:func:`registry.run_many` under the shared execution flags
+    (``--workers``, ``--no-cache``, ``--progress``, ``--seed``,
+    ``--scale``); persists the run's telemetry."""
     progress = _ProgressLine() if args.progress else None
     try:
         outcome = registry.run_many(
             names,
             workers=args.workers,
             cache=False if args.no_cache else None,
-            trace=_trace_request(args),
-            trace_out=args.trace_out,
-            faults=getattr(args, "faults", None),
-            scheduler=getattr(args, "scheduler", None),
             progress=progress,
             seed=args.seed,
             scale_override=args.scale,
+            **options
         )
     finally:
         if progress is not None:
             progress.close()
     telemetry.persist()
+    return outcome
+
+
+def _cmd_run(args):
+    names = list(args.experiment)
+    if args.all:
+        names = registry.available()
+    elif not names:
+        raise ReproError("specify at least one experiment (or --all)")
+    outcome = _run_experiments(
+        args,
+        names,
+        trace=_trace_request(args),
+        trace_out=args.trace_out,
+        faults=args.faults,
+        scheduler=args.scheduler,
+    )
     for index, name in enumerate(outcome):
         if len(outcome) > 1:
             if index:
@@ -176,29 +188,17 @@ def _cmd_fleet(args):
         policies = fleet_placement.available()
     else:
         policies = [name for name in args.policies.split(",") if name]
-    prepared = registry.prepare(
-        "fleet",
+    results, text = _run_experiments(
+        args,
+        ["fleet"],
         scheduler=args.scheduler,
-        seed=args.seed,
-        scale_override=args.scale,
         policies=policies,
         hosts=args.hosts,
         epochs=args.epochs,
         rate=args.rate,
         overcommit=args.overcommit,
         migration_cost_ms=args.migration_cost_ms,
-    )
-    progress = _ProgressLine() if args.progress else None
-    try:
-        results, text = prepared.drive(
-            workers=args.workers,
-            cache=False if args.no_cache else None,
-            progress=progress,
-        )
-    finally:
-        if progress is not None:
-            progress.close()
-    telemetry.persist()
+    )["fleet"]
     print(json.dumps(results, indent=2, sort_keys=True) if args.json else text)
     return 0
 
@@ -450,12 +450,30 @@ def build_parser():
     seed_parent.add_argument(
         "--seed", type=int, default=42,
         help="root RNG seed (default: 42; every stream derives from it)")
+    # Likewise the executor's flags (run, fleet, serve) and the
+    # experiment-run flags (run, fleet).
+    exec_parent = argparse.ArgumentParser(add_help=False)
+    exec_parent.add_argument(
+        "--workers", type=_parse_workers, default=None, metavar="N|auto",
+        help="simulation worker processes; 'auto' = one per CPU "
+        "(default: REPRO_RUNNER_WORKERS or 1)")
+    exec_parent.add_argument(
+        "--no-cache", action="store_true",
+        help="ignore and do not write the on-disk result cache")
+    experiment_parent = argparse.ArgumentParser(add_help=False)
+    experiment_parent.add_argument(
+        "--scale", type=float, default=None,
+        help="duration multiplier (default: REPRO_BENCH_SCALE or 1.0)")
+    experiment_parent.add_argument(
+        "--progress", action="store_true",
+        help="live per-job status line on stderr (cache hits, worker "
+        "pickups, completions)")
 
     sub.add_parser("list", help="list experiments and workloads")
 
     run_p = sub.add_parser(
         "run", help="regenerate one or more paper tables/figures",
-        parents=[seed_parent],
+        parents=[seed_parent, exec_parent, experiment_parent],
     )
     # Per-item validation via type=, not choices=: argparse (< 3.12)
     # rejects an empty nargs="*" list against choices, which would
@@ -467,17 +485,6 @@ def build_parser():
                        "pass" % ", ".join(registry.available()))
     run_p.add_argument("--all", action="store_true",
                        help="run every registered experiment as one batch")
-    run_p.add_argument("--scale", type=float, default=None,
-                       help="duration multiplier (default: REPRO_BENCH_SCALE or 1.0)")
-    run_p.add_argument("--workers", type=_parse_workers, default=None,
-                       metavar="N|auto",
-                       help="simulation worker processes; 'auto' = one per CPU "
-                       "(default: REPRO_RUNNER_WORKERS or 1)")
-    run_p.add_argument("--no-cache", action="store_true",
-                       help="ignore and do not write the on-disk result cache")
-    run_p.add_argument("--progress", action="store_true",
-                       help="live per-job status line on stderr (cache hits, "
-                       "worker pickups, completions)")
     _add_scheduler_arg(run_p)
     _add_trace_args(run_p)
     _add_faults_arg(run_p)
@@ -540,7 +547,7 @@ def build_parser():
 
     fleet_p = sub.add_parser(
         "fleet", help="simulate a multi-host fleet under placement policies",
-        parents=[seed_parent],
+        parents=[seed_parent, exec_parent, experiment_parent],
     )
     fleet_p.add_argument("--policies", default=None, metavar="A,B,...",
                          help="comma-separated placement policies to compare "
@@ -554,17 +561,6 @@ def build_parser():
     fleet_p.add_argument("--migration-cost-ms", type=float, default=5.0,
                          help="live-migration cost at scale 1.0 (scales with "
                          "the epoch)")
-    fleet_p.add_argument("--scale", type=float, default=None,
-                         help="duration multiplier (default: REPRO_BENCH_SCALE "
-                         "or 1.0)")
-    fleet_p.add_argument("--workers", type=_parse_workers, default=None,
-                         metavar="N|auto",
-                         help="simulation worker processes; 'auto' = one per "
-                         "CPU (default: REPRO_RUNNER_WORKERS or 1)")
-    fleet_p.add_argument("--no-cache", action="store_true",
-                         help="ignore and do not write the on-disk result cache")
-    fleet_p.add_argument("--progress", action="store_true",
-                         help="live per-job status line on stderr")
     fleet_p.add_argument("--json", action="store_true",
                          help="emit summaries and checks as sorted-key JSON "
                          "(byte-identical across same-seed runs)")
@@ -574,23 +570,18 @@ def build_parser():
         "serve",
         help="run the long-lived HTTP simulation service "
         "(see docs/serve.md)",
+        parents=[exec_parent],
     )
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=8765,
                          help="bind port; 0 picks a free one (default: 8765)")
-    serve_p.add_argument("--workers", type=_parse_workers, default=None,
-                         metavar="N|auto",
-                         help="simulation worker processes; 'auto' = one per "
-                         "CPU (default: REPRO_RUNNER_WORKERS or 1)")
     serve_p.add_argument("--max-queue-depth", type=int, default=64,
                          help="queued submissions before new work gets 429 "
                          "(default: 64)")
     serve_p.add_argument("--max-inflight", type=int, default=8,
                          help="per-client in-flight submission cap "
                          "(default: 8)")
-    serve_p.add_argument("--no-cache", action="store_true",
-                         help="ignore and do not write the on-disk result cache")
     return parser
 
 

@@ -11,8 +11,10 @@ per-host utilization, admission rejects, and migrations per policy.
 Unlike every other registry entry this module is a **driver**: it has
 no ``plan()``/``reduce()`` pair because the job set is not known up
 front — each epoch's host jobs depend on the previous epoch's results
-(steal feedback, migrations). It exposes ``drive()`` instead, and the
-registry fans its per-epoch job waves out through the same
+(steal feedback, migrations). It exposes ``drive(execute, ...)``
+instead: the caller binds the executor's settings once into
+``execute`` (see :func:`repro.experiments.registry.run_many`), and
+every per-epoch job wave goes through it, so fleet runs share the same
 executor/cache machinery. Because there is no ``plan()``, the payload
 manifest (which freezes the closed set of plannable jobs) is
 unaffected: fleet host jobs are cache-governed by the same content
@@ -62,18 +64,15 @@ def make_spec(
 
 
 def drive(
-    workers=None,
-    cache=None,
-    progress=None,
-    pool=None,
-    cache_dir=None,
+    execute,
     seed=42,
     scale_override=None,
     scheduler=None,
     policies=POLICIES,
     **spec_kwargs,
 ):
-    """Run the fleet under every requested policy; returns
+    """Run the fleet under every requested policy, one ``execute(plans)``
+    call per epoch (see :func:`repro.fleet.run_fleet`); returns
     ``{"policies": {name: summary}, "checks": {...}}`` — JSON-native
     and byte-stable for a given spec (the determinism gate)."""
     names = list(policies)
@@ -82,10 +81,7 @@ def drive(
     spec = make_spec(
         seed=seed, scale_override=scale_override, scheduler=scheduler, **spec_kwargs
     )
-    summaries = run_fleet(
-        spec, policies=names, workers=workers, cache=cache, progress=progress,
-        pool=pool, cache_dir=cache_dir,
-    )
+    summaries = run_fleet(spec, names, execute)
     return {"policies": summaries, "checks": claims({"policies": summaries})}
 
 

@@ -4,14 +4,17 @@ experiment run walks.
 An experiment module either exposes ``plan()`` (emit the job list),
 ``reduce()`` (fold ``{tag: RunResult}`` into the result shape) and
 ``format_result()`` (render the table), or — for a driver, whose job
-set depends on intermediate results — ``drive()`` and
-``format_result()``; one that asserts a shape adds ``claims(results)``.
+set depends on intermediate results — ``drive(execute, **options)``
+and ``format_result()``; one that asserts a shape adds
+``claims(results)``.
 :func:`prepare` binds a module to its options and applies the
 cross-cutting ones (``trace``, ``faults``, ``scheduler``) to every job;
 :meth:`Prepared.finish` gates on fault invariants, then reduces and
 formats. The CLI, ``repro serve`` and the benchmarks all go
 through these two steps, so a result is the same function of its spec
 on every path."""
+
+import functools
 
 from ..errors import ConfigError, FaultError
 from .. import runner
@@ -113,15 +116,12 @@ class Prepared:
         none); not part of :meth:`finish`, so rendering pays nothing."""
         return self.module.claims(results) if hasattr(self.module, "claims") else {}
 
-    def drive(self, workers=None, cache=None, progress=None, pool=None,
-              cache_dir=None):
+    def drive(self, execute):
         """Run a driver experiment; returns ``(results, formatted_text)``.
-        ``pool`` is a caller-owned worker pool and ``cache_dir`` a
-        result-cache directory (see :func:`repro.runner.execute_many`)."""
-        results = self.module.drive(
-            workers=workers, cache=cache, progress=progress, pool=pool,
-            cache_dir=cache_dir, **self._kwargs
-        )
+        ``execute(plans) -> {name: {tag: RunResult}}`` is
+        :func:`repro.runner.execute_many` with its settings bound; the
+        driver calls it once per job wave."""
+        results = self.module.drive(execute, **self._kwargs)
         return results, self.module.format_result(results)
 
 
@@ -152,6 +152,8 @@ def prepare(name, *, trace=None, faults=None, scheduler=None, **kwargs):
     module = get(name)
     if scheduler is not None:
         sched_registry.get(scheduler)  # raises ConfigError on unknown name
+    if scheduler == "credit":
+        scheduler = None  # the default backend: same jobs, same cache keys
     if is_driver(module):
         for option, value in (("trace", trace), ("faults", faults)):
             if value is not None:
@@ -160,7 +162,7 @@ def prepare(name, *, trace=None, faults=None, scheduler=None, **kwargs):
                 )
         return Prepared(module, None, dict(kwargs, scheduler=scheduler))
     jobs = module.plan(**kwargs)
-    if scheduler is not None and scheduler != "credit":
+    if scheduler is not None:
         for job in jobs:
             job.overrides.setdefault("scheduler", scheduler)
     if trace is not None:
@@ -199,12 +201,13 @@ def run_many(
     Every experiment is prepared (see :func:`prepare` for ``trace``,
     ``faults``, ``scheduler`` and ``kwargs``) before anything runs, so
     a bad option fails before any simulation. All plans then execute
-    through :func:`repro.runner.execute_many` (``workers``/``cache``
-    pass through; None = environment defaults), so a physical
-    simulation shared by several experiments (e.g. the seed-42 gmake
-    co-run baseline in fig4, table2, and table4a) is simulated once for
-    the whole batch, and the persistent worker pool spins up a single
-    time.
+    in one call of :func:`repro.runner.execute_many` (``workers``/
+    ``cache``/``progress`` bound once; None = environment defaults), so
+    a physical simulation shared by several experiments (e.g. the
+    seed-42 gmake co-run baseline in fig4, table2, and table4a) is
+    simulated once for the whole batch, and the persistent worker pool
+    spins up a single time. A driver gets the same bound executor for
+    its own waves.
 
     ``trace_out`` writes the combined trace of a single planned
     experiment — records labelled with their job tag — to a JSONL file
@@ -228,16 +231,15 @@ def run_many(
         raise ConfigError(
             "driver experiment %r does not accept 'trace_out'" % names[0]
         )
+    execute = functools.partial(
+        runner.execute_many, workers=workers, cache=cache, progress=progress
+    )
     plans = {name: p.jobs for name, p in prepared.items() if p.jobs is not None}
-    by_plan = {}
-    if plans:
-        by_plan = runner.execute_many(
-            plans, workers=workers, cache=cache, progress=progress
-        )
+    by_plan = execute(plans) if plans else {}
     outcome = {}
     for name, p in prepared.items():
         if p.jobs is None:
-            outcome[name] = p.drive(workers=workers, cache=cache, progress=progress)
+            outcome[name] = p.drive(execute)
             continue
         by_tag = by_plan[name]
         if trace_out is not None:

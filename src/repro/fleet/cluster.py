@@ -13,9 +13,10 @@ a sequence of **epochs**:
    admitted (or rejected when no host has capacity) and placed;
 4. every host with resident domains compiles to one ordinary
    :class:`~repro.runner.jobs.SimJob` (scenario ``fleet_host``) and
-   the whole wave fans out through :func:`repro.runner.execute_many` —
-   so the result cache, the cost-model LPT dispatch, the persistent
-   pool, and run telemetry all apply to fleet runs for free;
+   the whole wave goes to the caller's ``execute`` — normally
+   :func:`repro.runner.execute_many` with its settings bound — so the
+   result cache, the cost-model LPT dispatch, the persistent pool, and
+   run telemetry all apply to fleet runs for free;
 5. each host's :class:`~repro.experiments.results.RunResult` feeds
    back: vIRQ-delivery histograms merge into the fleet-wide tail,
    per-host utilization accumulates, and the guest runstate snapshots
@@ -45,7 +46,7 @@ from ..errors import ConfigError
 from ..metrics.histogram import Histogram
 from ..obs import telemetry
 from ..obs.runstate import steal_fraction, steal_report
-from ..runner import SimJob, baseline_policy, execute_many
+from ..runner import SimJob, baseline_policy
 from ..sim.rng import derive_seed, split_seeds
 from ..sim.time import ms
 from . import arrivals, placement
@@ -346,21 +347,17 @@ class FleetState:
         }
 
 
-def run_fleet(spec, policies=None, workers=None, cache=None, progress=None,
-              pool=None, cache_dir=None):
+def run_fleet(spec, policies, execute):
     """Run one fleet spec under one or more placement policies.
 
-    Returns ``{policy_name: summary_dict}``. All policies advance in
-    lockstep: every epoch, the per-policy host jobs batch through a
-    single :func:`~repro.runner.execute_many` call, so they share one
-    worker pool and one cache probe — and physically identical host
-    jobs (policies often coincide in early epochs) simulate once.
-    ``pool`` is a caller-owned worker pool (``repro serve`` passes its
-    own), else the process-wide one is used; ``cache_dir`` likewise
-    names the result cache (``None``: the process-wide one).
+    Returns ``{policy_name: summary_dict}``. ``execute(plans)`` is
+    :func:`~repro.runner.execute_many` with its settings (workers,
+    cache, progress, pool, cache directory) bound by the caller. All
+    policies advance in lockstep: every epoch, the per-policy host jobs
+    batch through a single ``execute`` call, so they share one worker
+    pool and one cache probe — and physically identical host jobs
+    (policies often coincide in early epochs) simulate once.
     """
-    if policies is None:
-        policies = ("first_fit",)
     names = list(dict.fromkeys(policies))
     for name in names:
         placement.get(name)  # unknown policy fails before any simulation
@@ -371,12 +368,7 @@ def run_fleet(spec, policies=None, workers=None, cache=None, progress=None,
             jobs = states[name].plan_epoch(epoch)
             if jobs:
                 plans[name] = jobs
-        by_plan = {}
-        if plans:
-            by_plan = execute_many(
-                plans, workers=workers, cache=cache, cache_dir=cache_dir,
-                progress=progress, pool=pool,
-            )
+        by_plan = execute(plans) if plans else {}
         for name in names:
             states[name].absorb(epoch, by_plan.get(name, {}))
     return {name: states[name].summary() for name in names}

@@ -26,7 +26,8 @@ The :class:`JobManager` owns them end to end:
   keeps serving requests and streams;
 * **a dedicated simulation core** — the manager owns a
   :class:`~repro.runner.pool.WorkerPool` of ``workers`` processes,
-  spawned at start-up and passed to planned and driver waves alike;
+  spawned at start-up and bound, with the server's cache settings, into
+  the one ``execute`` that planned and driver waves alike run through;
   once it is warm every wave simulates there, so hits and streams
   never queue behind a simulation for this process's interpreter lock.
   Waves that arrive while it warms up (or after a spawn failure) run
@@ -39,6 +40,7 @@ The :class:`JobManager` owns them end to end:
 """
 
 import asyncio
+import functools
 import itertools
 import threading
 import time
@@ -133,7 +135,7 @@ class Work:
         self.name = name
         self.jobs = jobs  # [SimJob] or None for drivers
         self.finalize = finalize  # {tag: RunResult} -> result dict
-        self.driver = driver  # (workers, cache, progress, pool, cache_dir) -> result
+        self.driver = driver  # execute -> result (execute: plans -> by_plan)
 
 
 def _check_horizon(tag, horizon_ns):
@@ -214,12 +216,8 @@ def compile_experiment(payload):
     except ReproError as err:
         raise ValidationError(str(err))
     if prepared.jobs is None:
-        def drive(workers, cache, progress, pool, cache_dir):
-            return _rendered(prepared, prepared.drive(
-                workers, cache, progress, pool=pool, cache_dir=cache_dir
-            ))
-
-        return Work("experiment", name, driver=drive)
+        return Work("experiment", name, driver=lambda execute: _rendered(
+            prepared, prepared.drive(execute)))
     for job in prepared.jobs:
         _check_horizon(job.tag, job.warmup_ns + job.duration_ns)
 
@@ -585,14 +583,12 @@ class JobManager:
                 self._execute_driver(sub)
         self._model = costmodel.CostModel.load(self.cache_dir)
 
-    def _execute_planned(self, subs):
-        tag_subs = {}
-        for sub in subs:
-            for job in sub.work.jobs:
-                tag_subs.setdefault(job.tag, []).append(sub)
-
+    def _execute(self, subs_of):
+        """``execute_many`` bound to this server's workers, cache, cache
+        directory and pool; each progress event of a job tagged ``tag``
+        posts to every submission in ``subs_of(tag)``."""
         def progress(event, tag, done, total):
-            for sub in tag_subs.get(tag, ()):
+            for sub in subs_of(tag):
                 if event in ("hit", "done"):
                     sub.jobs_done += 1
                 self._post_threadsafe(sub, {
@@ -603,17 +599,20 @@ class JobManager:
                     "jobs_total": sub.jobs_total,
                 })
 
+        return functools.partial(
+            execute_many, workers=self.workers, cache=self.cache,
+            cache_dir=self.cache_dir, progress=progress, pool=self.pool,
+        )
+
+    def _execute_planned(self, subs):
+        tag_subs = {}
+        for sub in subs:
+            for job in sub.work.jobs:
+                tag_subs.setdefault(job.tag, []).append(sub)
         plans = {sub.id: sub.work.jobs for sub in subs}
         before = _engine_counters()
         try:
-            by_plan = execute_many(
-                plans,
-                workers=self.workers,
-                cache=self.cache,
-                cache_dir=self.cache_dir,
-                progress=progress,
-                pool=self.pool,
-            )
+            by_plan = self._execute(lambda tag: tag_subs.get(tag, ()))(plans)
         except Exception:
             # One poisoned job fails a whole batch; isolate by retrying
             # each submission on its own so innocent ones still land.
@@ -637,22 +636,9 @@ class JobManager:
                 self._complete_sync(sub, FAILED, {"error": sub.error})
 
     def _execute_driver(self, sub):
-        def progress(event, tag, done, total):
-            if event in ("hit", "done"):
-                sub.jobs_done += 1
-            self._post_threadsafe(sub, {
-                "event": "progress",
-                "phase": event,
-                "tag": tag,
-                "jobs_done": sub.jobs_done,
-                "jobs_total": None,
-            })
-
         before = _engine_counters()
         try:
-            sub.result = sub.work.driver(
-                self.workers, self.cache, progress, self.pool, self.cache_dir
-            )
+            sub.result = sub.work.driver(self._execute(lambda tag: (sub,)))
         except Exception:
             self._fail_sync(sub)
             return

@@ -168,6 +168,32 @@ class TestSharedSeedArgument:
             args = parser.parse_args(argv + ["--seed", "7"])
             assert args.seed == 7, argv
 
+    @pytest.mark.parametrize("argv,flags", [
+        (["run", "table2"], ("workers", "no_cache", "scale", "progress")),
+        (["fleet"], ("workers", "no_cache", "scale", "progress")),
+        (["serve"], ("workers", "no_cache")),
+    ])
+    def test_execution_flags_are_shared(self, argv, flags):
+        """``--workers``/``--no-cache`` (run, fleet, serve) and
+        ``--scale``/``--progress`` (run, fleet): one definition each,
+        the same defaults and parsing everywhere."""
+        parser = build_parser()
+        defaults = {"workers": None, "no_cache": False, "scale": None,
+                    "progress": False}
+        given = {"workers": ["--workers", "3"], "no_cache": ["--no-cache"],
+                 "scale": ["--scale", "0.5"], "progress": ["--progress"]}
+        parsed = {"workers": 3, "no_cache": True, "scale": 0.5, "progress": True}
+        args = parser.parse_args(argv)
+        assert {flag: getattr(args, flag) for flag in flags} == {
+            flag: defaults[flag] for flag in flags}
+        args = parser.parse_args(argv + sum((given[flag] for flag in flags), []))
+        assert {flag: getattr(args, flag) for flag in flags} == {
+            flag: parsed[flag] for flag in flags}
+        for flag in set(defaults) - set(flags):
+            assert not hasattr(args, flag), (argv, flag)
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--workers", "0"])
+
 
 class TestFleetCommand:
     _TINY = ["fleet", "--hosts", "2", "--epochs", "2", "--rate", "4",

@@ -7,7 +7,9 @@ fleet p99 vIRQ tail) lives in ``scripts/ci_smoke.sh`` and
 tiny and assert *determinism* and *mechanism*, not magnitudes.
 """
 
+import functools
 import random
+import re
 
 import pytest
 
@@ -18,11 +20,22 @@ from repro.fleet import placement
 from repro.fleet.arrivals import CATALOG, HOLD_EPOCHS, Session, generate
 from repro.fleet.cluster import FleetSpec, FleetState, run_fleet, summary_json
 from repro.metrics.histogram import Histogram
+from repro.obs import telemetry
+from repro.runner import cache, execute_many
 from repro.sim.rng import derive_seed, split_seeds
 from repro.sim.time import ms
 
 #: Small-but-real fleet used by the DES-running tests.
 TINY = dict(hosts=4, epochs=3, rate=10.0, scale=0.02)
+
+
+def bound(**settings):
+    """``execute_many`` with its settings bound: the driver's executor."""
+    return functools.partial(execute_many, **settings)
+
+
+def never(plans):
+    raise AssertionError("simulated %r" % sorted(plans))
 
 
 class TestArrivals:
@@ -278,22 +291,22 @@ class TestFleetStateMechanics:
 
     def test_unknown_policy_fails_before_simulation(self):
         with pytest.raises(ConfigError, match="unknown placement policy"):
-            run_fleet(FleetSpec(**TINY), policies=["warp_speed"])
+            run_fleet(FleetSpec(**TINY), ["warp_speed"], never)
 
 
 class TestFleetDeterminism:
     def test_summary_bytes_identical_serial_vs_pooled(self):
         spec = FleetSpec(**TINY)
-        serial = run_fleet(spec, policies=["random", "first_fit"],
-                           workers=0, cache=False)
-        pooled = run_fleet(spec, policies=["random", "first_fit"],
-                           workers=2, cache=False)
+        serial = run_fleet(spec, ["random", "first_fit"],
+                           bound(workers=0, cache=False))
+        pooled = run_fleet(spec, ["random", "first_fit"],
+                           bound(workers=2, cache=False))
         assert summary_json(serial) == summary_json(pooled)
 
     def test_summary_has_no_wall_clock_fields(self):
         spec = FleetSpec(**TINY)
-        text = summary_json(run_fleet(spec, policies=["first_fit"],
-                                      workers=0, cache=False))
+        text = summary_json(run_fleet(spec, ["first_fit"],
+                                      bound(workers=0, cache=False)))
         assert "seconds" not in text
         assert "wall" not in text
 
@@ -338,6 +351,47 @@ class TestExperimentWiring:
         jobs = payload_manifest.unique_jobs(manifest["scale"])
         assert manifest["count"] == 139
         assert set(jobs) == set(manifest["entries"])
+
+
+class TestExecuteSeam:
+    """``Prepared.drive(execute)``: the driver's only link to the
+    executor, so a test can stand in for it."""
+
+    OPTIONS = dict(seed=42, scale_override=0.02, hosts=3, epochs=3, rate=8.0,
+                   policies=["random", "first_fit"])
+
+    def test_one_call_per_epoch_keyed_by_policy(self):
+        calls = []
+
+        def recording(plans):
+            calls.append({name: [job.tag for job in jobs]
+                          for name, jobs in plans.items()})
+            return execute_many(plans, workers=1, cache=False)
+
+        results, _ = registry.prepare("fleet", **self.OPTIONS).drive(recording)
+        tags = [tag for call in calls for jobs in call.values() for tag in jobs]
+        assert all(re.fullmatch(r"e\d\d\.h\d\d", tag) for tag in tags), tags
+        # Each call is one epoch's wave, in epoch order, keyed by policy.
+        waves = [{tag[:3] for jobs in call.values() for tag in jobs} for call in calls]
+        assert all(len(wave) == 1 for wave in waves), calls
+        assert [min(wave) for wave in waves] == sorted({tag[:3] for tag in tags})
+        assert all(set(call) <= set(self.OPTIONS["policies"]) for call in calls)
+        summaries = results["policies"]
+        assert len(tags) == sum(s["jobs_planned"] for s in summaries.values())
+
+        plain, _ = registry.run("fleet", workers=1, cache=False, **self.OPTIONS)
+        assert summary_json(summaries) == summary_json(plain["policies"])
+
+    def test_credit_rerun_replays_from_the_cache(self, tmp_path, monkeypatch):
+        """``--scheduler credit`` names the default backend: the same
+        host jobs, so the same cache keys, and not one re-simulation."""
+        monkeypatch.setenv(cache.ENV_DIR, str(tmp_path / "cache"))
+        monkeypatch.delenv(cache.ENV_TOGGLE, raising=False)
+        first, _ = registry.run("fleet", workers=1, **self.OPTIONS)
+        misses = telemetry.snapshot()["counters"].get("cache.misses", 0)
+        again, _ = registry.run("fleet", workers=1, scheduler="credit", **self.OPTIONS)
+        assert telemetry.snapshot()["counters"].get("cache.misses", 0) == misses
+        assert again == first
 
 
 class TestHistogramFromSnapshot:

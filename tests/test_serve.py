@@ -801,6 +801,25 @@ class TestWorkerCrashThroughServe:
         finally:
             handle.stop()
 
+    def test_poison_fleet_host_fails_the_driver_and_the_server_keeps_serving(
+            self, tmp_path, monkeypatch):
+        handle = self._server(tmp_path, monkeypatch, "e00.h00")
+        try:
+            client = Client(handle)
+            spec = {"experiment": "fleet", "hosts": 2, "epochs": 2,
+                    "rate": 10.0, "scale": 0.02, "policies": ["first_fit"]}
+            _, _, body = client.request("POST", "/experiments", spec)
+            final = _terminal(client, body["id"])
+            assert final["event"] == "failed"
+            assert "died repeatedly" in final["error"]
+
+            _, _, body = client.request("POST", "/jobs", JOB)
+            assert _terminal(client, body["id"])["event"] == "done"
+            states = [row["state"] for row in client.request("GET", "/jobs")[2]["jobs"]]
+            assert len(states) == 2 and all(state in TERMINAL for state in states), states
+        finally:
+            handle.stop()
+
 
 class TestCorruptEntryThroughServe:
     def test_same_length_garbage_under_a_hit_is_resimulated(self, server):
