@@ -244,6 +244,30 @@ assert final["telemetry"]["pool.jobs_completed"] >= 1, final["telemetry"]
 assert final["telemetry"]["runner.jobs_inline"] == 0, final["telemetry"]
 EOF
 
+step "serve: one spec, one key: ci-cold naming the default backend hits; a bad fault dict is a 400"
+python - "$BASE" <<'EOF'
+import json, sys, urllib.error, urllib.request
+base = sys.argv[1]
+job = {"tag": "ci-cold", "scenario": "solo",
+       "scenario_kwargs": {"workload_kind": "gmake"}, "seed": 97,
+       "duration_ns": 4000000, "overrides": {"scheduler": "credit"}}
+req = urllib.request.Request(base + "/jobs", data=json.dumps(job).encode(),
+                             method="POST")
+with urllib.request.urlopen(req, timeout=60) as resp:
+    assert resp.status == 200, resp.status
+    assert resp.headers["X-Repro-Cache"] == "hit", resp.headers["X-Repro-Cache"]
+bad = dict(job, faults={"garbage": 1})
+req = urllib.request.Request(base + "/jobs", data=json.dumps(bad).encode(),
+                             method="POST")
+try:
+    urllib.request.urlopen(req, timeout=60)
+except urllib.error.HTTPError as err:
+    assert err.code == 400, err.code
+    assert "unknown fault plan keys" in err.read().decode()
+else:
+    raise AssertionError("a malformed fault dict was accepted")
+EOF
+
 step "serve: submit a scaled fig7, stream events to done"
 python - "$BASE" <<'EOF'
 import json, sys, urllib.request

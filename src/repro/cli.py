@@ -17,11 +17,11 @@ import json
 import sys
 
 from . import runner
-from .errors import FaultError, ReproError
+from .errors import ConfigError, FaultError, ReproError
 from .experiments import common, registry
 from .metrics.report import render_table
 from .obs import telemetry
-from .runner.jobs import check_job
+from .runner.jobs import DEFAULT_SCHEDULER, apply_options, check_job
 from .sched import registry as sched_registry
 from .sim.time import ms
 from .workloads import registry as workload_registry
@@ -68,7 +68,8 @@ def _cmd_schedulers(_args):
     rows = [[name, description] for name, description in sched_registry.describe()]
     print(render_table(
         ["backend", "description"], rows,
-        title="scheduler backends (use: --scheduler NAME; default: credit)",
+        title="scheduler backends (use: --scheduler NAME; default: %s)"
+        % DEFAULT_SCHEDULER,
     ))
     return 0
 
@@ -84,21 +85,12 @@ def _experiment_name(text):
 
 
 def _parse_workers(text):
-    """``--workers`` argument: a positive integer or ``auto`` (one
-    worker per CPU). Raises ``argparse``-friendly errors."""
-    if text.strip().lower() == "auto":
-        import os
-
-        return max(1, os.cpu_count() or 1)
+    """``--workers`` argument: :func:`repro.runner.parse_workers` with
+    an ``argparse``-friendly error."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected a positive integer or 'auto', got %r" % text
-        )
-    if value < 1:
-        raise argparse.ArgumentTypeError("worker count must be >= 1")
-    return value
+        return runner.parse_workers(text)
+    except ConfigError as err:
+        raise argparse.ArgumentTypeError(str(err))
 
 
 class _ProgressLine:
@@ -343,13 +335,8 @@ def _cmd_compare(args):
 def _cmd_scenario(args):
     """``repro corun`` / ``repro solo``: one job, no warmup."""
     job = _job(args, args.command, args.command, _parse_policy(args.policy))
-    job.trace = _trace_request(args)
-    if args.scheduler not in (None, "credit"):
-        job.overrides["scheduler"] = args.scheduler
-    if args.faults is not None:
-        from .faults import resolve_plan
-
-        job.faults = resolve_plan(args.faults, job.duration_ns).to_dict()
+    apply_options(job, trace=_trace_request(args), faults=args.faults,
+                  scheduler=args.scheduler)
     result = _execute([job])[job.tag]
     _summarise(result)
     if result.faults is not None:
@@ -420,7 +407,7 @@ def _add_scheduler_arg(parser):
     parser.add_argument(
         "--scheduler", default=None, metavar="NAME",
         help="normal-pool scheduler backend (see 'repro schedulers'; "
-        "default: credit)")
+        "default: %s)" % DEFAULT_SCHEDULER)
 
 
 def _add_trace_args(parser):

@@ -27,7 +27,7 @@ under the table); :func:`claims` adds that every scheme ran.
 import math
 
 from ..metrics.report import render_table
-from ..runner import SimJob, static_policy
+from ..runner import SimJob, baseline_policy, static_policy
 from . import common
 from .table2 import WORKLOADS
 
@@ -61,12 +61,13 @@ CORUNNERS = (CPU_CORUNNER, BLOCKY_CORUNNER)
 
 
 def _scheme_job_fields(scheme, kind):
-    """(policy, overrides) for one scheme/workload cell."""
+    """(policy, overrides) for one scheme/workload cell. A backend
+    scheme pins its backend, so ``--scheduler`` leaves it alone (the
+    ``credit`` column stays the paper's baseline); ``micro_pool`` names
+    none and follows ``--scheduler``."""
     if scheme == "micro_pool":
         return static_policy(common.STATIC_BEST.get(kind, 1)), {}
-    if scheme == "credit":
-        return None, {}
-    return None, {"scheduler": scheme}
+    return baseline_policy(), {"scheduler": scheme}
 
 
 def plan(seed=42, scale_override=None, schemes=SCHEMES, workloads=WORKLOADS):
@@ -84,10 +85,9 @@ def plan(seed=42, scale_override=None, schemes=SCHEMES, workloads=WORKLOADS):
                     seed=seed,
                     duration_ns=duration,
                     warmup_ns=warmup,
+                    policy=policy,
                     overrides=overrides,
                 )
-                if policy is not None:
-                    job.policy = policy
                 jobs.append(job)
     return jobs
 

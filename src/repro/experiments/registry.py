@@ -18,7 +18,7 @@ import functools
 
 from ..errors import ConfigError, FaultError
 from .. import runner
-from ..sched import registry as sched_registry
+from ..runner.jobs import apply_options, check_scheduler
 from . import (
     baselines,
     fig4,
@@ -131,50 +131,33 @@ def prepare(name, *, trace=None, faults=None, scheduler=None, **kwargs):
     ``kwargs`` (``seed``, ``scale_override``, ...) go to the module's
     ``plan()``, or to ``drive()`` for a driver.
 
-    ``trace`` (a ``{"kinds": ...}`` request dict) turns on structured
-    tracing for every job in the plan.
-
-    ``faults`` (a built-in plan name, a plan-JSON path, a plan dict, or
-    a :class:`~repro.faults.FaultPlan`) applies one fault plan to every
-    job that has none — built-in names are re-resolved against each
-    job's own warmup+duration horizon.
-
-    ``scheduler`` (a repro.sched backend name) re-runs the plan under
-    that normal-pool backend — jobs that already pin a backend (e.g.
-    table1's ``fixed_uslice``, the ``baselines`` matrix) keep their
-    own. It is validated here, so an unknown backend fails before any
-    simulation runs.
+    ``trace``, ``faults`` and ``scheduler`` apply to every planned job
+    through :func:`repro.runner.jobs.apply_options`, so a bad option
+    fails here, before any simulation runs. A ``scheduler`` re-runs the
+    plan under that normal-pool backend, except in jobs that pin one:
+    table1's ``fixed_uslice`` cells (``shortslice``) and every
+    ``baselines`` cell but ``micro_pool`` (``credit:*`` keeps credit,
+    ``credit2:*`` credit2, and so on). The ``micro_pool`` cells follow
+    ``scheduler``.
 
     A driver's jobs are born mid-run from its own feedback loop, so
     per-job rewrites (``trace``, ``faults``) would silently change its
-    control flow; they are refused instead of half-applied.
+    control flow; they are refused instead of half-applied. Its
+    ``scheduler`` is validated here and passed to ``drive()``.
     """
     module = get(name)
-    if scheduler is not None:
-        sched_registry.get(scheduler)  # raises ConfigError on unknown name
-    if scheduler == "credit":
-        scheduler = None  # the default backend: same jobs, same cache keys
     if is_driver(module):
         for option, value in (("trace", trace), ("faults", faults)):
             if value is not None:
                 raise ConfigError(
                     "driver experiment %r does not accept %r" % (name, option)
                 )
+        if scheduler is not None:
+            check_scheduler(scheduler)
         return Prepared(module, None, dict(kwargs, scheduler=scheduler))
     jobs = module.plan(**kwargs)
-    if scheduler is not None:
-        for job in jobs:
-            job.overrides.setdefault("scheduler", scheduler)
-    if trace is not None:
-        for job in jobs:
-            job.trace = dict(trace)
-    if faults is not None:
-        from ..faults import resolve_plan
-
-        for job in jobs:
-            if job.faults is None:
-                horizon = job.warmup_ns + job.duration_ns
-                job.faults = resolve_plan(faults, horizon).to_dict()
+    for job in jobs:
+        apply_options(job, trace=trace, faults=faults, scheduler=scheduler)
     return Prepared(module, jobs, None)
 
 

@@ -18,6 +18,7 @@ from ..core.policy import PolicySpec
 from ..hw.costs import CostModel
 from ..hw.ple import PleConfig
 from ..hypervisor.hypervisor import Hypervisor
+from ..runner.jobs import DEFAULT_SCHEDULER
 from ..sim.rng import RngHub
 from ..sim.engine import Simulator
 from ..sim.trace import Tracer
@@ -70,7 +71,7 @@ class Scenario:
     policy: PolicySpec = field(default_factory=PolicySpec.baseline)
     seed: int = 42
     #: Normal-pool scheduler backend name (repro.sched registry).
-    scheduler: str = "credit"
+    scheduler: str = DEFAULT_SCHEDULER
     micro_slice: int = None
     costs: CostModel = None
     ple: PleConfig = None

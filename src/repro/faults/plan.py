@@ -160,8 +160,7 @@ class FaultPlan:
             params = entry.pop("params", {})
             if not isinstance(params, dict):
                 raise FaultError("fault entry %d: 'params' must be an object" % index)
-            params.update(entry)
-            plan.add(kind, at_ns, until_ns, **params)
+            plan.add(kind, at_ns, until_ns, **dict(params, **entry))
         return plan
 
     @classmethod

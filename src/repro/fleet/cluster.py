@@ -47,6 +47,7 @@ from ..metrics.histogram import Histogram
 from ..obs import telemetry
 from ..obs.runstate import steal_fraction, steal_report
 from ..runner import SimJob, baseline_policy
+from ..runner.jobs import DEFAULT_SCHEDULER, apply_options
 from ..sim.rng import derive_seed, split_seeds
 from ..sim.time import ms
 from . import arrivals, placement
@@ -213,9 +214,6 @@ class FleetState:
                 {"name": s.name, "workload": s.workload, "vcpus": s.vcpus}
                 for s in sessions
             ]
-            overrides = {}
-            if spec.scheduler is not None:
-                overrides["scheduler"] = spec.scheduler
             jobs.append(
                 SimJob(
                     tag="e%02d.h%02d" % (epoch, host_index),
@@ -224,9 +222,9 @@ class FleetState:
                     seed=self.host_seeds[host_index],
                     duration_ns=epoch_ns,
                     policy=dict(spec.host_policy) if spec.host_policy else baseline_policy(),
-                    overrides=overrides,
                 )
             )
+            apply_options(jobs[-1], scheduler=spec.scheduler)
         self.jobs_planned += len(jobs)
         _HOST_JOBS.inc(len(jobs))
         self.density.append(
@@ -312,7 +310,7 @@ class FleetState:
                 "epoch_ns": spec.epoch_ns(),
                 "migration_cost_ns": spec.migration_cost_ns(),
                 "seed": spec.seed,
-                "scheduler": spec.scheduler or "credit",
+                "scheduler": spec.scheduler or DEFAULT_SCHEDULER,
             },
             "sessions": {
                 "arrived": self.counts["arrived"],

@@ -14,6 +14,7 @@ from ..hw.costs import CostModel
 from ..hw.ple import PleConfig
 from ..hw.topology import Topology
 from ..metrics.histogram import HistogramSet
+from ..runner.jobs import DEFAULT_SCHEDULER
 from ..sched import MicroScheduler
 from ..sched import registry as sched_registry
 from ..sim.rng import derive_seed
@@ -52,7 +53,7 @@ class Hypervisor:
         num_pcpus=12,
         costs=None,
         ple=None,
-        scheduler="credit",
+        scheduler=DEFAULT_SCHEDULER,
         micro_slice=None,
         pv_spin_rounds=1,
         tracer=None,

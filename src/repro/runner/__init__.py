@@ -15,7 +15,7 @@ plans share one pool and one cache-probe pass through
 """
 
 from . import cache, costmodel, pool
-from .executor import ENV_WORKERS, default_workers, execute, execute_many
+from .executor import ENV_WORKERS, default_workers, execute, execute_many, parse_workers
 from .jobs import (
     SimJob,
     baseline_policy,
@@ -39,6 +39,7 @@ __all__ = [
     "dynamic_policy",
     "execute",
     "execute_many",
+    "parse_workers",
     "pool",
     "run_job",
     "static_policy",

@@ -72,23 +72,30 @@ CHUNK_THRESHOLD = 4
 CHUNK_CAP = 8
 
 
-def default_workers():
-    """Worker count from ``REPRO_RUNNER_WORKERS``.
+def parse_workers(text):
+    """``N|auto`` -> a worker count: a positive integer, or ``auto`` for
+    one worker per CPU. The one grammar of ``--workers`` and
+    ``REPRO_RUNNER_WORKERS``; anything else raises ConfigError."""
+    text = text.strip()
+    if text.lower() == "auto":
+        return max(1, os.cpu_count() or 1)
+    if not text.isdecimal() or int(text) < 1:
+        raise ConfigError("expected a positive integer or 'auto', got %r" % text)
+    return int(text)
 
-    Accepts a positive integer or ``auto`` (one worker per CPU).
-    Unset/empty means 1 (serial). Anything else is almost certainly a
-    typo that used to *silently* degrade to serial — now it warns."""
+
+def default_workers():
+    """Worker count from ``REPRO_RUNNER_WORKERS`` (:func:`parse_workers`);
+    unset or empty means 1 (serial). An invalid value is almost
+    certainly a typo: it warns, then runs serial."""
     raw = os.environ.get(ENV_WORKERS, "").strip()
     if not raw:
         return 1
-    if raw.lower() == "auto":
-        return max(1, os.cpu_count() or 1)
     try:
-        return max(1, int(raw))
-    except ValueError:
+        return parse_workers(raw)
+    except ConfigError as err:
         warnings.warn(
-            "ignoring non-integer %s=%r (use a positive integer or 'auto'); "
-            "running serial" % (ENV_WORKERS, raw),
+            "ignoring %s: %s; running serial" % (ENV_WORKERS, err),
             RuntimeWarning,
             stacklevel=2,
         )

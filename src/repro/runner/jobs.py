@@ -24,7 +24,7 @@ import inspect
 import json
 import time
 
-from ..errors import ConfigError
+from ..errors import ConfigError, FaultError
 from ..obs import telemetry
 
 #: Engine telemetry: simulated-event and wall-time totals per job,
@@ -69,6 +69,11 @@ _OVERRIDES = {
     "ple_window": "ple",
     "pv_spin_rounds": "pv_spin_rounds",
 }
+
+#: The normal-pool backend a job runs under when its overrides name
+#: none (Xen credit1, the paper's baseline). An override naming it
+#: spells the same simulation, so :meth:`SimJob.spec` leaves it out.
+DEFAULT_SCHEDULER = "credit"
 
 
 def _scenario_builders():
@@ -153,12 +158,17 @@ class SimJob:
     faults: dict = None
 
     def spec(self):
-        """The canonical, tag-free description — the cache identity."""
+        """The canonical, tag-free description — the cache identity.
+        An override naming :data:`DEFAULT_SCHEDULER` is left out: with
+        or without it, the job is the same simulation."""
+        overrides = self.overrides
+        if overrides.get("scheduler") == DEFAULT_SCHEDULER:
+            overrides = {k: v for k, v in overrides.items() if k != "scheduler"}
         spec = {
             "scenario": self.scenario,
             "scenario_kwargs": self.scenario_kwargs,
             "policy": self.policy,
-            "overrides": self.overrides,
+            "overrides": overrides,
             "seed": self.seed,
             "duration_ns": self.duration_ns,
             "warmup_ns": self.warmup_ns,
@@ -181,23 +191,44 @@ class SimJob:
         return cls(**payload)
 
 
-def _is_int(value, minimum):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+def _is_int(value, minimum=None):
+    if isinstance(value, bool) or not isinstance(value, int):
+        return False
+    return minimum is None or value >= minimum
+
+
+def check_scheduler(name):
+    """Raise :class:`~repro.errors.ConfigError` unless ``name`` is a
+    registered scheduler backend."""
+    from ..sched import registry as sched_registry
+
+    if not isinstance(name, str):
+        raise ConfigError("override 'scheduler' must be a backend name")
+    sched_registry.get(name)  # raises ConfigError on unknown name
 
 
 def check_job(job):
-    """Raise :class:`~repro.errors.ConfigError` unless :func:`build_system`
-    can build ``job``: a known scenario whose builder accepts the
-    ``scenario_kwargs``, a known workload, a policy mode with its
-    required fields (core counts are ints >= 1, ``user_critical`` a
-    bool, ``adaptive_kwargs`` binds to the controller), a duration
-    >= 1 ns and warmup >= 0, known overrides and scheduler, and trace ``kinds``
-    that are None or a list of strings (unknown kind names are allowed;
-    they simply match nothing). Never rewrites the job — its spec is
-    the cache identity."""
+    """Raise :class:`~repro.errors.ConfigError` unless ``job`` is a spec
+    :func:`build_system` can build: the one set of spec rules, for every
+    front end and every build. Tag, seed, duration, warmup and the
+    object-typed fields have their types; the scenario, its kwargs, the
+    workload, policy mode (with its required fields), overrides and
+    scheduler are known; trace ``kinds`` is None or a list of strings
+    (unknown kinds match nothing); ``faults`` passes
+    :meth:`~repro.faults.FaultPlan.from_dict`. Never rewrites the job:
+    its spec is the cache identity."""
     from ..core.adaptive import AdaptiveController
-    from ..sched import registry as sched_registry
     from ..workloads import registry as workload_registry
+
+    if not (isinstance(job.tag, str) and job.tag):
+        raise ConfigError("'tag' must be a non-empty string")
+    for field, minimum in (("seed", None), ("duration_ns", 1), ("warmup_ns", 0)):
+        if not _is_int(getattr(job, field), minimum):
+            floor = "" if minimum is None else " >= %d" % minimum
+            raise ConfigError("%r must be an integer%s" % (field, floor))
+    for field in ("scenario_kwargs", "policy", "overrides"):
+        if not isinstance(getattr(job, field), dict):
+            raise ConfigError("%r must be an object" % field)
 
     builders = _scenario_builders()
     builder = builders.get(job.scenario) if isinstance(job.scenario, str) else None
@@ -216,7 +247,7 @@ def check_job(job):
             % (workload, ", ".join(workload_registry.available()))
         )
 
-    policy = job.policy or {"mode": "baseline"}
+    policy = job.policy
     mode = policy.get("mode", "baseline")
     if not isinstance(mode, str) or mode not in POLICY_MODES:
         raise ConfigError(
@@ -234,28 +265,52 @@ def check_job(job):
         inspect.signature(AdaptiveController).bind(**policy.get("adaptive_kwargs", {}))
     except TypeError as err:
         raise ConfigError("policy 'adaptive_kwargs': %s" % err) from None
-    for field, minimum in (("duration_ns", 1), ("warmup_ns", 0)):
-        if not _is_int(getattr(job, field), minimum):
-            raise ConfigError("%r must be an integer >= %d" % (field, minimum))
 
-    unknown = sorted(set(job.overrides or {}) - set(_OVERRIDES))
+    unknown = sorted(set(job.overrides) - set(_OVERRIDES))
     if unknown:
         raise ConfigError(
             "unknown scenario overrides %r (unknown override names; allowed: %s)"
             % (unknown, ", ".join(_OVERRIDES))
         )
-    scheduler = (job.overrides or {}).get("scheduler")
-    if scheduler is not None:
-        if not isinstance(scheduler, str):
-            raise ConfigError("override 'scheduler' must be a backend name")
-        sched_registry.get(scheduler)  # raises ConfigError on unknown name
+    if "scheduler" in job.overrides:
+        check_scheduler(job.overrides["scheduler"])
 
     if job.trace is not None:
+        if not (isinstance(job.trace, dict) and set(job.trace) <= {"kinds"}):
+            raise ConfigError("'trace' must be an object with an optional 'kinds' list")
         kinds = job.trace.get("kinds")
         if kinds is not None and not (
             isinstance(kinds, list) and all(isinstance(kind, str) for kind in kinds)
         ):
             raise ConfigError("trace 'kinds' must be null or a list of strings")
+
+    if job.faults is not None:
+        from ..faults import FaultPlan
+
+        try:
+            FaultPlan.from_dict(job.faults)
+        except FaultError as err:
+            raise ConfigError("faults: %s" % err) from None
+
+
+def apply_options(job, trace=None, faults=None, scheduler=None):
+    """Apply the cross-cutting run options to ``job`` in place: the one
+    way every front end does it, so one request spells one spec. A
+    ``scheduler`` is validated and pinned with ``setdefault`` (a job
+    that names a backend keeps it); ``trace`` is copied in; ``faults``
+    (a built-in name, plan-JSON path, plan dict or
+    :class:`~repro.faults.FaultPlan`) goes to a job that has none, in
+    canonical :meth:`~repro.faults.FaultPlan.to_dict` form, a built-in
+    name scaled to the job's warmup + duration."""
+    if scheduler is not None:
+        check_scheduler(scheduler)
+        job.overrides.setdefault("scheduler", scheduler)
+    if trace is not None:
+        job.trace = dict(trace)
+    if faults is not None and job.faults is None:
+        from ..faults import resolve_plan
+
+        job.faults = resolve_plan(faults, job.warmup_ns + job.duration_ns).to_dict()
 
 
 def build_system(job):
@@ -267,7 +322,7 @@ def build_system(job):
     from ..hw.ple import PleConfig
 
     check_job(job)
-    policy = job.policy or {"mode": "baseline"}
+    policy = job.policy
     mode = policy.get("mode", "baseline")
     scenario = _scenario_builders()[job.scenario](seed=job.seed, **job.scenario_kwargs)
     if mode == "static":
@@ -280,7 +335,7 @@ def build_system(job):
             **policy.get("adaptive_kwargs", {})
         )
 
-    for name, value in (job.overrides or {}).items():
+    for name, value in job.overrides.items():
         if name == "ple_window":
             value = PleConfig(window=value)
         setattr(scenario, _OVERRIDES[name], value)

@@ -40,19 +40,20 @@ The :class:`JobManager` owns them end to end:
 """
 
 import asyncio
+import dataclasses
 import functools
 import itertools
 import threading
 import time
 import warnings
 
-from ..errors import ConfigError, ReproError
+from ..errors import ReproError
 from ..experiments import registry as experiment_registry
 from ..experiments.results import RunResult
 from ..obs import telemetry
 from ..runner import cache as result_cache
 from ..runner import costmodel, execute_many
-from ..runner.jobs import SimJob, check_job
+from ..runner.jobs import SimJob, apply_options, check_job
 from ..runner.pool import WorkerPool
 
 _SUBMITTED = telemetry.counter("serve.submissions.accepted")
@@ -86,8 +87,7 @@ _EXPERIMENT_KEYS = ("experiment", "seed", "scale", "scheduler", "faults")
 _DRIVER_KEYS = ("policies", "hosts", "epochs", "rate", "overcommit",
                 "migration_cost_ms")
 #: Keys a raw SimJob submission may carry.
-_JOB_KEYS = ("tag", "scenario", "duration_ns", "warmup_ns", "seed",
-             "scenario_kwargs", "policy", "overrides", "trace", "faults")
+_JOB_KEYS = tuple(field.name for field in dataclasses.fields(SimJob))
 
 #: Hard ceiling on one raw job's simulated horizon (warmup + duration):
 #: 10 simulated seconds is ~40x the longest registry experiment job and
@@ -104,14 +104,12 @@ def _require(condition, detail):
         raise ValidationError(detail)
 
 
-def _int_field(payload, key, default, minimum=None, maximum=None):
+def _int_field(payload, key, default, minimum=None):
     value = payload.get(key, default)
     _require(isinstance(value, int) and not isinstance(value, bool),
              "%r must be an integer" % key)
     if minimum is not None:
         _require(value >= minimum, "%r must be >= %d" % (key, minimum))
-    if maximum is not None:
-        _require(value <= maximum, "%r must be <= %d" % (key, maximum))
     return value
 
 
@@ -145,17 +143,13 @@ def _check_horizon(tag, horizon_ns):
 
 
 def _validate_faults(faults):
-    """A fault request: builtin plan name or canonical plan dict."""
-    if faults is None:
-        return None
+    """Service policy for a fault request: a built-in plan name or a
+    plan dict, never a path on the server."""
     from ..faults import builtin_plans
 
-    if isinstance(faults, str):
-        _require(faults in builtin_plans(),
-                 "unknown fault plan %r (available: %s)"
-                 % (faults, ", ".join(builtin_plans())))
-        return faults
-    _require(isinstance(faults, dict), "'faults' must be a plan name or dict")
+    _require(faults is None or isinstance(faults, dict) or faults in builtin_plans(),
+             "unknown fault plan %r (a plan dict, or one of: %s)"
+             % (faults, ", ".join(builtin_plans())))
     return faults
 
 
@@ -186,9 +180,6 @@ def compile_experiment(payload):
     kwargs = {"seed": _int_field(payload, "seed", 42), "scale_override": None}
     if payload.get("scale") is not None:
         kwargs["scale_override"] = _number_field(payload, "scale", None, minimum=0.0)
-    scheduler = payload.get("scheduler")
-    _require(scheduler is None or isinstance(scheduler, str),
-             "'scheduler' must be a backend name")
     faults = _validate_faults(payload.get("faults"))
     if "policies" in payload:
         from ..fleet import placement
@@ -211,7 +202,7 @@ def compile_experiment(payload):
 
     try:
         prepared = experiment_registry.prepare(
-            name, faults=faults, scheduler=scheduler, **kwargs
+            name, faults=faults, scheduler=payload.get("scheduler"), **kwargs
         )
     except ReproError as err:
         raise ValidationError(str(err))
@@ -228,60 +219,30 @@ def compile_experiment(payload):
 
 
 def compile_job(payload):
-    """Validate a raw SimJob submission — JSON types and the service
-    horizon here, the spec itself through
-    :func:`repro.runner.jobs.check_job` — and compile it to
-    :class:`Work`."""
+    """Validate a raw SimJob submission and compile it to :class:`Work`.
+    The spec rules are :func:`repro.runner.jobs.check_job`'s, and
+    :func:`~repro.runner.jobs.apply_options` stores the fault plan in
+    canonical form. This adds only service policy: no unknown keys,
+    faults by built-in name or as a dict (never a server-side path),
+    and the horizon limit."""
     _require(isinstance(payload, dict), "expected a JSON object")
     unknown = sorted(set(payload) - set(_JOB_KEYS))
     _require(not unknown, "unknown field(s) %s (allowed: %s)"
              % (", ".join(map(repr, unknown)), ", ".join(_JOB_KEYS)))
-
-    tag = payload.get("tag", "job")
-    _require(isinstance(tag, str) and tag, "'tag' must be a non-empty string")
-    duration_ns = _int_field(payload, "duration_ns", None, minimum=1)
-    warmup_ns = _int_field(payload, "warmup_ns", 0, minimum=0)
-    _check_horizon(tag, warmup_ns + duration_ns)
-    seed = _int_field(payload, "seed", 42)
-
-    scenario_kwargs = payload.get("scenario_kwargs", {})
-    _require(isinstance(scenario_kwargs, dict), "'scenario_kwargs' must be an object")
-    policy = payload.get("policy", {"mode": "baseline"})
-    _require(isinstance(policy, dict), "'policy' must be an object")
-    overrides = payload.get("overrides", {})
-    _require(isinstance(overrides, dict), "'overrides' must be an object")
-    trace = payload.get("trace")
-    if trace is not None:
-        _require(isinstance(trace, dict) and set(trace) <= {"kinds"},
-                 "'trace' must be an object with an optional 'kinds' list")
-
-    faults = _validate_faults(payload.get("faults"))
-    if isinstance(faults, str):
-        from ..faults import resolve_plan
-
-        faults = resolve_plan(faults, warmup_ns + duration_ns).to_dict()
-
-    job = SimJob(
-        tag=tag,
-        scenario=payload.get("scenario"),
-        duration_ns=duration_ns,
-        warmup_ns=warmup_ns,
-        seed=seed,
-        scenario_kwargs=dict(scenario_kwargs),
-        policy=dict(policy),
-        overrides=dict(overrides),
-        trace=dict(trace) if trace is not None else None,
-        faults=faults,
-    )
+    fields = dict(payload)
+    faults = _validate_faults(fields.pop("faults", None))
+    job = SimJob(**dict({"tag": "job", "scenario": None, "duration_ns": None}, **fields))
     try:
         check_job(job)
-    except ConfigError as err:
+        apply_options(job, faults=faults)
+    except ReproError as err:
         raise ValidationError(str(err))
+    _check_horizon(job.tag, job.warmup_ns + job.duration_ns)
 
     def finalize(by_tag):
-        return {"payload": by_tag[tag].to_dict()}
+        return {"payload": by_tag[job.tag].to_dict()}
 
-    return Work("job", "%s:%s" % (job.scenario, tag), jobs=[job], finalize=finalize)
+    return Work("job", "%s:%s" % (job.scenario, job.tag), jobs=[job], finalize=finalize)
 
 
 class Submission:

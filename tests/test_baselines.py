@@ -38,7 +38,7 @@ class TestPlan:
 
     def test_scheduler_override_only_for_backend_schemes(self):
         jobs = {job.tag: job for job in baselines.plan(scale_override=SCALE)}
-        assert "scheduler" not in jobs["credit:gmake:swaptions"].overrides
+        assert jobs["credit:gmake:swaptions"].overrides["scheduler"] == "credit"
         assert "scheduler" not in jobs["micro_pool:gmake:swaptions"].overrides
         assert jobs["cosched:gmake:swaptions"].overrides["scheduler"] == "cosched"
         assert jobs["shortslice:exim:memclone"].overrides["scheduler"] == "shortslice"
@@ -136,6 +136,27 @@ class TestRegistryWiring:
     def test_registry_scheduler_kwarg_validated_up_front(self):
         with pytest.raises(ConfigError, match="unknown scheduler"):
             registry.run("baselines", scheduler="warp9")
+
+    @pytest.mark.parametrize("scheduler", ["credit2", "shortslice", "credit"])
+    def test_scheduler_option_moves_only_the_micro_pool_cells(self, scheduler):
+        """``--scheduler`` must not relabel the matrix: each backend
+        column keeps its own backend (``credit`` stays the paper's
+        Xen-credit baseline); only ``micro_pool`` follows the option."""
+        jobs = registry.prepare("baselines", scale_override=SCALE, scheduler=scheduler).jobs
+        for job in jobs:
+            scheme = job.tag.split(":")[0]
+            expected = scheduler if scheme == "micro_pool" else scheme
+            assert job.overrides["scheduler"] == expected, job.tag
+
+    def test_default_backend_cells_keep_their_cache_keys(self):
+        """The ``credit`` cells now name their backend, and the cache
+        identity drops the default, so their keys are the unpinned ones."""
+        from repro.runner import cache
+
+        for job in baselines.plan(scale_override=SCALE, schemes=("credit",)):
+            bare = SimJob(**dict(job.to_dict(), overrides={}))
+            assert job.overrides == {"scheduler": "credit"}
+            assert cache.job_key(job) == cache.job_key(bare)
 
     def test_normal_slice_override_removed(self):
         # The pre-sched ablation hack must be gone: jobs carrying it are

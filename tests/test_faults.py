@@ -20,8 +20,8 @@ from repro.faults import (
     resolve_plan,
 )
 from repro.guest.symbols import USER_IP, build_table
-from repro.runner import SimJob, execute
-from repro.runner.jobs import run_job
+from repro.runner import SimJob, cache, execute
+from repro.runner.jobs import check_job, run_job
 from repro.sim.engine import Simulator
 from repro.sim.time import ms, us
 
@@ -76,6 +76,20 @@ class TestFaultPlan:
             ]}
         )
         assert nested.canonical() == flat.canonical()
+
+    def test_mixed_params_leave_the_input_unchanged(self):
+        """``check_job`` validates a job's plan through ``from_dict`` and
+        must never rewrite the job: its spec is the cache key."""
+        raw = {"name": "p", "faults": [
+            {"kind": "ipi_drop", "at_ms": 1, "until_ms": 5,
+             "params": {"prob": 0.3}, "max_resends": 2},
+        ]}
+        job = SimJob(tag="t", scenario="solo", scenario_kwargs={"workload_kind": "gmake"},
+                     duration_ns=ms(4), faults=json.loads(json.dumps(raw)))
+        key = cache.job_key(job)
+        check_job(job)
+        assert job.faults == raw
+        assert cache.job_key(job) == key
 
     def test_ms_and_ns_times_equivalent(self):
         by_ms = FaultPlan.from_dict(

@@ -3,6 +3,7 @@ the simulation moves, and damaged entries must degrade to a re-run,
 never to a crash or a wrong result — even under concurrent writers.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -30,6 +31,27 @@ def _job(**overrides):
     )
     spec.update(overrides)
     return SimJob(**spec)
+
+
+#: A job spec that sets every optional field, so each one is a key of
+#: ``SimJob.spec()``, and one fixed change per key.
+_FULL = dict(
+    overrides={"ple_window": 1000},
+    trace={"kinds": ["deschedule"]},
+    faults={"name": "p", "description": "", "seed_salt": 0,
+            "faults": [{"kind": "stale_profile", "at_ns": ms(1), "params": {}}]},
+)
+_IDENTITY_CHANGES = {
+    "scenario": "corun",
+    "scenario_kwargs": {"workload_kind": "exim"},
+    "policy": static_policy(2),
+    "overrides": {"ple_window": 2000},
+    "seed": 8,
+    "duration_ns": ms(13),
+    "warmup_ns": ms(2),
+    "trace": {"kinds": None},
+    "faults": dict(_FULL["faults"], seed_salt=1),
+}
 
 
 def _counter(name):
@@ -71,6 +93,18 @@ class TestKeying:
     def test_identical_jobs_share_a_key(self):
         assert cache.job_key(_job()) == cache.job_key(_job())
 
+    @pytest.mark.parametrize("field", sorted(_job(**_FULL).spec()))
+    def test_every_identity_field_moves_the_key(self, field):
+        """Cache-key completeness: each key of ``spec()`` has a fixed
+        example (a new field without one fails here), and changing it
+        changes the key."""
+        changed = _job(**dict(_FULL, **{field: _IDENTITY_CHANGES[field]}))
+        assert cache.job_key(changed) != cache.job_key(_job(**_FULL))
+
+    def test_every_field_but_the_tag_is_in_the_identity(self):
+        fields = {field.name for field in dataclasses.fields(SimJob)}
+        assert set(_job(**_FULL).spec()) == fields - {"tag"}
+
     def test_tag_is_not_part_of_the_identity(self):
         # Two experiments asking for the same physical point under
         # different tags must share one cache entry.
@@ -91,6 +125,13 @@ class TestKeying:
     )
     def test_any_spec_change_misses(self, change):
         assert cache.job_key(_job()) != cache.job_key(_job(**change))
+
+    def test_default_backend_override_is_the_plain_job(self):
+        """Naming the default backend spells the same simulation, so it
+        must hit the same entry; the job keeps what it was given."""
+        named = _job(overrides={"scheduler": "credit", "ple_window": 1000})
+        assert cache.job_key(named) == cache.job_key(_job(overrides={"ple_window": 1000}))
+        assert named.overrides["scheduler"] == "credit"
 
     def test_backends_never_share_an_entry(self):
         # A stale cross-backend hit would silently return credit results

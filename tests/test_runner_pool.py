@@ -79,6 +79,14 @@ class TestDefaultWorkers:
         with pytest.warns(RuntimeWarning, match="banana"):
             assert executor_mod.default_workers() == 1
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_non_positive_warns_like_garbage(self, monkeypatch, raw):
+        """One grammar with ``--workers``: a count below 1 is invalid
+        there, so here it warns and runs serial instead of silently."""
+        monkeypatch.setenv(executor_mod.ENV_WORKERS, raw)
+        with pytest.warns(RuntimeWarning, match="positive integer"):
+            assert executor_mod.default_workers() == 1
+
 
 class TestPersistentPool:
     def test_pool_reused_across_execute_calls(self, tmp_path):
