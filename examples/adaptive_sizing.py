@@ -11,8 +11,7 @@ based them on.
 Run:  python examples/adaptive_sizing.py
 """
 
-from repro import corun_scenario
-from repro.core.policy import PolicySpec
+from repro import corun_scenario, dynamic_policy
 from repro.metrics.report import render_table
 from repro.metrics.timeline import TimelineSampler, standard_probes
 from repro.sim.time import fmt, ms
@@ -23,7 +22,7 @@ DURATION = ms(600)
 def main():
     scenario = corun_scenario(
         "dedup",
-        policy=PolicySpec.dynamic(epoch_interval=ms(200)),
+        policy=dynamic_policy(epoch_interval=ms(200)),
         seed=42,
     )
     system = scenario.build()

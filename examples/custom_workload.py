@@ -14,6 +14,7 @@ primitive actions / guest-kernel composites.
 Run:  python examples/custom_workload.py
 """
 
+from repro import baseline_policy, dynamic_policy
 from repro.experiments import common
 from repro.experiments.scenarios import Scenario
 from repro.guest import mm
@@ -72,13 +73,11 @@ def run_config(label, policy):
 
 
 def main():
-    from repro.core.policy import PolicySpec
-
     rows = [
-        run_config("baseline", PolicySpec.baseline()),
+        run_config("baseline", baseline_policy()),
         run_config(
             "dynamic micro-slicing",
-            PolicySpec.dynamic(epoch_interval=common.DYNAMIC_EPOCH),
+            dynamic_policy(epoch_interval=common.DYNAMIC_EPOCH),
         ),
     ]
     print(render_table(

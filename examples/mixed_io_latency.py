@@ -11,7 +11,7 @@ recipient to a 0.1 ms-sliced core at relay time.
 Run:  python examples/mixed_io_latency.py
 """
 
-from repro import PolicySpec, mixed_io_scenario, solo_io_scenario
+from repro import mixed_io_scenario, solo_io_scenario, static_policy
 from repro.metrics.report import render_table
 from repro.sim.time import ms
 
@@ -38,7 +38,7 @@ def main():
             run_case("mixed baseline", mixed_io_scenario(mode=mode, seed=42)),
             run_case(
                 "mixed + micro-sliced",
-                mixed_io_scenario(mode=mode, policy=PolicySpec.static(1), seed=42),
+                mixed_io_scenario(mode=mode, policy=static_policy(1), seed=42),
             ),
         ]
         print(

@@ -13,7 +13,7 @@ VM on 12 pCPUs — and compares three hypervisor configurations:
 Run:  python examples/quickstart.py
 """
 
-from repro import PolicySpec, corun_scenario
+from repro import baseline_policy, corun_scenario, dynamic_policy, static_policy
 from repro.experiments import common
 from repro.metrics.report import render_table
 from repro.sim.time import ms
@@ -38,9 +38,9 @@ def run_config(label, policy):
 
 def main():
     configs = [
-        run_config("baseline", PolicySpec.baseline()),
-        run_config("static (1 core)", PolicySpec.static(1)),
-        run_config("dynamic", PolicySpec.dynamic(epoch_interval=common.DYNAMIC_EPOCH)),
+        run_config("baseline", baseline_policy()),
+        run_config("static (1 core)", static_policy(1)),
+        run_config("dynamic", dynamic_policy(epoch_interval=common.DYNAMIC_EPOCH)),
     ]
     base = configs[0]["exim"]
     rows = [

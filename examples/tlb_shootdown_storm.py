@@ -13,7 +13,7 @@ workload class, two-three cores are the sweet spot.
 Run:  python examples/tlb_shootdown_storm.py
 """
 
-from repro import PolicySpec, corun_scenario
+from repro import baseline_policy, corun_scenario, static_policy
 from repro.metrics.report import render_table
 from repro.sim.time import ms
 
@@ -22,7 +22,7 @@ WARMUP = ms(120)
 
 
 def run_with_cores(cores):
-    policy = PolicySpec.baseline() if cores == 0 else PolicySpec.static(cores)
+    policy = baseline_policy() if cores == 0 else static_policy(cores)
     system = corun_scenario("vips", policy=policy, seed=42).build()
     result = system.run(DURATION, warmup_ns=WARMUP)
     tlb = result.tlb_stats["vm1"]

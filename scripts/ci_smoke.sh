@@ -49,6 +49,13 @@ python -m repro.tools.payload_manifest --verify
 step "manifest: byte-identical through the worker pool"
 REPRO_RUNNER_WORKERS=2 python -m repro.tools.payload_manifest --verify --quiet
 
+# -- README examples on the public Scenario API --------------------------
+step "examples: quickstart and mixed I/O latency run"
+python "$ROOT/examples/quickstart.py" > quickstart.txt
+grep -q "static (1 core)" quickstart.txt
+python "$ROOT/examples/mixed_io_latency.py" > mixed_io_latency.txt
+grep -q "mixed + micro-sliced" mixed_io_latency.txt
+
 # -- traced fig7: trace, progress and telemetry from one run ------------
 step "traced fig7 with live progress"
 # REPRO_TRACE_DEBUG=1 keeps trace-record schema validation exercised.

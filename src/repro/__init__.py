@@ -15,7 +15,6 @@ Public surface:
   harnesses.
 """
 
-from .core.policy import PolicySpec
 from .experiments.scenarios import (
     Scenario,
     corun_scenario,
@@ -23,15 +22,22 @@ from .experiments.scenarios import (
     solo_io_scenario,
     solo_scenario,
 )
+from .runner import baseline_policy, dynamic_policy, static_policy
+from .runner import vtrs_policy, vturbo_policy, yield_only_policy
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "PolicySpec",
     "Scenario",
     "__version__",
+    "baseline_policy",
     "corun_scenario",
+    "dynamic_policy",
     "mixed_io_scenario",
     "solo_io_scenario",
     "solo_scenario",
+    "static_policy",
+    "vtrs_policy",
+    "vturbo_policy",
+    "yield_only_policy",
 ]

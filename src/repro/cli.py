@@ -29,14 +29,10 @@ from .workloads import registry as workload_registry
 
 def _parse_policy(text):
     """Parse ``baseline`` / ``static:N`` / ``dynamic`` into a job
-    policy dict."""
-    if text == "baseline":
-        return runner.baseline_policy()
-    if text == "dynamic":
-        return common.scheme_policy("dynamic")
-    count = text[len("static:"):]
-    if text.startswith("static:") and count.isdigit():
-        return runner.static_policy(int(count))
+    policy dict (:func:`~repro.experiments.common.scheme_policy`)."""
+    label, _, count = text.partition(":")
+    if text in ("baseline", "dynamic") or (label == "static" and count.isdigit()):
+        return common.scheme_policy(label, int(count or 0))
     raise ReproError("unknown policy %r (baseline | static:N | dynamic)" % text)
 
 
@@ -75,22 +71,22 @@ def _cmd_schedulers(_args):
 
 
 def _experiment_name(text):
-    """Validate one ``repro run`` experiment argument."""
-    if text not in registry.available():
-        raise argparse.ArgumentTypeError(
-            "unknown experiment %r (available: %s)"
-            % (text, ", ".join(registry.available()))
-        )
+    """One ``repro run`` experiment argument (:func:`registry.get`'s rule)."""
+    registry.get(text)
     return text
 
 
-def _parse_workers(text):
-    """``--workers`` argument: :func:`repro.runner.parse_workers` with
-    an ``argparse``-friendly error."""
-    try:
-        return runner.parse_workers(text)
-    except ConfigError as err:
-        raise argparse.ArgumentTypeError(str(err))
+def _arg_type(parse):
+    """An ``argparse`` ``type=`` for ``parse``, the one grammar of a flag
+    and its environment variable, with an ``argparse``-friendly error."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ConfigError as err:
+            raise argparse.ArgumentTypeError(str(err))
+
+    return convert
 
 
 class _ProgressLine:
@@ -323,9 +319,8 @@ def _cmd_sweep(args):
 def _cmd_compare(args):
     return _corun_table(
         args,
-        [("baseline", runner.baseline_policy()),
-         ("static:%d" % args.cores, runner.static_policy(args.cores)),
-         ("dynamic", common.scheme_policy("dynamic"))],
+        [(label, _parse_policy(label))
+         for label in ("baseline", "static:%d" % args.cores, "dynamic")],
         ["policy", "migrations", "final cores"],
         "Policy comparison: %s + swaptions",
         lambda result: [result.hv_counters.get("migrations", 0), result.micro_cores],
@@ -441,7 +436,7 @@ def build_parser():
     # experiment-run flags (run, fleet).
     exec_parent = argparse.ArgumentParser(add_help=False)
     exec_parent.add_argument(
-        "--workers", type=_parse_workers, default=None, metavar="N|auto",
+        "--workers", type=_arg_type(runner.parse_workers), default=None, metavar="N|auto",
         help="simulation worker processes; 'auto' = one per CPU "
         "(default: REPRO_RUNNER_WORKERS or 1)")
     exec_parent.add_argument(
@@ -449,7 +444,7 @@ def build_parser():
         help="ignore and do not write the on-disk result cache")
     experiment_parent = argparse.ArgumentParser(add_help=False)
     experiment_parent.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_arg_type(common.parse_scale), default=None,
         help="duration multiplier (default: REPRO_BENCH_SCALE or 1.0)")
     experiment_parent.add_argument(
         "--progress", action="store_true",
@@ -465,7 +460,7 @@ def build_parser():
     # Per-item validation via type=, not choices=: argparse (< 3.12)
     # rejects an empty nargs="*" list against choices, which would
     # break bare `repro run --all`.
-    run_p.add_argument("experiment", nargs="*", type=_experiment_name,
+    run_p.add_argument("experiment", nargs="*", type=_arg_type(_experiment_name),
                        default=[], metavar="EXPERIMENT",
                        help="experiment name(s) out of: %s; multiple "
                        "experiments share one worker pool and one cache "

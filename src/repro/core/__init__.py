@@ -4,7 +4,6 @@ from .comparators import VTrsPolicy, VTurboPolicy
 from .adaptive import EPOCH_INTERVAL, NUM_LIMIT_UCORES, PROFILE_INTERVAL, AdaptiveController
 from .detection import CriticalServiceDetector, Detection
 from .microslice import MicroSliceEngine
-from .policy import BASELINE, DYNAMIC, STATIC, PolicySpec
 from .usercrit import USER_CRITICAL, UserAwareDetector, UserCriticalRegistry, enable_user_critical
 from .whitelist import CRITICAL_SYMBOLS, SIBLING_CLASSES, CriticalClass, classify, is_critical
 
@@ -12,22 +11,18 @@ __all__ = [
     "AdaptiveController",
     "VTrsPolicy",
     "VTurboPolicy",
-    "BASELINE",
     "CRITICAL_SYMBOLS",
     "CriticalClass",
     "CriticalServiceDetector",
-    "DYNAMIC",
     "Detection",
     "EPOCH_INTERVAL",
     "MicroSliceEngine",
     "NUM_LIMIT_UCORES",
     "PROFILE_INTERVAL",
-    "PolicySpec",
     "SIBLING_CLASSES",
     "USER_CRITICAL",
     "UserAwareDetector",
     "UserCriticalRegistry",
-    "STATIC",
     "classify",
     "enable_user_critical",
     "is_critical",

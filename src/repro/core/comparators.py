@@ -19,11 +19,16 @@ comparator helps the symptom it was designed for and misses the others.
   (the repro.sched backend with a 100 µs slice on every core).
 """
 
+from ..hypervisor.hypervisor import NullPolicy
 from ..sim.time import ms
 
 
-class VTurboPolicy:
-    """Statically dedicate turbo cores to the VMs' I/O (IRQ) vCPUs."""
+class VTurboPolicy(NullPolicy):
+    """Statically dedicate turbo cores to the VMs' I/O (IRQ) vCPUs.
+
+    vTurbo has no dynamic hooks (it keeps the null policy's no-ops): the
+    dedication is static and the guest (not the hypervisor) decides what
+    runs on the turbo core."""
 
     active = True
 
@@ -41,17 +46,6 @@ class VTurboPolicy:
             net = domain.kernel.net
             if net is not None:
                 self.hv.make_micro_resident(net.irq_vcpu)
-
-    # vTurbo has no dynamic hooks: the dedication is static and the
-    # guest (not the hypervisor) decides what runs on the turbo core.
-    def on_yield(self, vcpu, cause, detail):
-        pass
-
-    def on_vipi(self, src, dst, op):
-        pass
-
-    def on_virq(self, vcpu):
-        pass
 
 
 class VTrsPolicy:

@@ -92,11 +92,15 @@ def plan(seed=42, scale_override=None, schemes=SCHEMES, workloads=WORKLOADS):
     return jobs
 
 
-def _geomean(values):
-    safe = [max(v, 1e-9) for v in values]
-    if not safe:
-        return 1.0
-    return math.exp(sum(math.log(v) for v in safe) / len(safe))
+def _geomean(pairs):
+    """Geometric mean of ``rate / base_rate`` over ``(base_rate, rate)``
+    cells, or None when no cell was measured. A cell with a zero rate on
+    either side (a short run can finish 0 units) has no measured ratio
+    and is left out, so it cannot pin the column to 0 or inf."""
+    ratios = [rate / base for base, rate in pairs if base > 0 and rate > 0]
+    if not ratios:
+        return None
+    return math.exp(sum(math.log(v) for v in ratios) / len(ratios))
 
 
 def _lock_wait(res, domain="vm1"):
@@ -158,14 +162,14 @@ def reduce(results):
         if cpu is not None and base is not None:
             target_x = _geomean(
                 [
-                    common.improvement(base["target_rates"][k], rate)
+                    (base["target_rates"][k], rate)
                     for k, rate in cpu["target_rates"].items()
                     if k in base["target_rates"]
                 ]
             )
             corunner_x = _geomean(
                 [
-                    common.improvement(base["corunner_rates"][k], rate)
+                    (base["corunner_rates"][k], rate)
                     for k, rate in cpu["corunner_rates"].items()
                     if k in base["corunner_rates"]
                 ]
@@ -222,10 +226,10 @@ def _ordering(out):
         # Short slices everywhere tax the CPU-bound co-runner; the
         # micro-sliced pool confines short slices to the cores that
         # need them.
-        checks["shortslice_taxes_corunner"] = short["corunner_x"] < 1.0
+        checks["shortslice_taxes_corunner"] = common.claim(lambda: short["corunner_x"] < 1.0)
     if short and micro:
-        checks["micro_pool_spares_corunner"] = (
-            micro["corunner_x"] > short["corunner_x"]
+        checks["micro_pool_spares_corunner"] = common.claim(
+            lambda: micro["corunner_x"] > short["corunner_x"]
         )
     if cosched and credit:
         # Gang scheduling removes sibling-inflicted spin/yields but
@@ -247,9 +251,13 @@ def _ordering(out):
     if micro:
         # Only the paper's scheme improves the target workloads without
         # the above costs.
-        checks["micro_pool_improves_target"] = micro["target_x"] > 1.0
+        checks["micro_pool_improves_target"] = common.claim(lambda: micro["target_x"] > 1.0)
         checks["micro_pool_no_gang_idle"] = micro["gang_idles"] == 0
     return checks
+
+
+def _ratio(value):
+    return "n/a" if value is None else "%.2fx" % value
 
 
 def format_result(results):
@@ -261,8 +269,8 @@ def format_result(results):
         rows.append(
             [
                 scheme,
-                "%.2fx" % entry["target_x"],
-                "%.2fx" % entry["corunner_x"],
+                _ratio(entry["target_x"]),
+                _ratio(entry["corunner_x"]),
                 entry["yields"],
                 "%.1f" % entry["lock_wait_us"],
                 "%.1f" % entry["tlb_sync_us"],

@@ -6,9 +6,10 @@ sub-second windows that still cover dozens of 30 ms scheduling rounds.
 stable statistics at 4x wall cost).
 """
 
-import os
+import math
 
-from ..runner import baseline_policy, dynamic_policy, static_policy
+from ..errors import ConfigError
+from ..runner import baseline_policy, dynamic_policy, env_setting, static_policy
 from ..sim.time import ms
 
 #: Default simulated durations (before scaling).
@@ -27,13 +28,23 @@ DYNAMIC_DURATION = ms(500)
 DYNAMIC_EPOCH = ms(200)
 
 
-def scale():
-    """Global duration multiplier from ``REPRO_BENCH_SCALE``."""
+def parse_scale(text):
+    """Text -> a duration multiplier: a finite number > 0, the rule
+    serve applies to ``scale``. The one grammar of ``--scale`` and
+    ``REPRO_BENCH_SCALE``; anything else raises ConfigError."""
     try:
-        value = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+        value = float(text)
     except ValueError:
-        return 1.0
-    return max(value, 0.01)
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ConfigError("expected a number > 0, got %r" % text)
+    return value
+
+
+def scale():
+    """Global duration multiplier from ``REPRO_BENCH_SCALE``
+    (:func:`parse_scale`); unset, empty or invalid means 1.0."""
+    return max(env_setting("REPRO_BENCH_SCALE", parse_scale, 1.0, "running at scale 1.0"), 0.01)
 
 
 def scaled(duration_ns, scale_override=None):

@@ -14,11 +14,11 @@ reproduces the Figure 9 pinned single-vCPU setup.
 
 from dataclasses import dataclass, field
 
-from ..core.policy import PolicySpec
 from ..hw.costs import CostModel
 from ..hw.ple import PleConfig
 from ..hypervisor.hypervisor import Hypervisor
-from ..runner.jobs import DEFAULT_SCHEDULER
+from ..runner.jobs import DEFAULT_MICRO_SLICE, DEFAULT_PV_SPIN_ROUNDS, DEFAULT_SCHEDULER
+from ..runner.jobs import baseline_policy, install_policy
 from ..sim.rng import RngHub
 from ..sim.engine import Simulator
 from ..sim.trace import Tracer
@@ -63,19 +63,22 @@ class VmSpec:
 
 @dataclass
 class Scenario:
-    """A full experiment configuration."""
+    """A full experiment configuration. ``policy`` is a job policy dict
+    (baseline by default) that ``build()`` installs through
+    :data:`repro.runner.jobs.POLICY_MODES`, after the workloads and
+    before the fault injector."""
 
     name: str = "scenario"
     num_pcpus: int = 12
     vms: list = field(default_factory=list)
-    policy: PolicySpec = field(default_factory=PolicySpec.baseline)
+    policy: dict = field(default_factory=baseline_policy)
     seed: int = 42
     #: Normal-pool scheduler backend name (repro.sched registry).
     scheduler: str = DEFAULT_SCHEDULER
-    micro_slice: int = None
+    micro_slice: int = DEFAULT_MICRO_SLICE
     costs: CostModel = None
     ple: PleConfig = None
-    pv_spin_rounds: int = 1
+    pv_spin_rounds: int = DEFAULT_PV_SPIN_ROUNDS
     trace: bool = False
     trace_kinds: tuple = None   # None = all kinds; traces are lossless
     #: Fault plan (a FaultPlan or its dict form) or None. Resolution of
@@ -112,7 +115,7 @@ class Scenario:
                 workload = wl_spec.build()
                 workload.install(domain, hub)
                 workloads["%s:%s" % (domain.name, workload.name)] = workload
-        self.policy.install(hv)
+        install_policy(hv, self.policy)
         if self.faults is not None:
             from ..faults import FaultInjector, FaultPlan
 
@@ -180,7 +183,7 @@ def solo_scenario(workload_kind, policy=None, vcpus=12, num_pcpus=12, seed=42, *
     scenario = Scenario(
         name="solo:%s" % workload_kind,
         num_pcpus=num_pcpus,
-        policy=policy or PolicySpec.baseline(),
+        policy=policy or baseline_policy(),
         seed=seed,
     )
     scenario.add_vm("vm1", vcpus=vcpus).add(workload_kind, **wl_kwargs)
@@ -201,7 +204,7 @@ def corun_scenario(
     scenario = Scenario(
         name="corun:%s+%s" % (workload_kind, corunner_kind),
         num_pcpus=num_pcpus,
-        policy=policy or PolicySpec.baseline(),
+        policy=policy or baseline_policy(),
         seed=seed,
     )
     scenario.add_vm("vm1", vcpus=vcpus).add(workload_kind, **wl_kwargs)
@@ -215,7 +218,7 @@ def mixed_io_scenario(policy=None, mode="tcp", num_pcpus=12, seed=42, **iperf_kw
     scenario = Scenario(
         name="mixed_io:%s" % mode,
         num_pcpus=num_pcpus,
-        policy=policy or PolicySpec.baseline(),
+        policy=policy or baseline_policy(),
         seed=seed,
     )
     vm1 = scenario.add_vm("vm1", vcpus=1, pin_to=(0,))
@@ -239,7 +242,7 @@ def fleet_host_scenario(domains=(), policy=None, num_pcpus=12, seed=42):
     scenario = Scenario(
         name="fleet_host:%d" % len(domains),
         num_pcpus=num_pcpus,
-        policy=policy or PolicySpec.baseline(),
+        policy=policy or baseline_policy(),
         seed=seed,
     )
     for spec in domains:
@@ -254,7 +257,7 @@ def solo_io_scenario(policy=None, mode="tcp", num_pcpus=12, seed=42, **iperf_kwa
     scenario = Scenario(
         name="solo_io:%s" % mode,
         num_pcpus=num_pcpus,
-        policy=policy or PolicySpec.baseline(),
+        policy=policy or baseline_policy(),
         seed=seed,
     )
     scenario.add_vm("vm1", vcpus=1, pin_to=(0,)).add("iperf", mode=mode, **iperf_kwargs)

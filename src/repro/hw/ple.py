@@ -9,9 +9,9 @@ model it: the executor lets a vCPU spin for :attr:`window` nanoseconds
 and then reports a PLE exit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..sim.time import us
+from ..runner.jobs import DEFAULT_PLE_WINDOW
 
 
 @dataclass
@@ -26,7 +26,7 @@ class PleConfig:
     """
 
     enabled: bool = True
-    window: int = field(default_factory=lambda: us(3))
+    window: int = DEFAULT_PLE_WINDOW
 
     def spin_budget(self):
         """How long a vCPU may spin before the hardware traps, or ``None``

@@ -14,11 +14,10 @@ from ..hw.costs import CostModel
 from ..hw.ple import PleConfig
 from ..hw.topology import Topology
 from ..metrics.histogram import HistogramSet
-from ..runner.jobs import DEFAULT_SCHEDULER
+from ..runner.jobs import DEFAULT_MICRO_SLICE, DEFAULT_PV_SPIN_ROUNDS, DEFAULT_SCHEDULER
 from ..sched import MicroScheduler
 from ..sched import registry as sched_registry
 from ..sim.rng import derive_seed
-from ..sim.time import us
 from . import executor as ex
 from . import vcpu as vc
 from .cpupool import CpuPool
@@ -54,8 +53,8 @@ class Hypervisor:
         costs=None,
         ple=None,
         scheduler=DEFAULT_SCHEDULER,
-        micro_slice=None,
-        pv_spin_rounds=1,
+        micro_slice=DEFAULT_MICRO_SLICE,
+        pv_spin_rounds=DEFAULT_PV_SPIN_ROUNDS,
         tracer=None,
         seed=0,
     ):
@@ -100,9 +99,7 @@ class Hypervisor:
         backend = backend_cls(sim, rng=scheduler_rng, tracer=tracer)
         backend.stats = self.stats
         self.normal_pool = CpuPool("normal", backend)
-        self.micro_pool = CpuPool(
-            "micro", MicroScheduler(sim, micro_slice or us(100))
-        )
+        self.micro_pool = CpuPool("micro", MicroScheduler(sim, micro_slice))
         self.pcpus = [ex.PCpu(self, info) for info in self.topology]
         for pcpu in self.pcpus:
             pcpu.pool = self.normal_pool

@@ -15,7 +15,7 @@ plans share one pool and one cache-probe pass through
 """
 
 from . import cache, costmodel, pool
-from .executor import ENV_WORKERS, default_workers, execute, execute_many, parse_workers
+from .executor import ENV_WORKERS, default_workers, env_setting, execute, execute_many, parse_workers
 from .jobs import (
     SimJob,
     baseline_policy,
@@ -37,6 +37,7 @@ __all__ = [
     "costmodel",
     "default_workers",
     "dynamic_policy",
+    "env_setting",
     "execute",
     "execute_many",
     "parse_workers",

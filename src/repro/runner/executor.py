@@ -84,22 +84,29 @@ def parse_workers(text):
     return int(text)
 
 
-def default_workers():
-    """Worker count from ``REPRO_RUNNER_WORKERS`` (:func:`parse_workers`);
-    unset or empty means 1 (serial). An invalid value is almost
-    certainly a typo: it warns, then runs serial."""
-    raw = os.environ.get(ENV_WORKERS, "").strip()
+def env_setting(name, parse, default, fallback):
+    """``parse`` of environment variable ``name`` (the grammar of its
+    flag; ``parse`` raises ConfigError on anything else); unset or
+    empty means ``default``. An invalid value is almost certainly a
+    typo: it warns, then returns ``default`` (``fallback`` says so)."""
+    raw = os.environ.get(name, "").strip()
     if not raw:
-        return 1
+        return default
     try:
-        return parse_workers(raw)
+        return parse(raw)
     except ConfigError as err:
         warnings.warn(
-            "ignoring %s: %s; running serial" % (ENV_WORKERS, err),
+            "ignoring %s: %s; %s" % (name, err, fallback),
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return 1
+        return default
+
+
+def default_workers():
+    """Worker count from ``REPRO_RUNNER_WORKERS`` (:func:`parse_workers`
+    through :func:`env_setting`); unset, empty or invalid means 1."""
+    return env_setting(ENV_WORKERS, parse_workers, 1, "running serial")
 
 
 def _chunk_size(pending_count, workers):

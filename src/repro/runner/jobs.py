@@ -13,10 +13,14 @@ process rebuilds the scenario from the spec, which keeps jobs cheap to
 pickle under the ``spawn`` start method and gives the result cache a
 canonical identity to hash.
 
+A policy is only ever the JSON dict :func:`baseline_policy` …
+:func:`yield_only_policy` return; :data:`POLICY_MODES` validates and
+installs every mode, for jobs and hand-built scenarios alike.
+
 Everything in this module is import-light (stdlib only at module
 scope); the scenario/policy machinery is imported lazily inside
-:func:`build_system` so ``repro.runner`` never participates in an
-import cycle with ``repro.experiments``.
+:func:`build_system` and the policy installers so ``repro.runner``
+never participates in an import cycle with ``repro.experiments``.
 """
 
 import dataclasses
@@ -45,35 +49,75 @@ _INSPECTION_HITS = telemetry.counter("engine.inspection_hits")
 #: :mod:`repro.faults.invariants` (a violation raises instead).
 _INVARIANT_CHECKS = telemetry.counter("engine.invariant_checks")
 
-#: Policy modes understood by :func:`build_system`, each with the
-#: fields it requires (the rest have defaults). ``baseline``/``static``/
-#: ``dynamic`` map onto :class:`~repro.core.policy.PolicySpec`;
-#: ``vturbo``/``vtrs`` are the Table-1 comparator schemes installed
-#: post-build; ``yield_only`` is the ablation engine with the relay
-#: hooks disabled.
-POLICY_MODES = {
-    "baseline": (),
-    "static": ("micro_cores",),
-    "dynamic": (),
-    "vturbo": (),
-    "vtrs": (),
-    "yield_only": (),
-}
-
-#: Scenario overrides: job override name → the scenario attribute
-#: :func:`build_system` sets (``ple_window`` is wrapped in a
-#: :class:`~repro.hw.ple.PleConfig` first).
+#: Scenario overrides: job override name → (the scenario attribute
+#: :func:`build_system` sets, wrapped in a :class:`~repro.hw.ple.PleConfig`
+#: for ``ple_window``; its default, which the scenario, hypervisor and
+#: PLE model read). :meth:`SimJob.spec` leaves out a default override.
+DEFAULT_SCHEDULER = "credit"  # Xen credit1, the paper's baseline
+DEFAULT_MICRO_SLICE = 100 * 1000  # ns: the micro pool's 0.1 ms slice
+DEFAULT_PLE_WINDOW = 3 * 1000  # ns: see PleConfig
+DEFAULT_PV_SPIN_ROUNDS = 1  # PLE exits before a pv spinlock waiter parks
 _OVERRIDES = {
-    "scheduler": "scheduler",
-    "micro_slice": "micro_slice",
-    "ple_window": "ple",
-    "pv_spin_rounds": "pv_spin_rounds",
+    "scheduler": ("scheduler", DEFAULT_SCHEDULER),
+    "micro_slice": ("micro_slice", DEFAULT_MICRO_SLICE),
+    "ple_window": ("ple", DEFAULT_PLE_WINDOW),
+    "pv_spin_rounds": ("pv_spin_rounds", DEFAULT_PV_SPIN_ROUNDS),
 }
 
-#: The normal-pool backend a job runs under when its overrides name
-#: none (Xen credit1, the paper's baseline). An override naming it
-#: spells the same simulation, so :meth:`SimJob.spec` leaves it out.
-DEFAULT_SCHEDULER = "credit"
+
+def _micro_slice_engine(policy, **hooks):
+    """The paper's engine; ``user_critical`` (§4.4) also detects the
+    user-level critical regions registered per process."""
+    from ..core.microslice import MicroSliceEngine
+    from ..core.usercrit import UserAwareDetector
+
+    detector = UserAwareDetector() if policy.get("user_critical", False) else None
+    return MicroSliceEngine(detector=detector, **hooks)
+
+
+def _install_static(hv, policy):
+    hv.set_policy(_micro_slice_engine(policy))
+    hv.set_micro_cores(policy["micro_cores"])
+
+
+def _install_dynamic(hv, policy):
+    from ..core.adaptive import AdaptiveController
+
+    engine = _micro_slice_engine(policy)
+    engine.controller = AdaptiveController(**policy.get("adaptive_kwargs", {}))
+    hv.set_policy(engine)
+
+
+def _install_vturbo(hv, policy):
+    from ..core.comparators import VTurboPolicy
+
+    hv.set_policy(VTurboPolicy(turbo_cores=policy.get("turbo_cores", 1)))
+
+
+def _install_vtrs(hv, policy):
+    from ..core.comparators import VTrsPolicy
+
+    hv.set_policy(VTrsPolicy(pool_cores=policy.get("pool_cores", 1)))
+
+
+def _install_yield_only(hv, policy):
+    hv.set_policy(_micro_slice_engine(policy, accelerate_virq=False, accelerate_vipi=False))
+    hv.set_micro_cores(policy.get("micro_cores", 1))
+
+
+#: Policy modes: mode → (its required fields, the rest having defaults;
+#: its installer, run by :func:`install_policy`). ``static``/``dynamic``
+#: are the paper's micro-sliced pool, ``vturbo``/``vtrs`` the Table-1
+#: comparators, ``yield_only`` the engine without its relay hooks.
+#: Adding a mode is adding a row (and its constructor below).
+POLICY_MODES = {
+    "baseline": ((), lambda hv, policy: None),
+    "static": (("micro_cores",), _install_static),
+    "dynamic": ((), _install_dynamic),
+    "vturbo": ((), _install_vturbo),
+    "vtrs": ((), _install_vtrs),
+    "yield_only": ((), _install_yield_only),
+}
 
 
 def _scenario_builders():
@@ -159,11 +203,10 @@ class SimJob:
 
     def spec(self):
         """The canonical, tag-free description — the cache identity.
-        An override naming :data:`DEFAULT_SCHEDULER` is left out: with
-        or without it, the job is the same simulation."""
-        overrides = self.overrides
-        if overrides.get("scheduler") == DEFAULT_SCHEDULER:
-            overrides = {k: v for k, v in overrides.items() if k != "scheduler"}
+        An override equal to its default (:data:`_OVERRIDES`) is left
+        out: with or without it, the job is the same simulation."""
+        overrides = {name: value for name, value in self.overrides.items()
+                     if name not in _OVERRIDES or value != _OVERRIDES[name][1]}
         spec = {
             "scenario": self.scenario,
             "scenario_kwargs": self.scenario_kwargs,
@@ -207,17 +250,55 @@ def check_scheduler(name):
     sched_registry.get(name)  # raises ConfigError on unknown name
 
 
+def check_policy(policy):
+    """Return the installer of ``policy``'s mode (``baseline`` when
+    absent), or raise :class:`~repro.errors.ConfigError` unless its
+    required fields are there, core counts are integers >= 1,
+    ``user_critical`` is a boolean and ``adaptive_kwargs`` fit
+    :class:`~repro.core.adaptive.AdaptiveController`."""
+    from ..core.adaptive import AdaptiveController
+
+    if not isinstance(policy, dict):
+        raise ConfigError("'policy' must be an object")
+    mode = policy.get("mode", "baseline")
+    if not isinstance(mode, str) or mode not in POLICY_MODES:
+        raise ConfigError(
+            "unknown policy mode %r (available: %s)" % (mode, ", ".join(POLICY_MODES))
+        )
+    required, install = POLICY_MODES[mode]
+    missing = [field for field in required if field not in policy]
+    if missing:
+        raise ConfigError("policy mode %r requires %s" % (mode, ", ".join(map(repr, missing))))
+    for field in ("micro_cores", "turbo_cores", "pool_cores"):
+        if field in policy and not _is_int(policy[field], 1):
+            raise ConfigError("policy %r must be an integer >= 1" % field)
+    if not isinstance(policy.get("user_critical", False), bool):
+        raise ConfigError("policy 'user_critical' must be a boolean")
+    try:  # a non-mapping fails the ** unpacking with a TypeError too
+        inspect.signature(AdaptiveController).bind(**policy.get("adaptive_kwargs", {}))
+    except TypeError as err:
+        raise ConfigError("policy 'adaptive_kwargs': %s" % err) from None
+    return install
+
+
+def install_policy(hv, policy):
+    """Validate the policy dict ``policy`` and wire it into ``hv``
+    before ``hv.start()``: the one install path (``Scenario.build``)."""
+    install = check_policy(policy)
+    install(hv, policy)
+
+
 def check_job(job):
     """Raise :class:`~repro.errors.ConfigError` unless ``job`` is a spec
     :func:`build_system` can build: the one set of spec rules, for every
     front end and every build. Tag, seed, duration, warmup and the
     object-typed fields have their types; the scenario, its kwargs, the
-    workload, policy mode (with its required fields), overrides and
-    scheduler are known; trace ``kinds`` is None or a list of strings
-    (unknown kinds match nothing); ``faults`` passes
+    workload, overrides and scheduler are known, and a numeric override
+    is an integer >= 1; the policy passes :func:`check_policy`; trace
+    ``kinds`` is None or a list of strings (unknown kinds match
+    nothing); ``faults`` passes
     :meth:`~repro.faults.FaultPlan.from_dict`. Never rewrites the job:
     its spec is the cache identity."""
-    from ..core.adaptive import AdaptiveController
     from ..workloads import registry as workload_registry
 
     if not (isinstance(job.tag, str) and job.tag):
@@ -247,24 +328,7 @@ def check_job(job):
             % (workload, ", ".join(workload_registry.available()))
         )
 
-    policy = job.policy
-    mode = policy.get("mode", "baseline")
-    if not isinstance(mode, str) or mode not in POLICY_MODES:
-        raise ConfigError(
-            "unknown policy mode %r (available: %s)" % (mode, ", ".join(POLICY_MODES))
-        )
-    missing = [field for field in POLICY_MODES[mode] if field not in policy]
-    if missing:
-        raise ConfigError("policy mode %r requires %s" % (mode, ", ".join(map(repr, missing))))
-    for field in ("micro_cores", "turbo_cores", "pool_cores"):
-        if field in policy and not _is_int(policy[field], 1):
-            raise ConfigError("policy %r must be an integer >= 1" % field)
-    if not isinstance(policy.get("user_critical", False), bool):
-        raise ConfigError("policy 'user_critical' must be a boolean")
-    try:  # a non-mapping fails the ** unpacking with a TypeError too
-        inspect.signature(AdaptiveController).bind(**policy.get("adaptive_kwargs", {}))
-    except TypeError as err:
-        raise ConfigError("policy 'adaptive_kwargs': %s" % err) from None
+    check_policy(job.policy)
 
     unknown = sorted(set(job.overrides) - set(_OVERRIDES))
     if unknown:
@@ -272,8 +336,11 @@ def check_job(job):
             "unknown scenario overrides %r (unknown override names; allowed: %s)"
             % (unknown, ", ".join(_OVERRIDES))
         )
-    if "scheduler" in job.overrides:
-        check_scheduler(job.overrides["scheduler"])
+    for name, value in job.overrides.items():
+        if name == "scheduler":
+            check_scheduler(value)
+        elif not _is_int(value, 1):
+            raise ConfigError("override %r must be an integer >= 1" % name)
 
     if job.trace is not None:
         if not (isinstance(job.trace, dict) and set(job.trace) <= {"kinds"}):
@@ -315,30 +382,18 @@ def apply_options(job, trace=None, faults=None, scheduler=None):
 
 def build_system(job):
     """Build the ready-to-run :class:`~repro.experiments.scenarios.System`
-    a job describes (imports deferred to avoid import cycles)."""
-    from ..core.comparators import VTrsPolicy, VTurboPolicy
-    from ..core.microslice import MicroSliceEngine
-    from ..core.policy import PolicySpec
+    a job describes: its scenario, given the job's policy, overrides,
+    trace and faults, installs the policy as it builds (imports
+    deferred to avoid import cycles)."""
     from ..hw.ple import PleConfig
 
     check_job(job)
-    policy = job.policy
-    mode = policy.get("mode", "baseline")
     scenario = _scenario_builders()[job.scenario](seed=job.seed, **job.scenario_kwargs)
-    if mode == "static":
-        scenario.policy = PolicySpec.static(
-            policy["micro_cores"], user_critical=policy.get("user_critical", False)
-        )
-    elif mode == "dynamic":
-        scenario.policy = PolicySpec.dynamic(
-            user_critical=policy.get("user_critical", False),
-            **policy.get("adaptive_kwargs", {})
-        )
-
+    scenario.policy = job.policy
     for name, value in job.overrides.items():
         if name == "ple_window":
             value = PleConfig(window=value)
-        setattr(scenario, _OVERRIDES[name], value)
+        setattr(scenario, _OVERRIDES[name][0], value)
 
     if job.trace is not None:
         scenario.trace = True
@@ -348,17 +403,7 @@ def build_system(job):
     if job.faults is not None:
         scenario.faults = job.faults
 
-    system = scenario.build()
-    if mode == "vturbo":
-        system.hv.set_policy(VTurboPolicy(turbo_cores=policy.get("turbo_cores", 1)))
-    elif mode == "vtrs":
-        system.hv.set_policy(VTrsPolicy(pool_cores=policy.get("pool_cores", 1)))
-    elif mode == "yield_only":
-        system.hv.set_policy(
-            MicroSliceEngine(accelerate_virq=False, accelerate_vipi=False)
-        )
-        system.hv.set_micro_cores(policy.get("micro_cores", 1))
-    return system
+    return scenario.build()
 
 
 def run_job(job):

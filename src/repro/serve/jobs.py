@@ -43,6 +43,7 @@ import asyncio
 import dataclasses
 import functools
 import itertools
+import math
 import threading
 import time
 import warnings
@@ -115,8 +116,8 @@ def _int_field(payload, key, default, minimum=None):
 
 def _number_field(payload, key, default, minimum=None):
     value = payload.get(key, default)
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             "%r must be a number" % key)
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) < math.inf, "%r must be a finite number" % key)
     if minimum is not None:
         _require(value > minimum, "%r must be > %g" % (key, minimum))
     return value

@@ -5,12 +5,20 @@ import json
 
 import pytest
 
-from repro.core.microslice import MicroSliceEngine
-from repro.core.policy import PolicySpec
 from repro.experiments import ablations, registry
 from repro.experiments.scenarios import corun_scenario, mixed_io_scenario
 from repro.hw.ple import PleConfig
-from repro.runner import SimJob, baseline_policy, run_job, static_policy, yield_only_policy
+from repro.runner import (
+    SimJob,
+    baseline_policy,
+    dynamic_policy,
+    run_job,
+    static_policy,
+    vtrs_policy,
+    vturbo_policy,
+    yield_only_policy,
+)
+from repro.runner.jobs import POLICY_MODES
 from repro.sim.time import ms, us
 
 SCALE = 0.15
@@ -31,16 +39,9 @@ def _ple_window():
 
 
 def _micro_slice():
-    scenario = corun_scenario("dedup", policy=PolicySpec.static(3), seed=7)
+    scenario = corun_scenario("dedup", policy=static_policy(3), seed=7)
     scenario.micro_slice = us(300)
     return scenario.build()
-
-
-def _yield_only():
-    system = mixed_io_scenario(mode="tcp", seed=7).build()
-    system.hv.set_policy(MicroSliceEngine(accelerate_virq=False, accelerate_vipi=False))
-    system.hv.set_micro_cores(1)
-    return system
 
 
 #: (scenario, scenario kwargs, job policy, job overrides, hand-built
@@ -52,7 +53,6 @@ ABLATION_KNOBS = {
                    {"ple_window": us(10)}, _ple_window),
     "micro_slice": ("corun", {"workload_kind": "dedup"}, static_policy(3),
                     {"micro_slice": us(300)}, _micro_slice),
-    "yield_only": ("mixed_io", {"mode": "tcp"}, yield_only_policy(1), {}, _yield_only),
 }
 
 
@@ -64,6 +64,30 @@ def test_ablation_knob_job_matches_hand_built_scenario(knob):
     job = SimJob(tag=knob, scenario=scenario, scenario_kwargs=kwargs, policy=policy,
                  overrides=overrides, seed=7, duration_ns=DURATION, warmup_ns=WARMUP)
     expected = reference().run(DURATION, warmup_ns=WARMUP).to_dict()
+    assert run_job(job) == json.loads(json.dumps(expected))
+
+
+#: One policy dict per mode, and the policy object its installer sets.
+MODE_POLICIES = {
+    "baseline": (baseline_policy(), "NullPolicy"),
+    "static": (static_policy(1, user_critical=True), "MicroSliceEngine"),
+    "dynamic": (dynamic_policy(epoch_interval=ms(5)), "MicroSliceEngine"),
+    "vturbo": (vturbo_policy(1), "VTurboPolicy"),
+    "vtrs": (vtrs_policy(1), "VTrsPolicy"),
+    "yield_only": (yield_only_policy(1), "MicroSliceEngine"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(POLICY_MODES))
+def test_every_policy_mode_builds_by_hand_as_its_job(mode):
+    """A hand-built scenario holding a policy dict installs it exactly
+    as ``run_job`` does for the equivalent job: one install path."""
+    policy, installed = MODE_POLICIES[mode]
+    system = mixed_io_scenario(mode="tcp", policy=policy, seed=7).build()
+    assert type(system.hv.policy).__name__ == installed
+    expected = system.run(DURATION, warmup_ns=WARMUP).to_dict()
+    job = SimJob(tag=mode, scenario="mixed_io", scenario_kwargs={"mode": "tcp"},
+                 policy=policy, seed=7, duration_ns=DURATION, warmup_ns=WARMUP)
     assert run_job(job) == json.loads(json.dumps(expected))
 
 

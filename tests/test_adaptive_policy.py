@@ -1,11 +1,19 @@
-"""Tests for Algorithm 1 (adaptive controller) and the policy specs."""
+"""Tests for Algorithm 1 (adaptive controller) and the policy modes."""
 
 import pytest
 
 from repro.core.adaptive import AdaptiveController
 from repro.core.microslice import MicroSliceEngine
-from repro.core.policy import BASELINE, DYNAMIC, STATIC, PolicySpec
 from repro.errors import ConfigError
+from repro.runner import (
+    baseline_policy,
+    dynamic_policy,
+    static_policy,
+    vtrs_policy,
+    vturbo_policy,
+    yield_only_policy,
+)
+from repro.runner.jobs import POLICY_MODES, install_policy
 from repro.sim.engine import Simulator
 from repro.sim.time import ms
 
@@ -111,41 +119,51 @@ class TestAlgorithm1:
 
 
 class TestPolicySpec:
+    """The job policy dict through ``POLICY_MODES``' installer."""
+
     def test_baseline_installs_null_policy(self):
         from helpers import make_hv
 
         _sim, hv = make_hv(num_pcpus=2)
-        assert PolicySpec.baseline().install(hv) is None
+        install_policy(hv, baseline_policy())
         assert not hv.policy.active
 
     def test_static_requires_core_count(self):
-        with pytest.raises(ConfigError):
-            PolicySpec.static(0)
+        from helpers import make_hv
+
+        _sim, hv = make_hv(num_pcpus=4)
+        for policy in (static_policy(0), {"mode": "static"}):
+            with pytest.raises(ConfigError, match="micro_cores"):
+                install_policy(hv, policy)
+        assert not hv.policy.active
 
     def test_static_installs_engine_and_cores(self):
         from helpers import make_hv
 
         sim, hv = make_hv(num_pcpus=4)
-        engine = PolicySpec.static(2).install(hv)
-        assert isinstance(engine, MicroSliceEngine)
+        install_policy(hv, static_policy(2))
+        assert isinstance(hv.policy, MicroSliceEngine)
         assert hv.micro_core_count() == 2
 
     def test_dynamic_attaches_controller(self):
         from helpers import make_hv
 
         _sim, hv = make_hv(num_pcpus=4)
-        engine = PolicySpec.dynamic(limit=2).install(hv)
-        assert isinstance(engine.controller, AdaptiveController)
-        assert engine.controller.limit == 2
+        install_policy(hv, dynamic_policy(limit=2))
+        assert isinstance(hv.policy.controller, AdaptiveController)
+        assert hv.policy.controller.limit == 2
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            PolicySpec("bogus")
+        from helpers import make_hv
+
+        _sim, hv = make_hv(num_pcpus=2)
+        with pytest.raises(ConfigError, match="unknown policy mode"):
+            install_policy(hv, {"mode": "bogus"})
 
     def test_modes_exposed(self):
-        assert PolicySpec.baseline().mode == BASELINE
-        assert PolicySpec.static(1).mode == STATIC
-        assert PolicySpec.dynamic().mode == DYNAMIC
+        constructors = (baseline_policy(), static_policy(1), dynamic_policy(),
+                        vturbo_policy(), vtrs_policy(), yield_only_policy())
+        assert [policy["mode"] for policy in constructors] == list(POLICY_MODES)
 
 
 class TestMicroSliceEngineHooks:
@@ -157,7 +175,8 @@ class TestMicroSliceEngineHooks:
         vm2 = make_domain(hv, name="vm2", vcpus=2)
         for vcpu in vm1.vcpus + vm2.vcpus:
             spawn_task(vcpu, spin_program())
-        engine = PolicySpec.static(1).install(hv)
+        install_policy(hv, static_policy(1))
+        engine = hv.policy
         hv.start()
         sim.run(until=ms(2))
         # Guarantee at least one queued vm1 vCPU: preempt any vm1 vCPU

@@ -107,6 +107,58 @@ class TestReduceAndRender:
             assert scheme in text
 
 
+class _Cell:
+    """A stand-in co-run result: just the rates ``reduce`` reads."""
+
+    lockstats = tlb_stats = hv_counters = {}
+
+    def __init__(self, target, corunner):
+        self.rates = {"target": target, "corunner": corunner}
+
+    def rate(self, name):
+        return self.rates["target" if name in ("gmake", "exim") else "corunner"]
+
+    def total_yields(self, domain):
+        return 0
+
+    def steal_time(self, domain):
+        return 0
+
+
+class TestZeroRateCells:
+    """A cell with a zero rate on either side has no measured ratio: it
+    is left out of the geomean instead of pinning the column to 0 or
+    inf, and a scheme with no measured cell reads n/a."""
+
+    def _reduce(self, cells):
+        return baselines.reduce({
+            "%s:%s:%s" % (scheme, kind, corunner): _Cell(*rates)
+            for (scheme, kind), rates in cells.items()
+            for corunner in baselines.CORUNNERS
+        })
+
+    def test_one_zero_rate_cell_is_left_out(self):
+        reduced = self._reduce({
+            ("credit", "gmake"): (100.0, 50.0), ("credit", "exim"): (0.0, 50.0),
+            ("micro_pool", "gmake"): (150.0, 50.0), ("micro_pool", "exim"): (80.0, 50.0),
+        })
+        assert reduced["micro_pool"]["target_x"] == pytest.approx(1.5)
+        assert reduced["micro_pool"]["corunner_x"] == pytest.approx(1.0)
+        assert reduced["checks"]["micro_pool_improves_target"] is True
+        assert "1.50x" in baselines.format_result(reduced)
+
+    def test_no_measured_cell_renders_na_and_fails_the_claim(self):
+        reduced = self._reduce({
+            ("credit", "gmake"): (100.0, 50.0),
+            ("micro_pool", "gmake"): (0.0, 50.0),
+        })
+        assert reduced["micro_pool"]["target_x"] is None
+        assert reduced["checks"]["micro_pool_improves_target"] is False
+        row = next(line for line in baselines.format_result(reduced).splitlines()
+                   if line.startswith("micro_pool"))
+        assert row.split()[1:3] == ["n/a", "1.00x"]
+
+
 class TestDeterminism:
     def test_serial_parallel_cache_identical(self, tmp_path):
         def plan():

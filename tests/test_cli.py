@@ -195,6 +195,30 @@ class TestSharedSeedArgument:
             parser.parse_args(argv + ["--workers", "0"])
 
 
+class TestScaleGrammar:
+    """One grammar for the duration scale: ``--scale`` and
+    ``REPRO_BENCH_SCALE`` take a finite number > 0, the rule serve
+    applies to its ``scale``."""
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "0,05", "nan", "inf"])
+    def test_invalid_flag_is_an_argparse_error(self, capsys, raw):
+        for command in ("run", "fleet"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--scale", raw])
+            assert "expected a number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["0,05", "0", "-1", "banana"])
+    def test_invalid_env_warns_and_runs_at_full_scale(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", raw)
+        with pytest.warns(RuntimeWarning, match="REPRO_BENCH_SCALE"):
+            assert common.scale() == 1.0
+
+    @pytest.mark.parametrize("raw, scale", [("0.05", 0.05), ("", 1.0), ("0.001", 0.01)])
+    def test_valid_env(self, monkeypatch, raw, scale):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", raw)
+        assert common.scale() == scale
+
+
 class TestFleetCommand:
     _TINY = ["fleet", "--hosts", "2", "--epochs", "2", "--rate", "4",
              "--scale", "0.02", "--no-cache"]

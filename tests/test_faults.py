@@ -20,7 +20,7 @@ from repro.faults import (
     resolve_plan,
 )
 from repro.guest.symbols import USER_IP, build_table
-from repro.runner import SimJob, cache, execute
+from repro.runner import SimJob, baseline_policy, cache, execute
 from repro.runner.jobs import check_job, run_job
 from repro.sim.engine import Simulator
 from repro.sim.time import ms, us
@@ -339,9 +339,7 @@ class TestAdaptiveDegradation:
 # end-to-end injection through real scenarios
 # ----------------------------------------------------------------------
 def _tiny_corun(plan, duration=ms(25), warmup=ms(5), seed=7):
-    from repro.core.policy import PolicySpec
-
-    scenario = corun_scenario("dedup", policy=PolicySpec.baseline(), seed=seed)
+    scenario = corun_scenario("dedup", policy=baseline_policy(), seed=seed)
     scenario.faults = plan
     system = scenario.build()
     result = system.run(duration, warmup_ns=warmup)
@@ -550,10 +548,8 @@ class TestInvariantChecker:
 # ----------------------------------------------------------------------
 class TestTraceIntegration:
     def test_fault_records_flow_into_trace(self):
-        from repro.core.policy import PolicySpec
-
         plan = FaultPlan("traced").add("stale_profile", ms(6), ms(12))
-        scenario = corun_scenario("dedup", policy=PolicySpec.baseline(), seed=7)
+        scenario = corun_scenario("dedup", policy=baseline_policy(), seed=7)
         scenario.trace = True
         scenario.faults = plan
         system = scenario.build()

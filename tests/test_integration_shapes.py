@@ -6,7 +6,6 @@ re-verify them at full scale with printed tables.
 """
 
 
-from repro.core.policy import PolicySpec
 from repro.experiments import common
 from repro.experiments.scenarios import (
     corun_scenario,
@@ -14,6 +13,7 @@ from repro.experiments.scenarios import (
     solo_io_scenario,
     solo_scenario,
 )
+from repro.runner import dynamic_policy, static_policy
 from repro.sim.time import ms
 
 DURATION = ms(200)
@@ -62,43 +62,43 @@ class TestVtdBaselinePathologies:
 class TestMicroSlicedImprovements:
     def test_exim_improves_with_one_micro_core(self):
         base = _corun("exim")
-        micro = _corun("exim", policy=PolicySpec.static(1))
+        micro = _corun("exim", policy=static_policy(1))
         assert micro.rate("exim") > 1.5 * base.rate("exim")
         assert micro.hv_counters.get("migrations", 0) > 0
 
     def test_vips_single_core_counterproductive_three_better(self):
         base = _corun("vips")
-        st1 = _corun("vips", policy=PolicySpec.static(1))
-        st3 = _corun("vips", policy=PolicySpec.static(3))
+        st1 = _corun("vips", policy=static_policy(1))
+        st3 = _corun("vips", policy=static_policy(3))
         assert st1.rate("vips") < base.rate("vips")
         assert st3.rate("vips") > st1.rate("vips")
 
     def test_dedup_three_cores_strong_improvement(self):
         base = _corun("dedup")
-        st3 = _corun("dedup", policy=PolicySpec.static(3))
+        st3 = _corun("dedup", policy=static_policy(3))
         assert st3.rate("dedup") > 1.5 * base.rate("dedup")
 
     def test_micro_slicing_cuts_tlb_sync_latency(self):
         base = _corun("vips")
-        st3 = _corun("vips", policy=PolicySpec.static(3))
+        st3 = _corun("vips", policy=static_policy(3))
         assert st3.tlb_stats["vm1"]["mean"] < 0.5 * base.tlb_stats["vm1"]["mean"]
 
     def test_corunner_cost_is_bounded(self):
         base = _corun("exim")
-        micro = _corun("exim", policy=PolicySpec.static(1))
+        micro = _corun("exim", policy=static_policy(1))
         # The paper reports ~10% swaptions cost for exim+1 core.
         assert micro.rate("swaptions") > 0.6 * base.rate("swaptions")
 
     def test_dynamic_improves_over_baseline(self):
         base = corun_scenario("exim").build().run(ms(400), warmup_ns=WARMUP)
-        dynamic = PolicySpec.dynamic(epoch_interval=common.DYNAMIC_EPOCH)
+        dynamic = dynamic_policy(epoch_interval=common.DYNAMIC_EPOCH)
         dyn = corun_scenario("exim", policy=dynamic).build().run(
             ms(400), warmup_ns=WARMUP
         )
         assert dyn.rate("exim") > 1.2 * base.rate("exim")
 
     def test_dynamic_releases_cores_when_idle(self):
-        dynamic = PolicySpec.dynamic(epoch_interval=common.DYNAMIC_EPOCH)
+        dynamic = dynamic_policy(epoch_interval=common.DYNAMIC_EPOCH)
         dyn = corun_scenario("sjeng", policy=dynamic).build().run(
             ms(400), warmup_ns=WARMUP
         )
@@ -106,7 +106,7 @@ class TestMicroSlicedImprovements:
 
     def test_unaffected_workload_overhead_small(self):
         base = _corun("blackscholes")
-        dynamic = PolicySpec.dynamic(epoch_interval=common.DYNAMIC_EPOCH)
+        dynamic = dynamic_policy(epoch_interval=common.DYNAMIC_EPOCH)
         dyn = corun_scenario("blackscholes", policy=dynamic).build().run(
             DURATION, warmup_ns=WARMUP
         )
@@ -124,7 +124,7 @@ class TestIoShapes:
 
     def test_micro_slicing_recovers_io(self):
         mixed = mixed_io_scenario().build().run(ms(300), warmup_ns=WARMUP)
-        micro = mixed_io_scenario(policy=PolicySpec.static(1)).build().run(
+        micro = mixed_io_scenario(policy=static_policy(1)).build().run(
             ms(300), warmup_ns=WARMUP
         )
         base_io = mixed.workload("iperf").extra
@@ -134,7 +134,7 @@ class TestIoShapes:
 
     def test_udp_drops_only_under_mixed_baseline(self):
         mixed = mixed_io_scenario(mode="udp").build().run(ms(300), warmup_ns=WARMUP)
-        micro = mixed_io_scenario(mode="udp", policy=PolicySpec.static(1)).build().run(
+        micro = mixed_io_scenario(mode="udp", policy=static_policy(1)).build().run(
             ms(300), warmup_ns=WARMUP
         )
         assert mixed.workload("iperf").extra["dropped"] > 0
@@ -145,7 +145,7 @@ class TestGuestTransparency:
     def test_detection_uses_only_hypervisor_visible_state(self):
         """The policy must work for a guest with a custom (but provided)
         symbol table — the mechanism reads IPs, not guest internals."""
-        micro = _corun("exim", policy=PolicySpec.static(1))
+        micro = _corun("exim", policy=static_policy(1))
         assert micro.hv_counters.get("migrations", 0) > 0
 
     def test_guest_kernel_never_calls_scheduler_directly(self):

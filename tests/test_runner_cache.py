@@ -16,8 +16,8 @@ import pytest
 
 import repro
 from repro.obs import telemetry
-from repro.runner import SimJob, cache, execute, execute_many, static_policy
-from repro.sim.time import ms
+from repro.runner import SimJob, cache, execute, execute_many, run_job, static_policy
+from repro.sim.time import ms, us
 
 
 def _job(**overrides):
@@ -121,6 +121,8 @@ class TestKeying:
             {"scenario": "corun"},
             {"overrides": {"ple_window": 1000}},
             {"overrides": {"scheduler": "shortslice"}},
+            {"overrides": {"micro_slice": us(300)}},
+            {"overrides": {"pv_spin_rounds": 2}},
         ],
     )
     def test_any_spec_change_misses(self, change):
@@ -132,6 +134,25 @@ class TestKeying:
         named = _job(overrides={"scheduler": "credit", "ple_window": 1000})
         assert cache.job_key(named) == cache.job_key(_job(overrides={"ple_window": 1000}))
         assert named.overrides["scheduler"] == "credit"
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"scheduler": "credit"},
+            {"micro_slice": us(100)},
+            {"ple_window": us(3)},
+            {"pv_spin_rounds": 1},
+        ],
+        ids=lambda override: next(iter(override)),
+    )
+    def test_override_naming_its_default_is_the_plain_job(self, override):
+        """One row per override: naming its default spells the plain
+        job's simulation (equal payload), so it shares the plain job's
+        key; the job keeps what it was given."""
+        named = _job(overrides=dict(override))
+        assert cache.job_key(named) == cache.job_key(_job())
+        assert named.overrides == override
+        assert run_job(named) == run_job(_job())
 
     def test_backends_never_share_an_entry(self):
         # A stale cross-backend hit would silently return credit results

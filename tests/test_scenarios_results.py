@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.policy import PolicySpec
 from repro.experiments.results import RunResult
 from repro.experiments.scenarios import (
     Scenario,
@@ -11,6 +10,7 @@ from repro.experiments.scenarios import (
     solo_io_scenario,
     solo_scenario,
 )
+from repro.runner import static_policy
 from repro.sim.time import ms
 from repro.workloads.cpu_bound import SwaptionsWorkload
 
@@ -36,7 +36,7 @@ class TestScenarioBuilding:
         assert set(system.workloads) == {"vm1:gmake", "vm2:swaptions"}
 
     def test_build_applies_policy(self):
-        system = corun_scenario("gmake", policy=PolicySpec.static(2)).build()
+        system = corun_scenario("gmake", policy=static_policy(2)).build()
         assert system.hv.micro_core_count() == 2
 
     def test_workload_spec_instance_passthrough(self):

@@ -213,10 +213,15 @@ class TestValidation:
             ({"tag": ""}, "non-empty"),
             ({"trace": {"x": 1}}, "'trace' must be"),
             ({"faults": {"garbage": 1}}, "unknown fault plan keys"),
+            ({"overrides": {"micro_slice": 0}}, "'micro_slice' must be an integer >= 1"),
+            ({"overrides": {"pv_spin_rounds": None}}, "'pv_spin_rounds' must be an integer"),
+            ({"policy": {"mode": "yield_only", "micro_cores": 0}}, "micro_cores"),
             # Equivalent spellings: a dict names the spelling the row
             # must compile to, with the same job_key.
             pytest.param({"overrides": {"scheduler": "credit"}}, {},
                          id="default-backend-override"),
+            pytest.param({"overrides": {"ple_window": 3000, "micro_slice": 100_000}}, {},
+                         id="default-knob-overrides"),
             pytest.param({"faults": FAULTS_BY_HAND},
                          {"faults": FaultPlan.from_dict(FAULTS_BY_HAND).to_dict()},
                          id="fault-dict-by-hand"),
@@ -245,6 +250,16 @@ class TestValidation:
     def test_experiment_jobs_obey_the_horizon_limit(self):
         with pytest.raises(ValidationError, match="service limit"):
             compile_experiment({"experiment": "fig4", "scale": 1000.0})
+
+    @pytest.mark.parametrize("scale, match", [
+        (float("inf"), "finite number"), (float("nan"), "finite number"),
+        (0, "> 0"), (-1.0, "> 0"), ("0.5", "finite number"),
+    ])
+    def test_experiment_scale_is_a_finite_positive_number(self, scale, match):
+        """The rule ``--scale`` and ``REPRO_BENCH_SCALE`` share; an
+        infinite scale used to escape as an OverflowError."""
+        with pytest.raises(ValidationError, match=match):
+            compile_experiment({"experiment": "fig7", "scale": scale})
 
     def test_builtin_fault_plan_resolved_at_submission(self):
         work = compile_job(dict(JOB, faults="slow-ipi"))

@@ -1,8 +1,8 @@
 """Tracing integration: the xentrace-style buffer captures scheduling
 decisions during real scenario runs."""
 
-from repro.core.policy import PolicySpec
 from repro.experiments.scenarios import corun_scenario
+from repro.runner import static_policy
 from repro.sim.time import ms
 
 
@@ -23,7 +23,7 @@ class TestScenarioTracing:
         assert "slice" in reasons or "preempt" in reasons
 
     def test_accelerate_events_recorded_with_policy(self):
-        scenario = corun_scenario("exim", policy=PolicySpec.static(1))
+        scenario = corun_scenario("exim", policy=static_policy(1))
         scenario.trace = True
         system = scenario.build()
         system.run(ms(150))

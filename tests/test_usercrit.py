@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.policy import PolicySpec
 from repro.core.usercrit import (
     USER_CRITICAL,
     UserAwareDetector,
@@ -12,6 +11,8 @@ from repro.core.usercrit import (
 from repro.errors import SymbolTableError
 from repro.guest.actions import Acquire, Compute
 from repro.guest.spinlock import LockClass
+from repro.runner import static_policy
+from repro.runner.jobs import install_policy
 from repro.sim.time import ms, us
 
 from helpers import make_domain, make_hv, spawn_task, spin_program
@@ -205,7 +206,8 @@ class TestDirectedAcceleration:
         spawn_task(vm1.vcpus[0], lambda: holder(), "holder")
         spawn_task(vm1.vcpus[1], lambda: contender(), "contender")
         spawn_task(vm2.vcpus[0], spin_program(), "hog")
-        engine = PolicySpec.static(1, user_critical=user_critical).install(hv)
+        install_policy(hv, static_policy(1, user_critical=user_critical))
+        engine = hv.policy
         hv.start()
         sim.run(until=ms(400))
         return held["sections"], engine.detector.hits, hv.stats.counters.get("migrations", 0)
