@@ -169,6 +169,12 @@ for name, summary in payload["policies"].items():
     assert summary["virq"]["count"] > 0, name
 EOF
 
+step "an infinite arrival rate exits 2 before simulating"
+# Not via repro(): timeout runs a program, not a shell function.
+status=0
+timeout 30 python -m repro.cli fleet --rate inf --scale 0.02 > fleet_inf.txt 2>&1 || status=$?
+test "$status" -eq 2
+
 # -- benchmark bodies, one round each -----------------------------------
 step "benchmark bodies (1 round)"
 cp "$ROOT/BENCH_engine.json" "$ROOT/bench_report.txt" saved/

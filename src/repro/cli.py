@@ -170,22 +170,11 @@ def _cmd_run(args):
 
 
 def _cmd_fleet(args):
-    from .fleet import placement as fleet_placement
-
-    if args.policies is None:
-        policies = fleet_placement.available()
-    else:
-        policies = [name for name in args.policies.split(",") if name]
+    # A flag not given is not passed: the experiment's defaults apply.
+    options = {key: getattr(args, key) for key in registry.get("fleet").OPTIONS
+               if getattr(args, key) is not None}
     results, text = _run_experiments(
-        args,
-        ["fleet"],
-        scheduler=args.scheduler,
-        policies=policies,
-        hosts=args.hosts,
-        epochs=args.epochs,
-        rate=args.rate,
-        overcommit=args.overcommit,
-        migration_cost_ms=args.migration_cost_ms,
+        args, ["fleet"], scheduler=args.scheduler, **options
     )["fleet"]
     print(json.dumps(results, indent=2, sort_keys=True) if args.json else text)
     return 0
@@ -419,6 +408,11 @@ def _add_trace_args(parser):
 
 
 def build_parser():
+    # Not at module scope: spawned pool workers import this module, and
+    # only a parser needs the service (and asyncio) loaded.
+    from .serve.admission import DEFAULT_MAX_INFLIGHT_PER_CLIENT, DEFAULT_MAX_QUEUE_DEPTH
+    from .serve.app import DEFAULT_HOST, DEFAULT_PORT
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Flexible micro-sliced cores (EuroSys '18) — "
@@ -531,16 +525,17 @@ def build_parser():
         "fleet", help="simulate a multi-host fleet under placement policies",
         parents=[seed_parent, exec_parent, experiment_parent],
     )
-    fleet_p.add_argument("--policies", default=None, metavar="A,B,...",
+    fleet_p.add_argument("--policies", metavar="A,B,...",
+                         type=lambda text: [name for name in text.split(",") if name],
                          help="comma-separated placement policies to compare "
                          "(default: all registered; see 'repro list')")
-    fleet_p.add_argument("--hosts", type=int, default=6)
-    fleet_p.add_argument("--epochs", type=int, default=6)
-    fleet_p.add_argument("--rate", type=float, default=24.0,
+    fleet_p.add_argument("--hosts", type=int)
+    fleet_p.add_argument("--epochs", type=int)
+    fleet_p.add_argument("--rate", type=float,
                          help="expected session arrivals per epoch (Poisson)")
-    fleet_p.add_argument("--overcommit", type=float, default=2.0,
+    fleet_p.add_argument("--overcommit", type=float,
                          help="per-host admission cap as a multiple of pCPUs")
-    fleet_p.add_argument("--migration-cost-ms", type=float, default=5.0,
+    fleet_p.add_argument("--migration-cost-ms", type=float,
                          help="live-migration cost at scale 1.0 (scales with "
                          "the epoch)")
     fleet_p.add_argument("--json", action="store_true",
@@ -554,16 +549,17 @@ def build_parser():
         "(see docs/serve.md)",
         parents=[exec_parent],
     )
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default: 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=8765,
-                         help="bind port; 0 picks a free one (default: 8765)")
-    serve_p.add_argument("--max-queue-depth", type=int, default=64,
+    serve_p.add_argument("--host", default=DEFAULT_HOST,
+                         help="bind address (default: %(default)s)")
+    serve_p.add_argument("--port", type=int, default=DEFAULT_PORT,
+                         help="bind port; 0 picks a free one (default: %(default)s)")
+    serve_p.add_argument("--max-queue-depth", type=int, default=DEFAULT_MAX_QUEUE_DEPTH,
                          help="queued submissions before new work gets 429 "
-                         "(default: 64)")
-    serve_p.add_argument("--max-inflight", type=int, default=8,
+                         "(default: %(default)s)")
+    serve_p.add_argument("--max-inflight", type=int,
+                         default=DEFAULT_MAX_INFLIGHT_PER_CLIENT,
                          help="per-client in-flight submission cap "
-                         "(default: 8)")
+                         "(default: %(default)s)")
     return parser
 
 

@@ -11,11 +11,13 @@ per-host utilization, admission rejects, and migrations per policy.
 Unlike every other registry entry this module is a **driver**: it has
 no ``plan()``/``reduce()`` pair because the job set is not known up
 front — each epoch's host jobs depend on the previous epoch's results
-(steal feedback, migrations). It exposes ``drive(execute, ...)``
-instead: the caller binds the executor's settings once into
-``execute`` (see :func:`repro.experiments.registry.run_many`), and
-every per-epoch job wave goes through it, so fleet runs share the same
-executor/cache machinery. Because there is no ``plan()``, the payload
+(steal feedback, migrations). It exposes ``configure(**options)``,
+which :func:`repro.experiments.registry.prepare` calls to validate a
+request, and ``drive(execute, spec, policies)`` instead: the caller
+binds the executor's settings once into ``execute`` (see
+:func:`repro.experiments.registry.run_many`), and every per-epoch job
+wave goes through it, so fleet runs share the same executor/cache
+machinery. Because there is no ``plan()``, the payload
 manifest (which freezes the closed set of plannable jobs) is
 unaffected: fleet host jobs are cache-governed by the same content
 hashing, just not pinned.
@@ -29,59 +31,40 @@ micro-sliced cores then attack *within* each host.
 """
 
 from ..errors import ConfigError
-from ..fleet import FleetSpec, run_fleet
+from ..fleet import FleetSpec, placement, run_fleet
 from ..metrics.report import render_table
 
 #: Policies compared by default (every registered one, random first so
 #: the table reads baseline-down).
 POLICIES = ("random", "first_fit", "steal_aware")
 
-
-def make_spec(
-    seed=42,
-    scale_override=None,
-    hosts=6,
-    epochs=6,
-    rate=24.0,
-    overcommit=2.0,
-    migration_cost_ms=5.0,
-    scheduler=None,
-):
-    """The experiment's :class:`~repro.fleet.cluster.FleetSpec` (the
-    defaults put steady-state demand at ~80% of fleet pCPU capacity —
-    high enough that stacking shows up in the tail, low enough that an
-    informed policy can keep every host uncontended)."""
-    return FleetSpec(
-        hosts=hosts,
-        epochs=epochs,
-        rate=rate,
-        overcommit=overcommit,
-        seed=seed,
-        scale=scale_override,
-        migration_cost_ms=migration_cost_ms,
-        scheduler=scheduler,
-    )
+#: The options a fleet request may set beside every experiment's own
+#: (``seed``, ``scale_override``, ``scheduler``): the policy list and
+#: the :class:`~repro.fleet.cluster.FleetSpec` knobs. ``repro fleet``'s
+#: flags and ``repro serve``'s allowed keys follow it.
+OPTIONS = ("policies", "hosts", "epochs", "rate", "overcommit", "migration_cost_ms")
 
 
-def drive(
-    execute,
-    seed=42,
-    scale_override=None,
-    scheduler=None,
-    policies=POLICIES,
-    **spec_kwargs,
-):
-    """Run the fleet under every requested policy, one ``execute(plans)``
-    call per epoch (see :func:`repro.fleet.run_fleet`); returns
-    ``{"policies": {name: summary}, "checks": {...}}`` — JSON-native
-    and byte-stable for a given spec (the determinism gate)."""
-    names = list(policies)
-    if not names:
-        raise ConfigError("fleet experiment needs at least one placement policy")
-    spec = make_spec(
-        seed=seed, scale_override=scale_override, scheduler=scheduler, **spec_kwargs
-    )
-    summaries = run_fleet(spec, names, execute)
+def configure(policies=POLICIES, scale_override=None, **options):
+    """Validate a request's options into :func:`drive`'s arguments,
+    ``{"spec": FleetSpec, "policies": [name, ...]}``, before any
+    simulation. ``policies`` must be a non-empty list of registered
+    placement policy names; the spec's knobs follow
+    :class:`~repro.fleet.cluster.FleetSpec`'s rules and defaults."""
+    if not (isinstance(policies, (list, tuple)) and policies
+            and all(isinstance(name, str) for name in policies)):
+        raise ConfigError("'policies' must be a non-empty list of placement policy names")
+    for name in policies:
+        placement.get(name)  # raises ConfigError on an unknown name
+    return {"spec": FleetSpec(scale=scale_override, **options), "policies": list(policies)}
+
+
+def drive(execute, spec, policies):
+    """Run ``spec`` under every policy, one ``execute(plans)`` call per
+    epoch (see :func:`repro.fleet.run_fleet`); returns ``{"policies":
+    {name: summary}, "checks": {...}}``, JSON-native and byte-stable
+    for a given spec (the determinism gate)."""
+    summaries = run_fleet(spec, policies, execute)
     return {"policies": summaries, "checks": claims({"policies": summaries})}
 
 

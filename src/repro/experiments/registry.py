@@ -4,10 +4,10 @@ experiment run walks.
 An experiment module either exposes ``plan()`` (emit the job list),
 ``reduce()`` (fold ``{tag: RunResult}`` into the result shape) and
 ``format_result()`` (render the table), or — for a driver, whose job
-set depends on intermediate results — ``drive(execute, **options)``
-and ``format_result()``; one that asserts a shape adds
-``claims(results)``.
-:func:`prepare` binds a module to its options and applies the
+set depends on intermediate results — ``configure(**options)``
+(returning ``drive``'s arguments), ``drive()`` and ``format_result()``;
+one that asserts a shape adds ``claims(results)``.
+:func:`prepare` validates and binds a module's options and applies the
 cross-cutting ones (``trace``, ``faults``, ``scheduler``) to every job;
 :meth:`Prepared.finish` gates on fault invariants, then reduces and
 formats. The CLI, ``repro serve`` and the benchmarks all go
@@ -18,7 +18,7 @@ import functools
 
 from ..errors import ConfigError, FaultError
 from .. import runner
-from ..runner.jobs import apply_options, check_scheduler
+from ..runner.jobs import apply_options, check_scheduler, is_finite, is_int
 from . import (
     baselines,
     fig4,
@@ -80,16 +80,17 @@ class Prepared:
 
     ``jobs`` is the plan with every cross-cutting option applied, or
     None for a driver, which runs its own job waves through
-    :meth:`drive`. Module functions are looked up at call time, so a
+    :meth:`drive` with ``options``, the arguments its ``configure()``
+    validated. Module functions are looked up at call time, so a
     wrapper installed on the module after :func:`prepare` still runs.
     """
 
-    __slots__ = ("module", "jobs", "_kwargs")
+    __slots__ = ("module", "jobs", "options")
 
-    def __init__(self, module, jobs, kwargs):
+    def __init__(self, module, jobs, options):
         self.module = module
         self.jobs = jobs
-        self._kwargs = kwargs
+        self.options = options
 
     def finish(self, by_tag):
         """``{tag: RunResult}`` -> ``(results, formatted_text)``.
@@ -121,15 +122,16 @@ class Prepared:
         ``execute(plans) -> {name: {tag: RunResult}}`` is
         :func:`repro.runner.execute_many` with its settings bound; the
         driver calls it once per job wave."""
-        results = self.module.drive(execute, **self._kwargs)
+        results = self.module.drive(execute, **self.options)
         return results, self.module.format_result(results)
 
 
 def prepare(name, *, trace=None, faults=None, scheduler=None, **kwargs):
     """Bind experiment ``name`` to its options; returns :class:`Prepared`.
 
-    ``kwargs`` (``seed``, ``scale_override``, ...) go to the module's
-    ``plan()``, or to ``drive()`` for a driver.
+    ``kwargs`` (``seed``, an integer; ``scale_override``, None or a
+    finite number > 0; ...) go to the module's ``plan()``, or to
+    ``configure()`` for a driver. A bad option raises ConfigError here.
 
     ``trace``, ``faults`` and ``scheduler`` apply to every planned job
     through :func:`repro.runner.jobs.apply_options`, so a bad option
@@ -143,9 +145,14 @@ def prepare(name, *, trace=None, faults=None, scheduler=None, **kwargs):
     A driver's jobs are born mid-run from its own feedback loop, so
     per-job rewrites (``trace``, ``faults``) would silently change its
     control flow; they are refused instead of half-applied. Its
-    ``scheduler`` is validated here and passed to ``drive()``.
+    ``scheduler`` is validated here and passed to ``configure()``.
     """
     module = get(name)
+    if "seed" in kwargs and not is_int(kwargs["seed"]):
+        raise ConfigError("'seed' must be an integer, got %r" % (kwargs["seed"],))
+    scale = kwargs.get("scale_override")
+    if scale is not None and not (is_finite(scale) and scale > 0):
+        raise ConfigError("'scale' must be a finite number > 0, got %r" % (scale,))
     if is_driver(module):
         for option, value in (("trace", trace), ("faults", faults)):
             if value is not None:
@@ -154,7 +161,7 @@ def prepare(name, *, trace=None, faults=None, scheduler=None, **kwargs):
                 )
         if scheduler is not None:
             check_scheduler(scheduler)
-        return Prepared(module, None, dict(kwargs, scheduler=scheduler))
+        return Prepared(module, None, module.configure(scheduler=scheduler, **kwargs))
     jobs = module.plan(**kwargs)
     for job in jobs:
         apply_options(job, trace=trace, faults=faults, scheduler=scheduler)

@@ -47,7 +47,7 @@ from ..metrics.histogram import Histogram
 from ..obs import telemetry
 from ..obs.runstate import steal_fraction, steal_report
 from ..runner import SimJob, baseline_policy
-from ..runner.jobs import DEFAULT_SCHEDULER, apply_options
+from ..runner.jobs import DEFAULT_SCHEDULER, apply_options, is_finite, is_int
 from ..sim.rng import derive_seed, split_seeds
 from ..sim.time import ms
 from . import arrivals, placement
@@ -64,7 +64,12 @@ _HOST_JOBS = telemetry.counter("fleet.host_jobs")
 
 @dataclasses.dataclass
 class FleetSpec:
-    """One fleet configuration (shared by every policy under test)."""
+    """One fleet configuration (shared by every policy under test).
+
+    Its field defaults are the fleet's only defaults (steady-state
+    demand at ~80% of fleet pCPU capacity: enough for stacking to show
+    in the tail, little enough for an informed policy to keep every
+    host uncontended), and construction enforces its knobs' rules."""
 
     hosts: int = 6
     pcpus: int = 12
@@ -87,10 +92,17 @@ class FleetSpec:
     scheduler: str = None
 
     def __post_init__(self):
-        if self.hosts < 1:
-            raise ConfigError("a fleet needs at least one host")
-        if self.epochs < 1:
-            raise ConfigError("a fleet needs at least one epoch")
+        for name, rule, ok in (
+            ("hosts", "an integer >= 1", is_int(self.hosts, 1)),
+            ("epochs", "an integer >= 1", is_int(self.epochs, 1)),
+            ("rate", "a finite number > 0", is_finite(self.rate) and self.rate > 0),
+            ("overcommit", "a finite number > 0",
+             is_finite(self.overcommit) and self.overcommit > 0),
+            ("migration_cost_ms", "a finite number >= 0",
+             is_finite(self.migration_cost_ms) and self.migration_cost_ms >= 0),
+        ):
+            if not ok:
+                raise ConfigError("fleet %r must be %s, got %r" % (name, rule, getattr(self, name)))
 
     @property
     def capacity(self):

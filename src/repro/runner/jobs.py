@@ -26,6 +26,7 @@ never participates in an import cycle with ``repro.experiments``.
 import dataclasses
 import inspect
 import json
+import math
 import time
 
 from ..errors import ConfigError, FaultError
@@ -234,10 +235,16 @@ class SimJob:
         return cls(**payload)
 
 
-def _is_int(value, minimum=None):
+def is_int(value, minimum=None):
+    """True for an int that is not a bool and is at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int):
         return False
     return minimum is None or value >= minimum
+
+
+def is_finite(value):
+    """True for an int or a finite float that is not a bool."""
+    return is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def check_scheduler(name):
@@ -270,7 +277,7 @@ def check_policy(policy):
     if missing:
         raise ConfigError("policy mode %r requires %s" % (mode, ", ".join(map(repr, missing))))
     for field in ("micro_cores", "turbo_cores", "pool_cores"):
-        if field in policy and not _is_int(policy[field], 1):
+        if field in policy and not is_int(policy[field], 1):
             raise ConfigError("policy %r must be an integer >= 1" % field)
     if not isinstance(policy.get("user_critical", False), bool):
         raise ConfigError("policy 'user_critical' must be a boolean")
@@ -304,7 +311,7 @@ def check_job(job):
     if not (isinstance(job.tag, str) and job.tag):
         raise ConfigError("'tag' must be a non-empty string")
     for field, minimum in (("seed", None), ("duration_ns", 1), ("warmup_ns", 0)):
-        if not _is_int(getattr(job, field), minimum):
+        if not is_int(getattr(job, field), minimum):
             floor = "" if minimum is None else " >= %d" % minimum
             raise ConfigError("%r must be an integer%s" % (field, floor))
     for field in ("scenario_kwargs", "policy", "overrides"):
@@ -339,7 +346,7 @@ def check_job(job):
     for name, value in job.overrides.items():
         if name == "scheduler":
             check_scheduler(value)
-        elif not _is_int(value, 1):
+        elif not is_int(value, 1):
             raise ConfigError("override %r must be an integer >= 1" % name)
 
     if job.trace is not None:

@@ -21,7 +21,9 @@ Every decision is counted (``serve.admission.*``) — rejections are a
 monitored, first-class outcome, never an error path.
 """
 
+from ..errors import ConfigError
 from ..obs import telemetry
+from ..runner.jobs import is_int
 
 _ADMITTED = telemetry.counter("serve.admission.admitted")
 _REJECTED_QUEUE = telemetry.counter("serve.admission.rejected_queue_full")
@@ -62,8 +64,12 @@ class AdmissionController:
     def __init__(self, max_queue_depth=DEFAULT_MAX_QUEUE_DEPTH,
                  max_inflight_per_client=DEFAULT_MAX_INFLIGHT_PER_CLIENT,
                  predicted_backlog_seconds=None):
-        self.max_queue_depth = max(1, int(max_queue_depth))
-        self.max_inflight_per_client = max(1, int(max_inflight_per_client))
+        for name, value in (("max_queue_depth", max_queue_depth),
+                            ("max_inflight_per_client", max_inflight_per_client)):
+            if not is_int(value, 1):
+                raise ConfigError("%s must be an integer >= 1, got %r" % (name, value))
+        self.max_queue_depth = max_queue_depth
+        self.max_inflight_per_client = max_inflight_per_client
         self.draining = False
         self.queued = 0
         self._inflight = {}  # client -> queued + running submissions

@@ -50,6 +50,10 @@ _ACTIVE_STREAMS = telemetry.gauge("serve.active_streams")
 #: (an SSE comment / NDJSON no-op so proxies do not reap the socket).
 STREAM_HEARTBEAT_SECONDS = 15.0
 
+#: Bind address and port; `repro serve --host/--port` override.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8765
+
 
 class ServeConfig:
     """Everything ``repro serve`` needs to come up."""
@@ -57,7 +61,7 @@ class ServeConfig:
     __slots__ = ("host", "port", "workers", "cache", "cache_dir",
                  "max_queue_depth", "max_inflight")
 
-    def __init__(self, host="127.0.0.1", port=8765, workers=None, cache=None,
+    def __init__(self, host=DEFAULT_HOST, port=DEFAULT_PORT, workers=None, cache=None,
                  cache_dir=None, max_queue_depth=DEFAULT_MAX_QUEUE_DEPTH,
                  max_inflight=DEFAULT_MAX_INFLIGHT_PER_CLIENT):
         self.host = host

@@ -43,7 +43,6 @@ import asyncio
 import dataclasses
 import functools
 import itertools
-import math
 import threading
 import time
 import warnings
@@ -82,11 +81,9 @@ WAVE_MAX = 16
 #: enumerable job plan to predict from; feeds Retry-After only.
 DRIVER_PREDICT_SECONDS = 5.0
 
-#: Experiment-submission knobs every experiment accepts.
+#: Experiment-submission knobs every experiment accepts; a driver also
+#: takes its module's ``OPTIONS``.
 _EXPERIMENT_KEYS = ("experiment", "seed", "scale", "scheduler", "faults")
-#: Extra knobs accepted by driver experiments (the fleet spec).
-_DRIVER_KEYS = ("policies", "hosts", "epochs", "rate", "overcommit",
-                "migration_cost_ms")
 #: Keys a raw SimJob submission may carry.
 _JOB_KEYS = tuple(field.name for field in dataclasses.fields(SimJob))
 
@@ -94,6 +91,13 @@ _JOB_KEYS = tuple(field.name for field in dataclasses.fields(SimJob))
 #: 10 simulated seconds is ~40x the longest registry experiment job and
 #: already minutes of wall time — anything larger is a typo'd unit.
 MAX_JOB_HORIZON_NS = 10_000_000_000
+
+#: Ceiling on one fleet request's planned host jobs (hosts x epochs x
+#: policies) and on its expected session arrivals (rate x epochs):
+#: ~38x the default fleet's 108 host jobs and ~28x its 144 sessions.
+#: Past that it is a typo'd knob, and a huge ``rate`` or ``hosts``
+#: would exhaust the server's memory in the wave thread.
+MAX_FLEET_SIZE = 4096
 
 
 class ValidationError(ReproError):
@@ -103,24 +107,6 @@ class ValidationError(ReproError):
 def _require(condition, detail):
     if not condition:
         raise ValidationError(detail)
-
-
-def _int_field(payload, key, default, minimum=None):
-    value = payload.get(key, default)
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             "%r must be an integer" % key)
-    if minimum is not None:
-        _require(value >= minimum, "%r must be >= %d" % (key, minimum))
-    return value
-
-
-def _number_field(payload, key, default, minimum=None):
-    value = payload.get(key, default)
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and abs(value) < math.inf, "%r must be a finite number" % key)
-    if minimum is not None:
-        _require(value > minimum, "%r must be > %g" % (key, minimum))
-    return value
 
 
 class Work:
@@ -161,9 +147,9 @@ def _rendered(prepared, outcome):
 
 def compile_experiment(payload):
     """Validate an experiment submission and compile it to
-    :class:`Work` through :func:`repro.experiments.registry.prepare`.
-    Raises :class:`ValidationError` on anything a registry does not
-    recognise, and on any planned job past the service horizon."""
+    :class:`Work` through :func:`repro.experiments.registry.prepare`
+    (its ReproError is the 400), adding only service policy: known
+    keys, faults, the horizon limit and :data:`MAX_FLEET_SIZE`."""
     _require(isinstance(payload, dict), "expected a JSON object")
     name = payload.get("experiment")
     _require(isinstance(name, str) and name,
@@ -172,42 +158,27 @@ def compile_experiment(payload):
         module = experiment_registry.get(name)
     except ReproError as err:
         raise ValidationError(str(err))
-    driver = experiment_registry.is_driver(module)
-    allowed = _EXPERIMENT_KEYS + (_DRIVER_KEYS if driver else ())
+    allowed = _EXPERIMENT_KEYS + getattr(module, "OPTIONS", ())
     unknown = sorted(set(payload) - set(allowed))
     _require(not unknown, "unknown field(s) %s (allowed: %s)"
              % (", ".join(map(repr, unknown)), ", ".join(allowed)))
 
-    kwargs = {"seed": _int_field(payload, "seed", 42), "scale_override": None}
-    if payload.get("scale") is not None:
-        kwargs["scale_override"] = _number_field(payload, "scale", None, minimum=0.0)
-    faults = _validate_faults(payload.get("faults"))
-    if "policies" in payload:
-        from ..fleet import placement
-
-        policies = payload["policies"]
-        _require(isinstance(policies, list) and policies
-                 and all(isinstance(p, str) for p in policies),
-                 "'policies' must be a non-empty list of names")
-        for policy in policies:
-            _require(policy in placement.available(),
-                     "unknown placement policy %r (available: %s)"
-                     % (policy, ", ".join(placement.available())))
-        kwargs["policies"] = policies
-    for key in ("hosts", "epochs"):
-        if key in payload:
-            kwargs[key] = _int_field(payload, key, None, minimum=1)
-    for key in ("rate", "overcommit", "migration_cost_ms"):
-        if key in payload:
-            kwargs[key] = _number_field(payload, key, None, minimum=0.0)
-
+    options = dict(payload)
+    del options["experiment"]
+    if "scale" in options:
+        options["scale_override"] = options.pop("scale")
+    faults = _validate_faults(options.pop("faults", None))
     try:
-        prepared = experiment_registry.prepare(
-            name, faults=faults, scheduler=payload.get("scheduler"), **kwargs
-        )
+        prepared = experiment_registry.prepare(name, faults=faults, **options)
     except ReproError as err:
         raise ValidationError(str(err))
     if prepared.jobs is None:
+        spec, policies = prepared.options["spec"], prepared.options["policies"]
+        _check_horizon("fleet host", spec.epoch_ns())
+        for what, size in (("host jobs", spec.hosts * spec.epochs * len(policies)),
+                           ("expected sessions", spec.rate * spec.epochs)):
+            _require(size <= MAX_FLEET_SIZE, "fleet: %g planned %s exceed the %d "
+                     "service limit" % (size, what, MAX_FLEET_SIZE))
         return Work("experiment", name, driver=lambda execute: _rendered(
             prepared, prepared.drive(execute)))
     for job in prepared.jobs:

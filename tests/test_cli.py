@@ -250,3 +250,31 @@ class TestFleetCommand:
     def test_unknown_policy_exits_two(self, capsys):
         assert main(self._TINY + ["--policies", "warp"]) == 2
         assert "unknown placement policy" in capsys.readouterr().err
+
+
+class TestServeCommand:
+    def test_defaults_are_the_services(self):
+        from repro.serve import ServeConfig
+
+        args = build_parser().parse_args(["serve"])
+        config = ServeConfig()
+        assert (args.host, args.port, args.max_queue_depth, args.max_inflight) == (
+            config.host, config.port, config.max_queue_depth, config.max_inflight)
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-queue-depth", "0"], ["--max-inflight", "-1"],
+    ])
+    def test_bad_limit_exits_two(self, monkeypatch, capsys, argv):
+        """The limit is refused, not clamped to 1. The stand-in builds
+        the app the way ``serve_forever`` does but binds no socket."""
+        import repro.serve
+        from repro.serve import ServeApp
+
+        async def build_only(config):
+            ServeApp(config)
+            return 0
+
+        monkeypatch.setattr(repro.serve, "serve_forever", build_only)
+        assert main(["serve"]) == 0
+        assert main(["serve"] + argv) == 2
+        assert "must be an integer >= 1" in capsys.readouterr().err

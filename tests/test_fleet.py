@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigError
 from repro.experiments import fleet as fleet_experiment
 from repro.experiments import registry
@@ -22,6 +23,8 @@ from repro.fleet.cluster import FleetSpec, FleetState, run_fleet, summary_json
 from repro.metrics.histogram import Histogram
 from repro.obs import telemetry
 from repro.runner import cache, execute_many
+from repro.serve import ValidationError
+from repro.serve.jobs import compile_experiment
 from repro.sim.rng import derive_seed, split_seeds
 from repro.sim.time import ms
 
@@ -392,6 +395,95 @@ class TestExecuteSeam:
         again, _ = registry.run("fleet", workers=1, scheduler="credit", **self.OPTIONS)
         assert telemetry.snapshot()["counters"].get("cache.misses", 0) == misses
         assert again == first
+
+
+#: One table of fleet options, refused alike by every front door:
+#: ``registry.prepare``, serve's ``compile_experiment`` and ``repro fleet``.
+BAD_OPTIONS = [
+    pytest.param({"rate": -3}, "'rate' must be a finite number > 0", id="rate-negative"),
+    pytest.param({"rate": 0}, "'rate' must be a finite number > 0", id="rate-zero"),
+    pytest.param({"rate": float("nan")}, "'rate' must be a finite number", id="rate-nan"),
+    pytest.param({"rate": float("inf")}, "'rate' must be a finite number", id="rate-inf"),
+    pytest.param({"overcommit": -1}, "'overcommit' must be a finite number > 0",
+                 id="overcommit-negative"),
+    pytest.param({"migration_cost_ms": -5}, "'migration_cost_ms' must be a finite number >= 0",
+                 id="migration-cost-negative"),
+    pytest.param({"hosts": True}, "'hosts' must be an integer >= 1", id="hosts-bool"),
+    pytest.param({"policies": ["warp"]}, "unknown placement policy", id="policies-unknown"),
+    pytest.param({"policies": []}, "non-empty list", id="policies-empty"),
+]
+
+
+def _fleet_argv(options):
+    """``repro fleet`` flags for ``options`` (tiny fleet, no cache)."""
+    argv = ["fleet", "--hosts", "2", "--epochs", "2", "--rate", "4",
+            "--scale", "0.02", "--no-cache"]
+    for key, value in options.items():
+        argv += ["--" + key.replace("_", "-"),
+                 ",".join(value) if isinstance(value, list) else str(value)]
+    return argv
+
+
+def _exit_code(argv):
+    """``cli.main``'s exit status, argparse's usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exit:
+        return exit.code
+
+
+def _host_jobs():
+    return telemetry.snapshot()["counters"].get("fleet.host_jobs", 0)
+
+
+class TestFleetOptionsAtEveryFrontDoor:
+    """``FleetSpec`` and ``registry.prepare`` own the fleet's rules, so
+    a request is valid or not the same way through the library, serve
+    and the CLI, and a bad one fails before any host job."""
+
+    @pytest.mark.parametrize("options, match", BAD_OPTIONS)
+    def test_registry_prepare_refuses(self, options, match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            registry.prepare("fleet", **options)
+
+    @pytest.mark.parametrize("options, match", BAD_OPTIONS)
+    def test_serve_refuses(self, options, match):
+        with pytest.raises(ValidationError, match=re.escape(match)):
+            compile_experiment(dict({"experiment": "fleet"}, **options))
+
+    # Left out: an infinite rate that got through would hang the suite
+    # instead of failing it; ci_smoke.sh runs that row under a timeout.
+    @pytest.mark.parametrize("options, match", [
+        row for row in BAD_OPTIONS if row.id != "rate-inf"
+    ])
+    def test_cli_exits_two_before_any_host_job(self, capsys, options, match):
+        before = _host_jobs()
+        assert _exit_code(_fleet_argv(options)) == 2
+        assert _host_jobs() == before
+        # argparse's int type refuses the CLI spelling of True itself.
+        expected = "invalid int value" if options == {"hosts": True} else match
+        assert expected in capsys.readouterr().err
+
+    def test_free_migration_is_valid_everywhere(self, capsys):
+        assert registry.prepare("fleet", migration_cost_ms=0).options["spec"].migration_cost_ms == 0
+        assert compile_experiment({"experiment": "fleet", "migration_cost_ms": 0}).driver
+        argv = _fleet_argv({"migration_cost_ms": 0, "policies": ["first_fit"]})
+        assert _exit_code(argv) == 0
+        assert "first_fit" in capsys.readouterr().out
+
+    def test_cli_and_serve_default_to_the_experiments_policies(self, monkeypatch):
+        seen = []
+        configure = fleet_experiment.configure
+
+        def recording(**options):
+            seen.append(configure(**options)["policies"])
+            raise ConfigError("recorded")
+
+        monkeypatch.setattr(fleet_experiment, "configure", recording)
+        assert main(["fleet", "--scale", "0.02"]) == 2
+        with pytest.raises(ValidationError, match="recorded"):
+            compile_experiment({"experiment": "fleet"})
+        assert seen == [list(fleet_experiment.POLICIES)] * 2
 
 
 class TestHistogramFromSnapshot:

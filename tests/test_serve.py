@@ -30,7 +30,7 @@ from repro.runner import pool as pool_mod
 from repro.runner.jobs import SimJob, run_job
 from repro.serve import ServeConfig, ValidationError, start_in_thread
 from repro.serve.admission import AdmissionController, Rejection
-from repro.serve.jobs import TERMINAL, compile_experiment, compile_job
+from repro.serve.jobs import MAX_FLEET_SIZE, TERMINAL, compile_experiment, compile_job
 from repro.sim.time import ms
 
 
@@ -299,8 +299,38 @@ class TestValidation:
         assert work.jobs is None
         assert work.driver is not None
 
+    @pytest.mark.parametrize("spec", [
+        {"scale": 1000.0},  # a 250 s epoch: each host job past the horizon
+        {"rate": 1e12},
+        {"hosts": 1_000_000_000},
+        {"hosts": MAX_FLEET_SIZE + 1, "epochs": 1, "policies": ["random"]},
+        {"rate": MAX_FLEET_SIZE + 1, "epochs": 1},
+    ])
+    def test_fleet_obeys_the_service_limits(self, spec):
+        with pytest.raises(ValidationError, match="service limit"):
+            compile_experiment(dict({"experiment": "fleet"}, **spec))
+
+    @pytest.mark.parametrize("spec", [
+        {},  # the default fleet
+        {"hosts": 4, "epochs": 4, "rate": 16, "scale": 0.02},  # the CI fleet
+        {"hosts": MAX_FLEET_SIZE, "epochs": 1, "policies": ["random"]},
+        {"rate": MAX_FLEET_SIZE, "epochs": 1},
+    ])
+    def test_fleet_within_the_service_limits_is_accepted(self, spec):
+        assert compile_experiment(dict({"experiment": "fleet"}, **spec)).driver
+
 
 class TestAdmissionController:
+    @pytest.mark.parametrize("limits", [
+        {"max_queue_depth": 0}, {"max_inflight_per_client": -1},
+        {"max_queue_depth": 2.5}, {"max_inflight_per_client": True},
+    ])
+    def test_bad_limit_is_a_config_error(self, limits):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="must be an integer >= 1"):
+            AdmissionController(**limits)
+
     def test_queue_full_rejects_429(self):
         controller = AdmissionController(max_queue_depth=2)
         controller.admit("a")
