@@ -118,13 +118,14 @@ def warm_entry(tmp_path_factory):
 class TestWarmHydration:
     def test_load_and_from_dict(self, benchmark, warm_entry):
         """The per-result stage of a process's first warm replay of an
-        entry: read and decode it, then hydrate it. The decode memo is
-        emptied before every round, so this keeps timing the JSON
-        decode and its checks."""
+        entry: read, decode and freeze it, then hydrate it (fields a
+        reducer reads are decoded later, outside this stage). The
+        decode memo is emptied before every round, so this keeps timing
+        the JSON decode and its checks."""
         key, directory, payload = warm_entry
 
         def hydrate():
-            return RunResult.from_dict(cache.load(key, directory))
+            return RunResult.from_frozen(cache.load(key, directory))
 
         result = benchmark.pedantic(
             hydrate, setup=cache.forget_decoded, rounds=DECODE_ROUNDS, iterations=1
@@ -135,15 +136,15 @@ class TestWarmHydration:
     def test_rehydrate_from_decode_memo(self, benchmark, warm_entry):
         """Every later replay of the same bytes in one process (serve's
         hit fast path, a test session, a benchmark loop): read the
-        entry, compare it with the memoized text, copy the memoized
-        result, hydrate it."""
+        entry, compare it with the memoized bytes, hydrate a result
+        over the memoized blobs."""
         key, directory, payload = warm_entry
         cache.forget_decoded()
         cache.load(key, directory)
         reuses = telemetry.snapshot()["counters"].get("cache.decode_reuses", 0)
 
         def hydrate():
-            return RunResult.from_dict(cache.load(key, directory))
+            return RunResult.from_frozen(cache.load(key, directory))
 
         result = benchmark(hydrate)
         assert result.to_dict() == payload

@@ -135,6 +135,37 @@ REPRO_CACHE=off REPRO_RUNNER_WORKERS=2 repro sweep gmake --max-cores 1 --duratio
   > sweep_pool.txt
 cmp sweep_serial.txt sweep_pool.txt
 
+step "warm replay: every planned experiment renders cold, then twice warm, byte-equal"
+# One process, so the second and third passes replay through the decode
+# memo and every result decodes its fields on first read.
+REPRO_CACHE_DIR="$OUT/warm-cache" python - <<'EOF'
+from repro.experiments import registry
+from repro.obs import telemetry
+
+names = [name for name in registry.available() if not registry.is_driver(registry.get(name))]
+
+
+def counter(name):
+    return telemetry.snapshot()["counters"].get(name, 0)
+
+
+def render():
+    return {name: registry.run_many([name], workers=1, scale_override=0.02)[name][1]
+            for name in names}
+
+
+cold = render()
+for label in ("warm", "warm again"):
+    misses = counter("cache.misses")
+    texts = render()
+    differ = sorted(name for name in names if texts[name] != cold[name])
+    assert not differ, "%s text differs from cold for %s" % (label, differ)
+    assert counter("cache.misses") == misses, "%s pass missed the cache" % label
+assert counter("cache.decode_reuses") > 0, "no load reused the decode memo"
+print("%d experiments byte-equal cold and twice warm; %d decode reuses"
+      % (len(names), counter("cache.decode_reuses")))
+EOF
+
 # -- fleet --------------------------------------------------------------
 step "registry lists the placement policies"
 repro list > list.txt

@@ -1,5 +1,8 @@
 """Result collection for experiment runs."""
 
+import marshal
+from types import MappingProxyType
+
 from ..obs.runstate import encode as encode_runstate, steal_ns
 
 
@@ -27,28 +30,70 @@ class WorkloadResult:
         return "<WorkloadResult %s rate=%.1f/s>" % (self.key, self.rate)
 
 
+class _Deferred:
+    """A :class:`RunResult` field that :meth:`RunResult.from_frozen`
+    leaves encoded. Its first read decodes the result's own copy from
+    the field's marshal blob (or makes ``default()`` when the payload
+    has no such key) and stores it on the instance, so every later read
+    is a plain attribute read and an assignment simply replaces it."""
+
+    def __init__(self, default, key=None):
+        self.default = default
+        self.key = key
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        if self.key is None:
+            self.key = name
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return self
+        blob = result._frozen.get(self.key)
+        value = self.default() if blob is None else marshal.loads(blob)
+        result.__dict__[self.name] = value
+        return value
+
+
+def _workloads(payload):
+    """``{key: WorkloadResult}`` from a payload's ``workloads`` field."""
+    return {
+        key: WorkloadResult(key, entry["progress"], entry["rate"], entry["extra"])
+        for key, entry in payload.items()
+    }
+
+
 class RunResult:
-    """Everything an experiment needs from one simulation run."""
+    """Everything an experiment needs from one simulation run.
+
+    Every field :meth:`from_dict` stores as-is is a :class:`_Deferred`:
+    a replayed result decodes it on first read, so a reducer pays only
+    for the fields it reads."""
+
+    #: ``{payload key: marshal blob}`` of a replayed result; shared
+    #: and read-only (see :func:`repro.runner.cache.freeze`).
+    _frozen = MappingProxyType({})
+
+    hv_counters = _Deferred(dict)
+    domain_yields = _Deferred(dict)
+    domain_counters = _Deferred(dict)
+    lockstats = _Deferred(dict)
+    tlb_stats = _Deferred(dict)
+    micro_cores = _Deferred(int)
+    utilization = _Deferred(float)
+    adaptive_decisions = _Deferred(list)
+    runstates = _Deferred(dict)     # domain -> {vcpu: state list (obs.runstate)}
+    histograms = _Deferred(dict)    # name -> histogram snapshot
+    _trace = _Deferred(list, "trace")   # exported trace records (when tracing)
+    #: Fault-injection digest + invariant report; None for healthy
+    #: runs (and absent from to_dict, keeping them byte-identical).
+    faults = _Deferred(lambda: None)
 
     def __init__(self, scenario_name, duration_ns):
         self.scenario_name = scenario_name
         self.duration_ns = duration_ns
         self.workloads = {}
-        self.hv_counters = {}
-        self.domain_yields = {}
-        self.domain_counters = {}
-        self.lockstats = {}
-        self.tlb_stats = {}
-        self.micro_cores = 0
-        self.utilization = 0.0
-        self.adaptive_decisions = []
-        self.runstates = {}      # domain -> {vcpu: state list (obs.runstate)}
-        self.histograms = {}     # name -> histogram snapshot
-        self._trace = []         # exported trace records (when tracing)
         self._trace_pending = None   # raw record tuples awaiting export
-        #: Fault-injection digest + invariant report; None for healthy
-        #: runs (and absent from to_dict, keeping them byte-identical).
-        self.faults = None
 
     @property
     def trace(self):
@@ -171,14 +216,10 @@ class RunResult:
         """Rebuild a result from :meth:`to_dict` output, taking
         ownership of ``payload``: its nested dicts and lists become the
         result's fields, uncopied. Pass a payload nothing else holds (a
-        fresh ``json.loads`` or ``run_job``); a caller that hands one
-        payload to several results copies it for every one but the
-        first (see :func:`repro.runner.executor.execute_many`)."""
+        fresh ``json.loads`` or ``run_job``); the executor and serve
+        build their results with :meth:`from_frozen` instead."""
         result = cls(payload["scenario_name"], payload["duration_ns"])
-        result.workloads = {
-            key: WorkloadResult(key, entry["progress"], entry["rate"], entry["extra"])
-            for key, entry in payload["workloads"].items()
-        }
+        result.workloads = _workloads(payload["workloads"])
         result.hv_counters = payload["hv_counters"]
         result.domain_yields = payload["domain_yields"]
         result.domain_counters = payload["domain_counters"]
@@ -191,6 +232,19 @@ class RunResult:
         result.histograms = payload.get("histograms", {})
         result.trace = payload.get("trace", [])
         result.faults = payload.get("faults")
+        return result
+
+    @classmethod
+    def from_frozen(cls, frozen):
+        """Rebuild a result from a payload's per-field marshal blobs
+        (:func:`repro.runner.cache.freeze`). The name, duration and
+        workloads are decoded now; every other field on its first read,
+        each result decoding its own copy. ``frozen`` is only read, so
+        any number of results may be built from one."""
+        result = cls(marshal.loads(frozen["scenario_name"]),
+                     marshal.loads(frozen["duration_ns"]))
+        result.workloads = _workloads(marshal.loads(frozen["workloads"]))
+        result._frozen = frozen
         return result
 
     # ------------------------------------------------------------------

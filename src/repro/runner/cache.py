@@ -19,20 +19,24 @@ Corrupt or poisoned cache files are ignored with a ``RuntimeWarning``
 and transparently re-simulated, never crash a run.
 
 Decode memo. A process that replays the same entries again (``repro
-serve``'s cache-hit fast path, a test session, a benchmark loop) used to
-``json.loads`` the same bytes on every probe. :func:`load` still opens
-and reads the entry on every call, but when the text it read is equal
-to the text it last validated for that path, it skips the JSON decode
-and the checks and returns a fresh copy of the remembered result (a
-``marshal`` round trip, several times cheaper than ``json.loads``). The
-memo is keyed on the entry's bytes, not on its file metadata: a
-same-size rewrite within one mtime tick is still seen. It is filled
-only after an entry passed every check, so corrupt and poisoned
-entries warn and count on every call; every counter moves as it would
-without the memo, and ``cache.decode_reuses`` counts the reuses. The
-memo lives in memory only, bounded by :data:`DECODE_MEMO_BYTES` and
-:data:`DECODE_MEMO_ENTRY_BYTES`, oldest entries first out; marshal
-data is never written to or read from disk.
+serve``'s cache-hit fast path, a test session, a benchmark loop) would
+otherwise ``json.loads`` the same bytes on every probe. :func:`load`
+still opens and reads the entry on every call, as bytes, but when those
+bytes equal the bytes it last validated for that path, it skips the
+UTF-8 and JSON decode and the checks and returns the remembered result.
+A hit's result is always in its frozen form (:func:`freeze`): one
+immutable ``marshal`` blob per payload field, which
+:meth:`~repro.experiments.results.RunResult.from_frozen` decodes field
+by field on first read, so a replay pays only for the fields its
+reducer reads, and every result decodes its own copy. The memo is keyed
+on the entry's bytes, not on its file metadata: a same-size rewrite
+within one mtime tick is still seen. It is filled only after an entry
+passed every check, so corrupt and poisoned entries warn and count on
+every call; every counter moves as it would without the memo, and
+``cache.decode_reuses`` counts the reuses. The memo lives in memory
+only, bounded by :data:`DECODE_MEMO_BYTES` and
+:data:`DECODE_MEMO_ENTRY_BYTES`, oldest entries first out; marshal data
+is never written to or read from disk.
 """
 
 import hashlib
@@ -44,6 +48,7 @@ import time
 import warnings
 from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 from ..obs import telemetry
 
@@ -82,7 +87,10 @@ def enabled():
     return os.environ.get(ENV_TOGGLE, "on").strip().lower() not in _OFF_VALUES
 
 
-def _dir_name(override):
+def dir_name(override=None):
+    """The cache directory as a string (override > env > default). A
+    probe pass resolves it once and hands the string to every
+    :func:`load`: reading ``os.environ`` per entry is measurable."""
     if override is not None:
         return os.fspath(override)
     return os.environ.get(ENV_DIR) or DEFAULT_DIR
@@ -90,7 +98,7 @@ def _dir_name(override):
 
 def cache_dir(override=None):
     """Resolve the cache directory (override > env > default)."""
-    return Path(_dir_name(override))
+    return Path(dir_name(override))
 
 
 @lru_cache(maxsize=1)
@@ -120,22 +128,34 @@ def entry_path(key, override=None):
     """The entry file for ``key``, as a string: a cache probe is on the
     warm path, and ``os.path.join`` is several times cheaper than
     building ``Path`` objects."""
-    return os.path.join(_dir_name(override), key + ".json")
+    return os.path.join(dir_name(override), key + ".json")
 
 
-#: Bounds of the decode memo: total text plus marshal blob held, and
-#: the largest single entry remembered (traced payloads run to
-#: megabytes and are decoded as before).
+#: Bounds of the decode memo: total entry bytes plus marshal blobs
+#: held, and the largest single entry remembered (traced payloads run
+#: to megabytes and are decoded on every load).
 DECODE_MEMO_BYTES = 8 << 20
 DECODE_MEMO_ENTRY_BYTES = 256 << 10
 
-#: ``{path: (text, blob)}`` in insertion order: the last validated text
-#: of each entry and its result, marshalled. Reads are single dict
+#: ``{path: (data, frozen)}`` in insertion order: the last validated
+#: bytes of each entry and its frozen result. Reads are single dict
 #: lookups; every write holds :data:`_DECODED_LOCK` (serve probes from
 #: executor threads).
 _DECODED = {}
 _DECODED_LOCK = threading.Lock()
 _decoded_bytes = 0
+
+
+def freeze(result):
+    """A result payload as ``{field: marshal blob}``, read-only: the
+    form every hit is returned in and the executor hands results over
+    in. Blobs are immutable, so one frozen payload can back any number
+    of results without sharing their state."""
+    return MappingProxyType({name: marshal.dumps(value) for name, value in result.items()})
+
+
+def _frozen_size(frozen):
+    return sum(len(blob) for blob in frozen.values())
 
 
 def forget_decoded():
@@ -147,49 +167,47 @@ def forget_decoded():
         _decoded_bytes = 0
 
 
-def _remember(path, text, result):
-    """Memoize a validated entry's decode, evicting the oldest entries
-    to stay within :data:`DECODE_MEMO_BYTES`."""
+def _remember(path, data, frozen):
+    """Memoize a validated entry's frozen result, evicting the oldest
+    entries to stay within :data:`DECODE_MEMO_BYTES`."""
     global _decoded_bytes
-    limit = min(DECODE_MEMO_ENTRY_BYTES, DECODE_MEMO_BYTES)
-    if len(text) > limit:
-        return
-    blob = marshal.dumps(result)
-    size = len(text) + len(blob)
-    if size > limit:
+    size = len(data) + _frozen_size(frozen)
+    if size > min(DECODE_MEMO_ENTRY_BYTES, DECODE_MEMO_BYTES):
         return
     with _DECODED_LOCK:
         old = _DECODED.pop(path, None)
         if old is not None:
-            _decoded_bytes -= len(old[0]) + len(old[1])
+            _decoded_bytes -= len(old[0]) + _frozen_size(old[1])
         while _DECODED and _decoded_bytes + size > DECODE_MEMO_BYTES:
             oldest = _DECODED.pop(next(iter(_DECODED)))
-            _decoded_bytes -= len(oldest[0]) + len(oldest[1])
-        _DECODED[path] = (text, blob)
+            _decoded_bytes -= len(oldest[0]) + _frozen_size(oldest[1])
+        _DECODED[path] = (data, frozen)
         _decoded_bytes += size
 
 
 def load(key, override=None):
-    """Return the cached result payload for ``key``, or ``None`` on a
-    miss. Unreadable or poisoned entries warn and count as misses.
-    Every hit returns an object nothing else holds; an entry whose
-    bytes equal the last ones validated for its path skips the decode
-    (see the module docstring)."""
+    """Return the cached result payload for ``key`` in its frozen form
+    (:func:`freeze`), or ``None`` on a miss. Unreadable or poisoned
+    entries warn and count as misses. An entry whose bytes equal the
+    last ones validated for its path skips the decode (see the module
+    docstring)."""
     path = entry_path(key, override)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb", buffering=0) as handle:  # one read: no buffer
+            data = handle.read()
         memo = _DECODED.get(path)
-        if memo is not None and memo[0] == text:
+        if memo is not None and memo[0] == data:
             _DECODE_REUSES.inc()
             _HITS.inc()
-            _HIT_BYTES.inc(len(text))
-            return marshal.loads(memo[1])
-        payload = json.loads(text)
+            _HIT_BYTES.inc(len(data))
+            return memo[1]
+        # Decode strictly before parsing: json.loads of raw bytes would
+        # guess UTF-16/32 and accept encoded surrogates.
+        payload = json.loads(data.decode("utf-8"))
     except FileNotFoundError:
         _MISSES.inc()
         return None
-    except (OSError, ValueError, UnicodeDecodeError) as err:
+    except (OSError, ValueError) as err:  # UnicodeDecodeError is a ValueError
         _CORRUPT.inc()
         _MISSES.inc()
         warnings.warn(
@@ -212,11 +230,11 @@ def load(key, override=None):
             stacklevel=2,
         )
         return None
-    result = payload["result"]
-    _remember(path, text, result)
+    frozen = freeze(payload["result"])
+    _remember(path, data, frozen)
     _HITS.inc()
-    _HIT_BYTES.inc(len(text))
-    return result
+    _HIT_BYTES.inc(len(data))
+    return frozen
 
 
 #: A ``*.tmp.<pid>`` file older than this is presumed leaked by a
@@ -277,7 +295,7 @@ def store(key, job, result, override=None):
     store opportunistically sweeps tmp files old enough to be such
     leftovers. Failures degrade to a warning — caching is
     best-effort."""
-    directory = _dir_name(override)
+    directory = dir_name(override)
     path = entry_path(key, override)
     tmp = os.path.join(directory, "%s.tmp.%d" % (key, os.getpid()))
     swept_key = str(Path(directory))

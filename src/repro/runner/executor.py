@@ -32,7 +32,6 @@ inline execution; ``auto`` = one per CPU); ``REPRO_CACHE=off`` disables
 result caching. Explicit arguments win over all knobs.
 """
 
-import marshal
 import os
 import threading
 import time
@@ -167,7 +166,7 @@ def _pick_pool(pending, workers, owned):
 
 def _simulate_pending(pending, workers, use_cache, cache_dir, progress, owned):
     """Simulate the deduplicated cache-miss jobs; returns ``{key:
-    payload}``. Chooses a pool or inline execution (:func:`_pick_pool`);
+    frozen payload}`` (:func:`~repro.runner.cache.freeze`). Chooses a pool or inline execution (:func:`_pick_pool`);
     either way each result goes through ``land``."""
     payloads = {}
     with _DISPATCH_LOCK:
@@ -177,7 +176,7 @@ def _simulate_pending(pending, workers, use_cache, cache_dir, progress, owned):
             model.observe(job, seconds)
             if use_cache:
                 result_cache.store(key, job, payload, cache_dir)
-            payloads[key] = payload
+            payloads[key] = result_cache.freeze(payload)
             progress.finish(job.tag)
 
         try:
@@ -231,9 +230,10 @@ def _probe_plans(plans, use_cache, cache_dir):
     """One cache-probe pass across every plan in the batch. Returns
     ``(keyed, payloads, pending, hit_tags)`` where ``keyed`` maps each
     plan name to its ``[(job, key)]`` list, ``payloads`` holds every
-    cache hit, ``pending`` lists the deduplicated misses, and
+    cache hit (frozen), ``pending`` lists the deduplicated misses, and
     ``hit_tags`` the tags replayed from cache (for progress
-    reporting)."""
+    reporting). The cache directory is resolved once for the pass."""
+    directory = result_cache.dir_name(cache_dir)
     keyed = {}
     payloads = {}
     pending = []
@@ -252,7 +252,7 @@ def _probe_plans(plans, use_cache, cache_dir):
             if key in payloads or key in pending_keys:
                 continue  # duplicate physical point inside this batch
             if use_cache:
-                hit = result_cache.load(key, cache_dir)
+                hit = result_cache.load(key, directory)
                 if hit is not None:
                     payloads[key] = hit
                     hit_tags.append(job.tag)
@@ -314,21 +314,9 @@ def execute_many(plans, workers=None, cache=None, cache_dir=None, progress=None,
         payloads.update(
             _simulate_pending(pending, workers, use_cache, cache_dir, tracker, pool)
         )
-    # from_dict takes ownership of its payload: a key's first consumer
-    # gets it as decoded, every later tag sharing the key (in this plan
-    # or another) a deep copy, so no two results share state. Payloads
-    # are plain JSON values, so a marshal round trip is that deep copy
-    # at a fifth of copy.deepcopy's cost; it never leaves memory.
-    claimed = set()
-
-    def hydrate(key):
-        payload = payloads[key]
-        if key in claimed:
-            payload = marshal.loads(marshal.dumps(payload))
-        claimed.add(key)
-        return RunResult.from_dict(payload)
-
+    # Every payload is frozen, so each tag sharing a key (in this plan
+    # or another) builds its own result from the same blobs.
     return {
-        name: {job.tag: hydrate(key) for job, key in pairs}
+        name: {job.tag: RunResult.from_frozen(payloads[key]) for job, key in pairs}
         for name, pairs in keyed.items()
     }

@@ -173,6 +173,12 @@ def yield_only_policy(micro_cores=1):
     return {"mode": "yield_only", "micro_cores": int(micro_cores)}
 
 
+#: Canonical JSON (sorted keys, compact) through one encoder: each
+#: ``json.dumps`` call with options builds a new one, and the cache
+#: keys every job of every plan on each probe pass.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclasses.dataclass
 class SimJob:
     """One simulation point, self-contained and picklable.
@@ -225,7 +231,7 @@ class SimJob:
 
     def canonical(self):
         """Stable string form of :meth:`spec` (hashed by the cache)."""
-        return json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.spec())
 
     def to_dict(self):
         return {"tag": self.tag, **self.spec()}

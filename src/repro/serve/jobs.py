@@ -353,16 +353,17 @@ class JobManager:
     # -- submission ----------------------------------------------------
 
     def probe_cache_sync(self, work):
-        """Blocking cache probe: ``{tag: payload}`` when *every* job of
-        ``work`` is cached, else ``None``. Runs in an executor thread
-        (payloads can be megabytes)."""
+        """Blocking cache probe: ``{tag: frozen payload}`` when *every*
+        job of ``work`` is cached, else ``None``. Runs in an executor
+        thread (payloads can be megabytes)."""
         if work.jobs is None:
             return None
         if not (result_cache.enabled() if self.cache is None else bool(self.cache)):
             return None
+        directory = result_cache.dir_name(self.cache_dir)
         payloads = {}
         for job in work.jobs:
-            hit = result_cache.load(result_cache.job_key(job), self.cache_dir)
+            hit = result_cache.load(result_cache.job_key(job), directory)
             if hit is None:
                 return None
             payloads[job.tag] = hit
@@ -387,7 +388,7 @@ class JobManager:
             self._post_event(sub, {"event": "queued", "cache": "hit"})
             try:
                 by_tag = {
-                    tag: RunResult.from_dict(payload)
+                    tag: RunResult.from_frozen(payload)
                     for tag, payload in payloads.items()
                 }
                 sub.result = work.finalize(by_tag)

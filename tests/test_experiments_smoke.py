@@ -54,19 +54,22 @@ class TestRegistry:
 
 
 class TestReducersAreReadOnly:
-    """``RunResult.from_dict`` owns its payload uncopied, so a reducer
-    or formatter that annotated a result in place would change what a
-    later reader of that result sees. ``claims()`` reads the reduced
+    """A result owns its fields (``RunResult.from_dict`` takes its
+    payload uncopied), so a reducer or formatter that annotated a
+    result in place would change what a later reader of that result
+    sees. The results here are replayed from the shared manifest cache,
+    the path a warm run takes. ``claims()`` reads the reduced
     results the same way, and always answers with the names
     EXPERIMENTS.md documents. On a full plan every claim's check runs
     unguarded, so a mistyped key or a bad comparison raises here
     instead of reading as a failed shape."""
 
-    def test_finish_leaves_every_input_result_unchanged(self, monkeypatch):
+    def test_finish_leaves_every_input_result_unchanged(self, monkeypatch, manifest_cache):
         monkeypatch.setattr(common, "claim", lambda check: bool(check()))
         names = [n for n in registry.available() if not registry.is_driver(registry.get(n))]
         prepared = {name: registry.prepare(name, scale_override=0.02) for name in names}
-        by_plan = runner.execute_many({name: p.jobs for name, p in prepared.items()})
+        by_plan = runner.execute_many({name: p.jobs for name, p in prepared.items()},
+                                      cache=True, cache_dir=manifest_cache[0])
         for name, p in prepared.items():
             by_tag = by_plan[name]
             before = {tag: res.to_dict() for tag, res in by_tag.items()}

@@ -4,7 +4,9 @@ never to a crash or a wrong result — even under concurrent writers.
 """
 
 import dataclasses
+import hashlib
 import json
+import marshal
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.results import RunResult
 from repro.obs import telemetry
 from repro.runner import SimJob, cache, execute, execute_many, run_job, static_policy
 from repro.sim.time import ms, us
@@ -75,17 +78,39 @@ def _rewrite_keeping_stat(entry, text):
     )
 
 
+def _decoded(frozen):
+    """A frozen payload (``cache.load``'s hit) as one plain dict."""
+    return {name: marshal.loads(blob) for name, blob in frozen.items()}
+
+
+def _memo_size(memo):
+    """Bytes one decode-memo entry holds: the entry's bytes and blobs."""
+    data, frozen = memo
+    return len(data) + sum(len(blob) for blob in frozen.values())
+
+
+def _mutate(result):
+    """Change every mutable field of ``result`` in place."""
+    assert result.domain_yields and result.workloads and result.runstates
+    for causes in result.domain_yields.values():
+        causes["mutated"] = 1
+    next(iter(result.workloads.values())).extra["mutated"] = 1
+    for field in (result.hv_counters, result.domain_counters, result.lockstats,
+                  result.tlb_stats, result.histograms):
+        field["mutated"] = 1
+    result.adaptive_decisions.append("mutated")
+    result.trace.append({"mutated": 1})
+    next(iter(result.runstates.values())).clear()
+    result.runstates.clear()
+
+
 def _assert_independent(first, second):
     """Two results of one cache key: equal, yet sharing no state, so
     mutating one's nested dicts leaves the other as it was."""
     assert first is not second
     snapshot = second.to_dict()
     assert first.to_dict() == snapshot
-    assert first.domain_yields and first.workloads
-    for causes in first.domain_yields.values():
-        causes["mutated"] = 1
-    next(iter(first.workloads.values())).extra["mutated"] = 1
-    first.runstates.clear()
+    _mutate(first)
     assert second.to_dict() == snapshot
 
 
@@ -253,7 +278,9 @@ class TestStorage:
 
 class TestDecodeMemo:
     """A repeated load of unchanged bytes reuses the decode; anything
-    else takes the full path, with its checks, warnings and counters."""
+    else takes the full path, with its checks, warnings and counters.
+    A hit is a frozen payload; ``RunResult.from_frozen`` is the one way
+    a result is built from it."""
 
     def _entry(self, tmp_path):
         job = _job()
@@ -266,8 +293,8 @@ class TestDecodeMemo:
         expected = json.loads(entry.read_text())["result"]
         reuses = _counter("cache.decode_reuses")
         hits, hit_bytes = _cache_hits(), _counter("cache.hit_bytes")
-        first = cache.load(key, tmp_path)
-        second = cache.load(key, tmp_path)
+        first = RunResult.from_frozen(cache.load(key, tmp_path)).to_dict()
+        second = RunResult.from_frozen(cache.load(key, tmp_path)).to_dict()
         assert first == second == expected
         assert json.dumps(second, sort_keys=True) == json.dumps(expected, sort_keys=True)
         assert _counter("cache.decode_reuses") - reuses == 1
@@ -278,12 +305,39 @@ class TestDecodeMemo:
         key, entry = self._entry(tmp_path)
         expected = json.loads(entry.read_text())["result"]
         for _ in range(3):  # the decoding load, then two memo hits
-            payload = cache.load(key, tmp_path)
-            assert payload == expected
-            payload["hv_counters"]["mutated"] = 1
-            next(iter(payload["workloads"].values()))["extra"]["mutated"] = 1
-            payload["runstates"].clear()
-        assert cache.load(key, tmp_path) == expected
+            result = RunResult.from_frozen(cache.load(key, tmp_path))
+            assert result.to_dict() == expected
+            _mutate(result)
+        assert RunResult.from_frozen(cache.load(key, tmp_path)).to_dict() == expected
+
+    def test_a_frozen_payload_is_read_only(self, tmp_path):
+        key, _ = self._entry(tmp_path)
+        frozen = cache.load(key, tmp_path)
+        assert all(type(blob) is bytes for blob in frozen.values())
+        with pytest.raises(TypeError):
+            frozen["runstates"] = marshal.dumps({})
+
+    def test_fields_decode_on_first_read_only(self, tmp_path):
+        key, _ = self._entry(tmp_path)
+        result = RunResult.from_frozen(cache.load(key, tmp_path))
+        assert "runstates" not in vars(result) and "histograms" not in vars(result)
+        assert result.runstates is result.runstates
+        assert "runstates" in vars(result) and "histograms" not in vars(result)
+
+    def test_invalid_utf8_entry_is_corrupt(self, tmp_path):
+        key, entry = self._entry(tmp_path)
+        data = entry.read_bytes()
+        assert cache.load(key, tmp_path) is not None  # memoized by now
+        # A stray byte that is not UTF-8; then the same JSON as UTF-16,
+        # which json.loads of raw bytes would accept.
+        for damaged in (data.replace(b'"scenario_name"', b'"scenario_nam\xff"'),
+                        data.decode("utf-8").encode("utf-16")):
+            entry.write_bytes(damaged)
+            corrupt, misses = _counter("cache.corrupt_entries"), _counter("cache.misses")
+            with pytest.warns(RuntimeWarning, match="corrupt"):
+                assert cache.load(key, tmp_path) is None
+            assert _counter("cache.corrupt_entries") - corrupt == 1
+            assert _counter("cache.misses") - misses == 1
 
     def test_same_length_corrupt_rewrite_is_seen(self, tmp_path):
         key, entry = self._entry(tmp_path)
@@ -303,14 +357,14 @@ class TestDecodeMemo:
     def test_same_length_valid_rewrite_is_served_as_written(self, tmp_path):
         key, entry = self._entry(tmp_path)
         text = entry.read_text()
-        assert cache.load(key, tmp_path) == cache.load(key, tmp_path)
+        assert _decoded(cache.load(key, tmp_path)) == _decoded(cache.load(key, tmp_path))
         payload = json.loads(text)
         old = payload["result"]["duration_ns"]
         payload["result"]["duration_ns"] = old + 1
         rewritten = json.dumps(payload, sort_keys=True)
         assert len(rewritten) == len(text)
         _rewrite_keeping_stat(entry, rewritten)
-        assert cache.load(key, tmp_path)["duration_ns"] == old + 1
+        assert RunResult.from_frozen(cache.load(key, tmp_path)).duration_ns == old + 1
 
     @pytest.mark.parametrize("damage", ["corrupt", "malformed"])
     def test_bad_entries_warn_and_count_on_every_call(self, tmp_path, damage):
@@ -342,8 +396,8 @@ class TestDecodeMemo:
         bound = 4 * (len(Path(cache.entry_path(keys[0], tmp_path)).read_text()) + 1100)
         monkeypatch.setattr(cache, "DECODE_MEMO_BYTES", bound)
         for key in keys:
-            assert cache.load(key, tmp_path) == result
-            held = sum(len(text) + len(blob) for text, blob in cache._DECODED.values())
+            assert _decoded(cache.load(key, tmp_path)) == result
+            held = sum(_memo_size(memo) for memo in cache._DECODED.values())
             assert held == cache._decoded_bytes <= bound
         remembered = [os.path.basename(path)[:64] for path in cache._DECODED]
         assert remembered == keys[-len(remembered):]
@@ -351,7 +405,7 @@ class TestDecodeMemo:
         # A bound below one entry's size remembers nothing at all.
         cache.forget_decoded()
         monkeypatch.setattr(cache, "DECODE_MEMO_BYTES", 1000)
-        assert cache.load(keys[0], tmp_path) == result
+        assert _decoded(cache.load(keys[0], tmp_path)) == result
         assert cache._DECODED == {} and cache._decoded_bytes == 0
 
     def test_oversized_entry_is_never_memoized(self, tmp_path, monkeypatch):
@@ -361,7 +415,8 @@ class TestDecodeMemo:
         result = {"blob": "z" * (cache.DECODE_MEMO_ENTRY_BYTES + 1)}
         cache.store(key, _job(), result, tmp_path)
         reuses = _counter("cache.decode_reuses")
-        assert cache.load(key, tmp_path) == cache.load(key, tmp_path) == result
+        first, second = cache.load(key, tmp_path), cache.load(key, tmp_path)
+        assert _decoded(first) == _decoded(second) == result
         assert cache._DECODED == {}
         assert _counter("cache.decode_reuses") == reuses
 
@@ -403,7 +458,7 @@ class TestDecodeMemo:
                 barrier.wait(timeout=30)
                 for step in range(160):
                     key = keys[(offset + step) % len(keys)]
-                    payload = cache.load(key, tmp_path)
+                    payload = _decoded(cache.load(key, tmp_path))
                     assert payload == results[key], key
                     payload["nested"]["values"].append(-1)  # the caller's own copy
                     loads.append(payload)
@@ -424,7 +479,7 @@ class TestDecodeMemo:
         assert errors == []
         assert len(loads) == 4 * 160
         assert len({id(payload["nested"]) for payload in loads}) == len(loads)
-        held = sum(len(text) + len(blob) for text, blob in cache._DECODED.values())
+        held = sum(_memo_size(memo) for memo in cache._DECODED.values())
         assert held == cache._decoded_bytes <= bound
 
 
@@ -538,8 +593,9 @@ class TestConcurrentWriters:
         try:
             while any(proc.poll() is None for proc in writers):
                 assert time.time() < deadline, "writer processes hung"
-                payload = cache.load(key, tmp_path)  # warns on a torn entry
-                if payload is not None:
+                frozen = cache.load(key, tmp_path)  # warns on a torn entry
+                if frozen is not None:
+                    payload = _decoded(frozen)
                     assert payload["variant"] in ("a", "b")
                     assert len(payload["blob"]) == 200
                     observed.add(payload["variant"])
@@ -548,7 +604,60 @@ class TestConcurrentWriters:
                 proc.wait(timeout=60)
         assert all(proc.returncode == 0 for proc in writers)
         final = cache.load(key, tmp_path)
-        assert final is not None and final["variant"] in ("a", "b")
+        assert final is not None and _decoded(final)["variant"] in ("a", "b")
         assert observed  # the race window actually saw committed entries
         # No stray tmp files survive the writers exiting cleanly.
         assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+class TestWarmReplay:
+    """Replay through frozen payloads is byte-for-byte the cached entry,
+    and a warm rotation moves the cache counters as a full decode did."""
+
+    #: What one warm rotation (each planned experiment through its own
+    #: ``run_many`` at the manifest scale, after one rotation that fills
+    #: the decode memo) adds to the cache counters. ``cache.hit_bytes``
+    #: is the size of every entry loaded, checked below.
+    ROTATION_COUNTERS = {"cache.hits": 186, "cache.misses": 0, "cache.decode_reuses": 186}
+
+    def test_every_manifest_entry_replays_as_stored(self, manifest_cache):
+        from repro.tools import payload_manifest
+
+        directory, jobs, manifest = manifest_cache
+        assert len(jobs) == manifest["count"] == 139
+        for key, job in jobs.items():
+            path = cache.entry_path(cache.job_key(job), directory)
+            with open(path, "r", encoding="utf-8") as handle:
+                stored = payload_manifest.canonical_payload(json.load(handle)["result"])
+            for _ in ("decode", "memo"):
+                replayed = RunResult.from_frozen(cache.load(cache.job_key(job), directory))
+                assert payload_manifest.canonical_payload(replayed.to_dict()) == stored, key
+            digest = hashlib.sha256(stored.encode("utf-8")).hexdigest()
+            assert digest == manifest["entries"][key]["payload_sha256"], key
+
+    def test_one_warm_rotation_moves_the_cache_counters_as_before(
+            self, manifest_cache, monkeypatch):
+        from repro.experiments import registry
+
+        directory, _jobs, manifest = manifest_cache
+        monkeypatch.setenv(cache.ENV_DIR, str(directory))
+        monkeypatch.setenv(cache.ENV_TOGGLE, "on")
+        names = [name for name in registry.available()
+                 if not registry.is_driver(registry.get(name))]
+        loaded_bytes = 0
+        for name in names:
+            keys = {cache.job_key(job)
+                    for job in registry.get(name).plan(scale_override=manifest["scale"])}
+            loaded_bytes += sum(os.path.getsize(cache.entry_path(key, directory))
+                                for key in keys)
+        texts = {}
+        for rotation in ("fill the memo", "measured"):
+            before = telemetry.snapshot()["counters"]
+            for name in names:
+                text = registry.run_many(
+                    [name], workers=1, scale_override=manifest["scale"])[name][1]
+                assert texts.setdefault(name, text) == text, name
+            after = telemetry.snapshot()["counters"]
+        moved = {name: after.get(name, 0) - before.get(name, 0)
+                 for name in list(self.ROTATION_COUNTERS) + ["cache.hit_bytes"]}
+        assert moved == dict(self.ROTATION_COUNTERS, **{"cache.hit_bytes": loaded_bytes})

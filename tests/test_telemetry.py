@@ -204,7 +204,7 @@ class TestCacheTelemetry:
         key = cache.job_key(job)
         assert cache.load(key, tmp_path) is None
         cache.store(key, job, {"payload": True}, tmp_path)
-        assert cache.load(key, tmp_path) == {"payload": True}
+        assert cache.load(key, tmp_path) == cache.freeze({"payload": True})
         snap = telemetry.snapshot()
         assert snap["counters"]["cache.misses"] == 1
         assert snap["counters"]["cache.hits"] == 1
