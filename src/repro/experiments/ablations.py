@@ -100,7 +100,7 @@ def run_selective_acceleration(seed=42, scale_override=None):
 
 def format_fixed_microslice(results):
     rows = [
-        [label, "%.2fx" % entry["target_x"], "%.2fx" % entry["corunner_x"]]
+        [label, common.ratio_cell(entry["target_x"]), common.ratio_cell(entry["corunner_x"])]
         for label, entry in results.items()
     ]
     return render_table(

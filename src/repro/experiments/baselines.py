@@ -93,11 +93,11 @@ def plan(seed=42, scale_override=None, schemes=SCHEMES, workloads=WORKLOADS):
 
 
 def _geomean(pairs):
-    """Geometric mean of ``rate / base_rate`` over ``(base_rate, rate)``
-    cells, or None when no cell was measured. A cell with a zero rate on
-    either side (a short run can finish 0 units) has no measured ratio
-    and is left out, so it cannot pin the column to 0 or inf."""
-    ratios = [rate / base for base, rate in pairs if base > 0 and rate > 0]
+    """Geometric mean of :func:`~repro.experiments.common.improvement`
+    over ``(base_rate, rate)`` cells, or None when no cell was measured.
+    An unmeasured cell is left out, so it cannot pin the column."""
+    ratios = [ratio for ratio in (common.improvement(base, rate) for base, rate in pairs)
+              if ratio is not None]
     if not ratios:
         return None
     return math.exp(sum(math.log(v) for v in ratios) / len(ratios))
@@ -158,7 +158,7 @@ def reduce(results):
         # co-runner (the only one that exposes the short-slice tax).
         cpu = per_cell.get((scheme, CPU_CORUNNER))
         base = per_cell.get(("credit", CPU_CORUNNER))
-        target_x = corunner_x = 1.0
+        target_x = corunner_x = None
         if cpu is not None and base is not None:
             target_x = _geomean(
                 [
@@ -256,10 +256,6 @@ def _ordering(out):
     return checks
 
 
-def _ratio(value):
-    return "n/a" if value is None else "%.2fx" % value
-
-
 def format_result(results):
     rows = []
     for scheme in SCHEMES:
@@ -269,8 +265,8 @@ def format_result(results):
         rows.append(
             [
                 scheme,
-                _ratio(entry["target_x"]),
-                _ratio(entry["corunner_x"]),
+                common.ratio_cell(entry["target_x"]),
+                common.ratio_cell(entry["corunner_x"]),
                 entry["yields"],
                 "%.1f" % entry["lock_wait_us"],
                 "%.1f" % entry["tlb_sync_us"],

@@ -93,14 +93,25 @@ STATIC_BEST = {
 
 def normalized_time(baseline_rate, rate):
     """Normalized execution time vs a baseline (1.0 = same speed,
-    <1.0 = faster). Work-rate based: time ∝ 1/rate."""
-    if rate <= 0:
-        return 1.0 if baseline_rate <= 0 else float("inf")
+    <1.0 = faster). Work-rate based: time ∝ 1/rate. None when either
+    rate is missing or 0: see :func:`improvement`."""
+    if not baseline_rate or not rate:
+        return None
     return baseline_rate / rate
 
 
 def improvement(baseline_rate, rate):
-    """Throughput improvement factor vs a baseline."""
-    if baseline_rate <= 0:
-        return 1.0 if rate <= 0 else float("inf")
+    """Throughput improvement factor vs a baseline. None when either
+    rate is missing or 0: a run that finished no unit of work measured
+    nothing, so the cell is unmeasured, not "no change". Tables render
+    it ``n/a`` (:func:`ratio_cell`), and a claim that reads it does not
+    hold (comparing None raises inside :func:`claim`)."""
+    if not baseline_rate or not rate:
+        return None
     return rate / baseline_rate
+
+
+def ratio_cell(value, fmt="%.2fx"):
+    """A ratio cell as table text: ``fmt % value``, or ``n/a`` when the
+    cell is unmeasured (None)."""
+    return "n/a" if value is None else fmt % value

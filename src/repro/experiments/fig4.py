@@ -73,7 +73,8 @@ def reduce(results):
 
 def best_core_count(per_cores):
     """The core count minimising the target's normalized time."""
-    candidates = [(entry["target"], cores) for cores, entry in per_cores.items() if cores > 0]
+    candidates = [(entry["target"], cores) for cores, entry in per_cores.items()
+                  if cores > 0 and entry["target"] is not None]
     return min(candidates)[1] if candidates else 0
 
 
@@ -102,11 +103,11 @@ def format_result(results):
     for kind, per_cores in results.items():
         rows.append(
             [kind, "norm. time"]
-            + ["%.2f" % per_cores[c]["target"] for c in core_counts]
+            + [common.ratio_cell(per_cores[c]["target"], "%.2f") for c in core_counts]
         )
         rows.append(
             ["(swaptions)", "norm. time"]
-            + ["%.2f" % per_cores[c]["corunner"] for c in core_counts]
+            + [common.ratio_cell(per_cores[c]["corunner"], "%.2f") for c in core_counts]
         )
     return render_table(
         headers,

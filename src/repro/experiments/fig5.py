@@ -74,11 +74,11 @@ def format_result(results):
     for kind, per_cores in results.items():
         rows.append(
             [kind, "throughput x"]
-            + ["%.2f" % per_cores[c]["improvement"] for c in core_counts]
+            + [common.ratio_cell(per_cores[c]["improvement"], "%.2f") for c in core_counts]
         )
         rows.append(
             ["(swaptions)", "norm. time"]
-            + ["%.2f" % per_cores[c]["corunner"] for c in core_counts]
+            + [common.ratio_cell(per_cores[c]["corunner"], "%.2f") for c in core_counts]
         )
     return render_table(
         headers,

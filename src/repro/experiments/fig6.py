@@ -69,8 +69,8 @@ def format_result(results):
         rows.append(
             [
                 kind,
-                "%.2fx" % runs["static"]["improvement"],
-                "%.2fx" % runs["dynamic"]["improvement"],
+                common.ratio_cell(runs["static"]["improvement"]),
+                common.ratio_cell(runs["dynamic"]["improvement"]),
                 common.STATIC_BEST.get(kind, 1),
                 runs["dynamic"]["micro_cores"],
             ]

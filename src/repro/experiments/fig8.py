@@ -74,7 +74,8 @@ def format_result(results):
     rows = []
     for kind, entry in results.items():
         rows.append(
-            [kind, "%.3f" % entry["norm_time"], "%.1f%%" % entry["overhead_pct"]]
+            [kind, common.ratio_cell(entry["norm_time"], "%.3f"),
+             "%.1f%%" % entry["overhead_pct"]]
         )
     return render_table(
         ["workload", "norm. exec time (dynamic)", "overhead"],

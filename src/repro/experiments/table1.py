@@ -92,12 +92,10 @@ def reduce(results):
         elif symptom == "io":
             entry["io"] = res.workload("iperf").extra["throughput_mbps"]
             entry["cotask"] = res.rate("vm1:lookbusy")
-    base = out.get(
-        "baseline", {"lock": 1, "tlb": 1, "io": 1, "corunner": 1, "cotask": 1}
-    )
+    base = out.get("baseline", {})
     for scheme, entry in out.items():
         for key in ("lock", "tlb", "io", "corunner", "cotask"):
-            entry[key + "_x"] = common.improvement(base[key], entry[key])
+            entry[key + "_x"] = common.improvement(base.get(key), entry[key])
     return out
 
 
@@ -125,11 +123,11 @@ def format_result(results):
         rows.append(
             [
                 scheme,
-                "%.2fx" % entry["lock_x"],
-                "%.2fx" % entry["tlb_x"],
-                "%.2fx" % entry["io_x"],
-                "%.2fx" % entry["corunner_x"],
-                "%.2fx" % entry["cotask_x"],
+                common.ratio_cell(entry["lock_x"]),
+                common.ratio_cell(entry["tlb_x"]),
+                common.ratio_cell(entry["io_x"]),
+                common.ratio_cell(entry["corunner_x"]),
+                common.ratio_cell(entry["cotask_x"]),
             ]
         )
     return render_table(

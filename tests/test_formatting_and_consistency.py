@@ -3,7 +3,7 @@ consistency guards between code, docs, and registries."""
 
 import os
 
-from repro.experiments import fig4, fig5, fig6, fig7, fig8, fig9, registry, table1, table2
+from repro.experiments import common, fig4, fig5, fig6, fig7, fig8, fig9, registry, table1, table2
 from repro.experiments import table4a, table4b, table4c
 from repro.workloads import registry as workload_registry
 
@@ -84,6 +84,57 @@ class TestFormatters:
     def test_table1_formatter(self):
         entry = {k + "_x": 1.0 for k in ("lock", "tlb", "io", "corunner", "cotask")}
         assert "baseline" in table1.format_result({"baseline": dict(entry)})
+
+
+class TestUnmeasuredCells:
+    """A rate of 0 (a short run can finish no unit of work) measures
+    nothing: the ratio is None, every table renders it n/a, and a claim
+    that reads it does not hold."""
+
+    def test_a_zero_or_missing_rate_gives_no_ratio(self):
+        for base, rate in ((0, 0), (0, 5.0), (5.0, 0), (None, 5.0), (5.0, 0.0)):
+            assert common.improvement(base, rate) is None
+            assert common.normalized_time(base, rate) is None
+        assert common.improvement(2.0, 3.0) == 1.5
+        assert common.normalized_time(2.0, 4.0) == 0.5
+        assert common.ratio_cell(None) == "n/a"
+        assert common.ratio_cell(1.5) == "1.50x"
+
+    def test_fig4_renders_na_and_its_claims_fail(self):
+        per_cores = {c: {"target": None if c == 3 else 0.5, "corunner": 1.0,
+                         "target_rate": 1.0, "corunner_rate": 1.0} for c in (0, 1, 2, 3)}
+        results = {kind: per_cores for kind in ("vips", "dedup", "gmake", "memclone")}
+        assert "n/a" in fig4.format_result(results)
+        claims = fig4.claims(results)
+        assert claims["vips_gains_at_3_cores"] is False
+        assert claims["improves_within_3_cores:gmake"] is False
+        assert fig4.best_core_count(per_cores) == 1
+
+    def test_fig6_renders_na_and_its_claims_fail(self):
+        runs = {label: {"improvement": None if label == "static" else 1.5,
+                        "micro_cores": 2, "target_rate": 1.0, "corunner_rate": 1.0,
+                        "decisions": []}
+                for label in ("baseline", "static", "dynamic")}
+        assert "n/a" in fig6.format_result({"gmake": runs})
+        assert fig6.claims({"gmake": runs})["static_not_worse:gmake"] is False
+
+    def test_table1_renders_na_and_its_claims_fail(self):
+        entry = {k + "_x": 2.0 for k in ("lock", "tlb", "io", "corunner", "cotask")}
+        ours = dict(entry, lock_x=None)
+        results = {"baseline": entry, "microsliced": ours}
+        row = next(line for line in table1.format_result(results).splitlines()
+                   if line.startswith("microsliced"))
+        assert row.split()[1:3] == ["n/a", "2.00x"]
+        assert table1.claims(results)["lock_gain"] is False
+        assert table1.claims(results)["tlb_gain"] is True
+
+    def test_fig5_and_fig8_render_na(self):
+        per_cores = {c: {"improvement": None, "corunner": None, "target_rate": 0.0}
+                     for c in (0, 1)}
+        assert fig5.format_result({"exim": per_cores}).count("n/a") == 4
+        results = {"sjeng": {"baseline_rate": 0.0, "dynamic_rate": 0.0,
+                             "norm_time": None, "overhead_pct": 0.0}}
+        assert "n/a" in fig8.format_result(results)
 
 
 class TestInventoryConsistency:
