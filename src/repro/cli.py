@@ -528,7 +528,8 @@ def build_parser():
     fleet_p.add_argument("--policies", metavar="A,B,...",
                          type=lambda text: [name for name in text.split(",") if name],
                          help="comma-separated placement policies to compare "
-                         "(default: all registered; see 'repro list')")
+                         "(default: fleet.POLICIES, %s; see 'repro list')"
+                         % ",".join(registry.get("fleet").POLICIES))
     fleet_p.add_argument("--hosts", type=int)
     fleet_p.add_argument("--epochs", type=int)
     fleet_p.add_argument("--rate", type=float,

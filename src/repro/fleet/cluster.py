@@ -69,7 +69,8 @@ class FleetSpec:
     Its field defaults are the fleet's only defaults (steady-state
     demand at ~80% of fleet pCPU capacity: enough for stacking to show
     in the tail, little enough for an informed policy to keep every
-    host uncontended), and construction enforces its knobs' rules."""
+    host uncontended), and construction enforces its knobs' rules and
+    stores the number knobs as floats."""
 
     hosts: int = 6
     pcpus: int = 12
@@ -103,6 +104,11 @@ class FleetSpec:
         ):
             if not ok:
                 raise ConfigError("fleet %r must be %s, got %r" % (name, rule, getattr(self, name)))
+        # One type per knob, so `16` and `16.0` are the same fleet and
+        # render the same summary at every front door.
+        self.rate = float(self.rate)
+        self.overcommit = float(self.overcommit)
+        self.migration_cost_ms = float(self.migration_cost_ms)
 
     @property
     def capacity(self):

@@ -8,6 +8,7 @@ tiny and assert *determinism* and *mechanism*, not magnitudes.
 """
 
 import functools
+import json
 import random
 import re
 
@@ -484,6 +485,28 @@ class TestFleetOptionsAtEveryFrontDoor:
         with pytest.raises(ValidationError, match="recorded"):
             compile_experiment({"experiment": "fleet"})
         assert seen == [list(fleet_experiment.POLICIES)] * 2
+
+
+    @pytest.mark.parametrize("spelling", [16, 16.0], ids=["int", "float"])
+    def test_cli_json_equals_the_served_result_for_either_spelling(self, capsys, spelling):
+        options = {"hosts": 2, "epochs": 2, "overcommit": 2, "migration_cost_ms": 5,
+                   "policies": ["first_fit"]}
+        argv = _fleet_argv(dict(options, rate=16)) + ["--json"]
+        assert _exit_code(argv) == 0
+        printed = capsys.readouterr().out
+        work = compile_experiment(dict(options, experiment="fleet", rate=spelling, scale=0.02))
+        served = work.driver(bound(workers=1, cache=False))["results"]
+        assert printed == json.dumps(served, indent=2, sort_keys=True) + "\n"
+        spec = registry.prepare("fleet", rate=spelling, overcommit=2,
+                                migration_cost_ms=5).options["spec"]
+        assert [type(value) for value in (spec.rate, spec.overcommit,
+                                          spec.migration_cost_ms)] == [float] * 3
+
+    def test_policies_help_names_the_experiments_default(self, capsys):
+        assert _exit_code(["fleet", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: fleet.POLICIES, %s;" % ",".join(fleet_experiment.POLICIES) in text
+        assert "all registered" not in text
 
 
 class TestHistogramFromSnapshot:
