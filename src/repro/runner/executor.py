@@ -166,8 +166,9 @@ def _pick_pool(pending, workers, owned):
 
 def _simulate_pending(pending, workers, use_cache, cache_dir, progress, owned):
     """Simulate the deduplicated cache-miss jobs; returns ``{key:
-    frozen payload}`` (:func:`~repro.runner.cache.freeze`). Chooses a pool or inline execution (:func:`_pick_pool`);
-    either way each result goes through ``land``."""
+    frozen payload}`` (:func:`~repro.runner.cache.freeze`). Chooses a
+    pool or inline execution (:func:`_pick_pool`); either way each
+    result goes through ``land``."""
     payloads = {}
     with _DISPATCH_LOCK:
         model = costmodel.CostModel.load(cache_dir)
