@@ -43,6 +43,7 @@ import hashlib
 import json
 import marshal
 import os
+import sys
 import threading
 import time
 import warnings
@@ -151,7 +152,8 @@ def freeze(result):
     form every hit is returned in and the executor hands results over
     in. Blobs are immutable, so one frozen payload can back any number
     of results without sharing their state."""
-    return MappingProxyType({name: marshal.dumps(value) for name, value in result.items()})
+    return MappingProxyType(
+        {sys.intern(name): marshal.dumps(value) for name, value in result.items()})
 
 
 def _frozen_size(frozen):
