@@ -32,7 +32,7 @@ class TestEmitPath:
 
     def test_emit_enabled_unfiltered(self, benchmark):
         tracer = benchmark(
-            lambda: self._drive(Tracer(Simulator(), enabled=True, capacity=None))
+            lambda: self._drive(Tracer(Simulator(), enabled=True))
         )
         assert len(tracer) == EMITS
         _record("trace_emit_on_per_sec", EMITS / _mean(benchmark))

@@ -129,6 +129,18 @@ REPRO_BENCH_SCALE=0.05 repro run fig7 table1 --workers 2 --no-cache > batch.txt
 grep -q "=== fig7 ===" batch.txt
 grep -q "=== table1 ===" batch.txt
 
+step "every dispatched job lands exactly once"
+repro telemetry > batch_telemetry.json
+python - <<'EOF'
+import json
+counters = json.load(open("batch_telemetry.json"))["counters"]
+landed = [counters.get(name, 0) for name in
+          ("pool.jobs_dispatched", "pool.jobs_completed", "engine.jobs_simulated")]
+assert landed[0] > 0 and len(set(landed)) == 1, (landed, counters)
+for name in ("pool.jobs_failed", "pool.epoch_discards", "runner.jobs_inline"):
+    assert counters.get(name, 0) == 0, (name, counters)
+EOF
+
 step "ad-hoc sweep: byte-identical serially and through the pool"
 REPRO_CACHE=off repro sweep gmake --max-cores 1 --duration-ms 40 > sweep_serial.txt
 REPRO_CACHE=off REPRO_RUNNER_WORKERS=2 repro sweep gmake --max-cores 1 --duration-ms 40 \

@@ -443,7 +443,7 @@ def build_parser():
     experiment_parent.add_argument(
         "--progress", action="store_true",
         help="live per-job status line on stderr (cache hits, worker "
-        "pickups, completions)")
+        "hand-offs, completions)")
 
     sub.add_parser("list", help="list experiments and workloads")
 

@@ -206,7 +206,7 @@ def run_many(
     byte-identical files.
 
     ``progress`` is a ``callback(event, tag, done, total)`` hook fed by
-    the executor's live job stream (cache hits, worker pickups,
+    the executor's live job stream (cache hits, pool hand-offs,
     completions) — ``repro run --progress`` plugs its status-line
     renderer in here.
     """

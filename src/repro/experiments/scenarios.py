@@ -93,7 +93,7 @@ class Scenario:
 
     def build(self):
         sim = Simulator()
-        tracer = Tracer(sim, enabled=self.trace, capacity=None, kinds=self.trace_kinds)
+        tracer = Tracer(sim, enabled=self.trace, kinds=self.trace_kinds)
         hv = Hypervisor(
             sim,
             num_pcpus=self.num_pcpus,

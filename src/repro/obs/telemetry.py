@@ -23,7 +23,7 @@ Design rules:
   ``tests/test_telemetry.py``).
 * **Worker snapshots merge losslessly.** Worker processes accumulate
   into their own registry and ship snapshot *deltas* back over the
-  result pipe (piggybacked on the chunk result messages, epoch-tagged
+  result pipe (piggybacked on each job's result message, epoch-tagged
   like the crash protocol); :meth:`Registry.merge` folds them in —
   counters add, histograms merge bucket-exactly, gauges keep the max
   so merge order cannot matter.
@@ -206,7 +206,7 @@ class Registry:
                 self.histogram(name).merge(_histogram_from_snapshot(snap))
 
     def take_snapshot(self, include_wall=True):
-        """Snapshot-and-reset: what the workers ship after each chunk so
+        """Snapshot-and-reset: what the workers ship after each job so
         the parent merge sees *deltas*, never double counts."""
         snap = self.snapshot(include_wall)
         self.reset()

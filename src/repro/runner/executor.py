@@ -19,13 +19,12 @@ call the executor:
    job, even one job at ``workers=1``.
 
 Pooled jobs are submitted longest-first using the persisted cost
-model (:mod:`repro.runner.costmodel`), many-small-job plans go out in
-chunks so the per-task queue round-trip amortises, and completions
-stream back unordered instead of blocking on a barrier. Workers return
-the payload itself; inline or pooled, every simulated result lands in
-the parent through one function that updates the cost model, stores
-the cache entry and reports progress — so the parent is the cache's
-only writer and its hit/miss counters mean what they say.
+model (:mod:`repro.runner.costmodel`), one job per idle worker, and
+completions stream back unordered instead of blocking on a barrier.
+Workers return the payload itself; inline or pooled, every simulated
+result lands in the parent through one function that updates the cost
+model, stores the cache entry and reports progress — so the parent is
+the cache's only writer and its hit/miss counters mean what they say.
 
 ``REPRO_RUNNER_WORKERS`` sets the default pool size (1 = serial,
 inline execution; ``auto`` = one per CPU); ``REPRO_CACHE=off`` disables
@@ -63,12 +62,6 @@ ENV_WORKERS = "REPRO_RUNNER_WORKERS"
 #: reduce() stay lock-free — only the simulate-the-misses phase is
 #: serialised.
 _DISPATCH_LOCK = threading.Lock()
-
-#: Chunking kicks in when a plan carries more than ``CHUNK_THRESHOLD``
-#: pending jobs per worker; chunks never exceed ``CHUNK_CAP`` jobs so
-#: a crash retries at most that many.
-CHUNK_THRESHOLD = 4
-CHUNK_CAP = 8
 
 
 def parse_workers(text):
@@ -108,21 +101,13 @@ def default_workers():
     return env_setting(ENV_WORKERS, parse_workers, 1, "running serial")
 
 
-def _chunk_size(pending_count, workers):
-    """Jobs per dispatch chunk: 1 until the plan is big enough that the
-    queue round-trip would dominate, then roughly ``CHUNK_THRESHOLD``
-    waves per worker, capped."""
-    if pending_count <= workers * CHUNK_THRESHOLD:
-        return 1
-    return max(1, min(CHUNK_CAP, pending_count // (workers * CHUNK_THRESHOLD)))
-
-
 class Progress:
     """Streams job lifecycle events to a caller-provided callback.
 
     The callback signature is ``callback(event, tag, done, total)``
     where ``event`` is ``"hit"`` (replayed from the result cache),
-    ``"start"`` (a worker — or the inline loop — picked the job up) or
+    ``"start"`` (the job was handed to a pool worker, or the inline
+    loop began it; a job a crash re-dispatches starts again) or
     ``"done"`` (result landed). ``done``/``total`` count *finished*
     unique jobs, cache hits included, so a renderer can draw
     ``[done/total]`` without keeping its own books. A ``None`` callback
@@ -215,10 +200,9 @@ def _simulate_on_pool(worker_pool, pending, workers, model, land, progress):
 
     outcomes = worker_pool.run(
         [job.to_dict() for job in ordered],
-        chunk_size=_chunk_size(len(ordered), workers),
         max_workers=workers,
         on_result=on_result,
-        on_progress=lambda job_id, _tag: progress.start(ordered[job_id].tag),
+        on_start=lambda job_id: progress.start(ordered[job_id].tag),
     )
     for job, outcome in zip(ordered, outcomes):
         if outcome.kind == "error":

@@ -7,17 +7,18 @@ once instead of once per call:
 
 * each worker pre-imports the scenario machinery before accepting its
   first job;
-* the parent dispatches jobs to idle workers one chunk at a time and
-  streams completions off a shared result queue — no ``pool.map``
-  barrier, so a straggler never blocks the jobs behind it;
+* the parent hands each job to an idle worker, one job per task, and
+  streams completions off a shared result pipe — no ``pool.map``
+  barrier, so a straggler never blocks the jobs behind it, and the
+  hand-off itself marks the job started;
 * each worker sets one pool-wide ``warm`` event once its pre-imports
   are done, so a caller that must not wait for start-up (``repro
   serve``) can run work inline until :attr:`WorkerPool.warm` is true;
 * every result travels back as the payload dict itself plus its wall
   time; the parent lands it (cost model, cache store, progress — see
   :mod:`repro.runner.executor`) as it streams in;
-* a worker that dies mid-job is detected (liveness poll on queue
-  timeouts), respawned, and its in-flight chunk retried up to
+* a worker that dies mid-job is detected (liveness poll whenever no
+  result is ready), respawned, and its in-flight job retried up to
   :data:`MAX_RETRIES` times before the job surfaces a
   :class:`~repro.errors.WorkerError`;
 * anything that prevents spawning at all (a sandboxed environment
@@ -32,7 +33,6 @@ keeps one per server); tests drive :class:`WorkerPool` directly.
 import atexit
 import multiprocessing
 import os
-import queue as queue_mod
 import time
 import traceback
 import warnings
@@ -42,13 +42,12 @@ from ..obs import telemetry
 
 #: Pool telemetry (parent side). Worker-side metrics — engine event
 #: totals, per-job wall time — accumulate in each
-#: worker's own registry and ride back piggybacked on the chunk result
-#: messages; :func:`WorkerPool._run` merges them in.
+#: worker's own registry and ride back piggybacked on each job's result
+#: message; :func:`WorkerPool._run` merges them in.
 _SPAWNED = telemetry.counter("pool.workers_spawned")
 _RESPAWNED = telemetry.counter("pool.workers_respawned")
 _CRASHES = telemetry.counter("pool.worker_crashes")
 _RUNS = telemetry.counter("pool.runs")
-_CHUNKS = telemetry.counter("pool.chunks_dispatched")
 _DISPATCHED = telemetry.counter("pool.jobs_dispatched")
 _COMPLETED = telemetry.counter("pool.jobs_completed")
 _FAILED = telemetry.counter("pool.jobs_failed")
@@ -64,7 +63,7 @@ _RUN_SECONDS = telemetry.counter("pool.run_seconds")
 #: as deterministic poison and surfaced as a WorkerError.
 MAX_RETRIES = 1
 
-#: Liveness-poll interval while waiting on the result queue. Only paid
+#: Liveness-poll interval while waiting on the result pipe. Only paid
 #: when no result is ready; results arriving faster are consumed
 #: back-to-back without sleeping.
 POLL_SECONDS = 0.2
@@ -97,26 +96,24 @@ def _maybe_test_crash(tag):
     os._exit(17)
 
 
-def _worker_main(worker_index, task_queue, result_queue, warm):
-    """Worker process body: warm up once, set ``warm``, then serve job
-    chunks forever.
+def _worker_main(worker_index, task_queue, results, result_lock, warm):
+    """Worker process body: warm up once, set ``warm``, then serve jobs
+    forever.
 
-    A task is ``(epoch, chunk_id, [(job_id, job_dict), ...])`` or
-    ``None`` to shut down. Two message shapes flow back, both
-    epoch-tagged so the parent can discard leftovers from a previous
-    ``run()`` call (a worker that posted its result and then died is
-    presumed lost and retried; the late message must not corrupt the
-    next run's bookkeeping):
-
-    * ``("progress", worker_index, epoch, job_id, tag)`` — a heartbeat
-      posted the moment a job is picked up, so ``repro run --progress``
-      can render a live per-job status line;
-    * ``("result", worker_index, epoch, chunk_id, [(job_id, kind,
-      value, seconds), ...], telem)`` — one per chunk, where ``kind``
-      is ``"payload"`` (value = payload dict) or ``"error"`` (value =
-      worker-side traceback text), and ``telem`` is this worker's
-      telemetry snapshot *delta* since its last message (engine event
-      totals, job wall times) for the parent registry to merge.
+    A task is ``(epoch, job_id, job_dict)`` or ``None`` to shut down.
+    Each job answers with exactly one message, ``(worker_index, epoch,
+    job_id, kind, value, seconds, telem)``, where ``kind`` is
+    ``"payload"`` (value = payload dict) or ``"error"`` (value =
+    worker-side traceback text), and ``telem`` is this worker's
+    telemetry snapshot *delta* since its last message (engine event
+    totals, job wall times) for the parent registry to merge. The epoch
+    tag lets the parent discard leftovers from a previous ``run()``
+    call (a worker that posted its result and then died is presumed
+    lost and retried; the late message must not corrupt the next run's
+    bookkeeping). The message goes out on the shared ``results`` pipe
+    under ``result_lock``, synchronously: the worker has released the
+    lock before it can take its next job, so dying there cannot leave
+    the lock held and wedge every other worker's send.
     """
     # One-time warm-up, amortised over every job this worker will run.
     from .jobs import SimJob, run_job
@@ -128,47 +125,38 @@ def _worker_main(worker_index, task_queue, result_queue, warm):
         task = task_queue.get()
         if task is None:
             return
-        epoch, chunk_id, entries = task
-        results = []
-        for job_id, job_dict in entries:
-            _maybe_test_crash(job_dict.get("tag"))
-            try:  # heartbeat: best-effort, never blocks the job
-                result_queue.put(
-                    ("progress", worker_index, epoch, job_id, job_dict.get("tag"))
-                )
-            except (OSError, ValueError):
-                pass
-            start = time.perf_counter()
-            try:
-                payload = run_job(SimJob.from_dict(job_dict))
-                results.append((job_id, "payload", payload, time.perf_counter() - start))
-            except Exception:
-                seconds = time.perf_counter() - start
-                results.append((job_id, "error", traceback.format_exc(), seconds))
+        epoch, job_id, job_dict = task
+        _maybe_test_crash(job_dict.get("tag"))
+        start = time.perf_counter()
+        try:
+            kind, value = "payload", run_job(SimJob.from_dict(job_dict))
+        except Exception:
+            kind, value = "error", traceback.format_exc()
+        seconds = time.perf_counter() - start
         telem = telemetry.REGISTRY.take_snapshot()
-        result_queue.put(("result", worker_index, epoch, chunk_id, results, telem))
+        with result_lock:
+            results.send((worker_index, epoch, job_id, kind, value, seconds, telem))
 
 
 class JobOutcome:
     """One job's result as it came back from the pool."""
 
-    __slots__ = ("kind", "value", "seconds", "retries")
+    __slots__ = ("kind", "value", "seconds")
 
-    def __init__(self, kind, value, seconds, retries=0):
+    def __init__(self, kind, value, seconds):
         self.kind = kind  # "payload" | "error"
         self.value = value
         self.seconds = seconds
-        self.retries = retries
 
 
 class _Worker:
-    __slots__ = ("index", "process", "task_queue", "chunk")
+    __slots__ = ("index", "process", "task_queue", "job")
 
     def __init__(self, index, process, task_queue):
         self.index = index
         self.process = process
         self.task_queue = task_queue
-        self.chunk = None  # (chunk_id, entries, retries) while busy
+        self.job = None  # (epoch, job_id, retries, dispatched_at) while busy
 
 
 class WorkerPool:
@@ -182,7 +170,8 @@ class WorkerPool:
 
     def __init__(self, workers, context=None):
         self._ctx = context or multiprocessing.get_context("spawn")
-        self._result_queue = self._ctx.Queue()
+        self._results, self._result_writer = self._ctx.Pipe(duplex=False)
+        self._result_lock = self._ctx.Lock()
         self._warm = self._ctx.Event()
         self._workers = []
         self._closed = False
@@ -198,7 +187,8 @@ class WorkerPool:
         task_queue = self._ctx.Queue()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(index, task_queue, self._result_queue, self._warm),
+            args=(index, task_queue, self._result_writer, self._result_lock,
+                  self._warm),
             daemon=True,
             name="repro-worker-%d" % index,
         )
@@ -215,7 +205,7 @@ class WorkerPool:
     def _respawn(self, worker):
         """Replace a dead worker in place (same index, fresh process)."""
         worker.process, worker.task_queue = self._start_process(worker.index)
-        worker.chunk = None
+        worker.job = None
         _RESPAWNED.inc()
 
     @property
@@ -230,10 +220,6 @@ class WorkerPool:
     def warm(self):
         """True once any worker has finished its pre-imports."""
         return self._warm.is_set()
-
-    @property
-    def running(self):
-        return self._running
 
     def worker_pids(self):
         """Live worker PIDs (test/introspection aid)."""
@@ -263,19 +249,18 @@ class WorkerPool:
 
     # -- execution ----------------------------------------------------
 
-    def run(self, entries, chunk_size=1, max_workers=None, on_result=None,
-            on_progress=None):
+    def run(self, entries, max_workers=None, on_result=None, on_start=None):
         """Execute ``entries`` and return a list of :class:`JobOutcome`
         in *input order* (dispatch order is the caller's submission
         order — sort longest-first for straggler-aware scheduling).
 
-        ``entries`` is a list of job dicts (``SimJob.to_dict()``).
-        Completions stream back unordered; ``on_result(job_id,
-        outcome)`` fires as each job lands, and ``on_progress(job_id,
-        tag)`` fires when a worker's heartbeat says it *picked the job
-        up* (the live-progress hook). Jobs on a crashed worker are
-        retried up to :data:`MAX_RETRIES` times, then reported as
-        ``kind="error"`` outcomes.
+        ``entries`` is a list of job dicts (``SimJob.to_dict()``), each
+        handed to an idle worker on its own. ``on_start(job_id)`` fires
+        at that hand-off (again if a crash re-dispatches the job), and
+        ``on_result(job_id, outcome)`` fires once as each job lands;
+        completions stream back unordered. A job on a crashed worker is
+        retried up to :data:`MAX_RETRIES` times, then reported as a
+        ``kind="error"`` outcome.
         """
         if self._closed:
             raise WorkerError("worker pool is closed")
@@ -286,128 +271,111 @@ class WorkerPool:
         _RUNS.inc()
         started = time.perf_counter()
         try:
-            return self._run(entries, chunk_size, max_workers, on_result, on_progress)
+            return self._run(entries, max_workers, on_result, on_start)
         finally:
             self._running = False
             _RUN_SECONDS.inc(time.perf_counter() - started)
 
-    def _run(self, entries, chunk_size, max_workers, on_result, on_progress):
+    def _run(self, entries, max_workers, on_result, on_start):
         epoch = self._epoch
         outcomes = [None] * len(entries)
-        chunk_size = max(1, int(chunk_size))
-        chunks = []
-        for start in range(0, len(entries), chunk_size):
-            block = list(enumerate(entries[start : start + chunk_size], start))
-            chunks.append((len(chunks), block, 0))
-        pending = list(reversed(chunks))  # pop() takes submission order
+        # (job_id, retries); pop() takes submission order.
+        pending = [(job_id, 0) for job_id in reversed(range(len(entries)))]
         remaining = len(entries)
         limit = self.size if max_workers is None else max(1, min(max_workers, self.size))
 
-        # A worker is dispatchable iff worker.chunk is None. A chunk
-        # left over from a previous run (result never arrived) keeps
-        # its worker out of rotation until the stale message lands.
+        # A worker is idle iff worker.job is None. A job left over from
+        # a previous run (result never arrived) keeps its worker out of
+        # rotation until the stale message lands.
         def dispatch():
             while pending:
-                busy = sum(1 for w in self._workers if w.chunk is not None)
+                busy = sum(1 for w in self._workers if w.job is not None)
                 if busy >= limit:
                     return
-                idle = next((w for w in self._workers if w.chunk is None), None)
+                idle = next((w for w in self._workers if w.job is None), None)
                 if idle is None:
                     return
                 if not idle.process.is_alive():
                     self._respawn(idle)
-                chunk_id, block, retries = pending.pop()
-                live = [e for e in block if outcomes[e[0]] is None]
-                if not live:
-                    continue
-                idle.chunk = (epoch, chunk_id, live, retries, time.perf_counter())
-                idle.task_queue.put((epoch, chunk_id, live))
-                _CHUNKS.inc()
-                _DISPATCHED.inc(len(live))
+                job_id, retries = pending.pop()
+                if outcomes[job_id] is not None:
+                    continue  # a presumed-lost attempt landed after all
+                idle.job = (epoch, job_id, retries, time.perf_counter())
+                idle.task_queue.put((epoch, job_id, entries[job_id]))
+                _DISPATCHED.inc()
+                if on_start is not None:
+                    on_start(job_id)
 
         def absorb(message):
             nonlocal remaining
-            if message[0] == "progress":
-                _worker_index, msg_epoch, job_id, tag = message[1:]
-                if msg_epoch == epoch and on_progress is not None:
-                    on_progress(job_id, tag)
-                return
-            _kind, worker_index, msg_epoch, msg_chunk_id, results, telem = message
+            worker_index, msg_epoch, job_id, kind, value, seconds, telem = message
             # Worker-side telemetry (engine totals, job wall times) is a
             # delta: merging it is correct even for stale-epoch
             # messages — the work really happened.
             telemetry.REGISTRY.merge(telem)
             worker = self._workers[worker_index]
-            retries = 0
-            if worker.chunk is not None and worker.chunk[:2] == (msg_epoch, msg_chunk_id):
-                retries = worker.chunk[3]
-                dispatched_at = worker.chunk[4]
-                worker.chunk = None
-            else:
-                dispatched_at = None
+            dispatched_at = None
+            if worker.job is not None and worker.job[:2] == (msg_epoch, job_id):
+                dispatched_at = worker.job[3]
+                worker.job = None
             if msg_epoch != epoch:
                 _DISCARDS.inc()
                 return  # stale message from an earlier run
-            arrived_at = time.perf_counter()
-            for job_id, kind, value, seconds in results:
-                if outcomes[job_id] is not None:
-                    continue  # late duplicate after a presumed-lost chunk
-                outcomes[job_id] = JobOutcome(kind, value, seconds, retries)
-                remaining -= 1
-                _COMPLETED.inc()
-                _BUSY_SECONDS.inc(seconds)
-                if dispatched_at is not None:
-                    # Queue wait: chunk turnaround minus simulation time
-                    # (dispatch overhead + time spent behind chunk-mates).
-                    wait = arrived_at - dispatched_at - seconds
-                    telemetry.observe("pool.queue_wait_us", max(0.0, wait) * 1e6)
-                if on_result is not None:
-                    on_result(job_id, outcomes[job_id])
+            if outcomes[job_id] is not None:
+                return  # late duplicate after a presumed-lost attempt
+            outcomes[job_id] = outcome = JobOutcome(kind, value, seconds)
+            remaining -= 1
+            _COMPLETED.inc()
+            _BUSY_SECONDS.inc(seconds)
+            if dispatched_at is not None:
+                # Queue wait: hand-off to result minus simulation time.
+                wait = time.perf_counter() - dispatched_at - seconds
+                telemetry.observe("pool.queue_wait_us", max(0.0, wait) * 1e6)
+            if on_result is not None:
+                on_result(job_id, outcome)
 
         def reap_crashes():
             nonlocal remaining
             for worker in self._workers:
-                if worker.chunk is None or worker.process.is_alive():
+                if worker.job is None or worker.process.is_alive():
                     continue
-                chunk_epoch, chunk_id, block, retries = worker.chunk[:4]
-                worker.chunk = None
+                job_epoch, job_id, retries, _dispatched_at = worker.job
+                worker.job = None
                 _CRASHES.inc()
                 self._respawn(worker)
-                if chunk_epoch != epoch:
-                    continue  # a previous run's leftovers; nobody is waiting
-                live = [e for e in block if outcomes[e[0]] is None]
-                if not live:
-                    continue
+                if job_epoch != epoch or outcomes[job_id] is not None:
+                    continue  # a previous run's leftover, or already landed
+                tag = entries[job_id].get("tag")
                 if retries < MAX_RETRIES:
                     warnings.warn(
-                        "worker died while running job(s) %s; retrying"
-                        % ", ".join(repr(e[1].get("tag")) for e in live),
+                        "worker died while running job %r; retrying" % tag,
                         RuntimeWarning,
                         stacklevel=4,
                     )
-                    _RETRIED.inc(len(live))
-                    pending.append((chunk_id, live, retries + 1))
+                    _RETRIED.inc()
+                    pending.append((job_id, retries + 1))
                 else:
-                    for job_id, job_dict in live:
-                        outcomes[job_id] = JobOutcome(
-                            "error",
-                            "worker process died repeatedly while running job %r "
-                            "(%d attempts)" % (job_dict.get("tag"), retries + 1),
-                            0.0,
-                            retries,
-                        )
-                        remaining -= 1
-                        _FAILED.inc()
+                    outcomes[job_id] = JobOutcome(
+                        "error",
+                        "worker process died repeatedly while running job %r "
+                        "(%d attempts)" % (tag, retries + 1),
+                        0.0,
+                    )
+                    remaining -= 1
+                    _FAILED.inc()
 
         dispatch()
         while remaining:
             try:
-                absorb(self._result_queue.get(timeout=POLL_SECONDS))
-            except queue_mod.Empty:
+                ready = self._results.poll(POLL_SECONDS)
+                message = self._results.recv() if ready else None
+            except (OSError, EOFError):  # torn pickle from a dying worker
+                message = None
+            if message is None:
                 # Nothing ready: look for corpses among the busy workers.
                 reap_crashes()
-            except (OSError, EOFError):  # torn pickle from a dying worker
-                reap_crashes()
+            else:
+                absorb(message)
             dispatch()
         return outcomes
 

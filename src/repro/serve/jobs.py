@@ -34,7 +34,7 @@ The :class:`JobManager` owns them end to end:
   inline in the wave thread, unless the executor would have fanned
   them out anyway (:func:`repro.runner.executor._pick_pool`);
 * **event streams** — every lifecycle transition and every executor
-  progress callback (cache hits, pool pickup heartbeats, completions)
+  progress callback (cache hits, pool hand-offs, completions)
   appends to the submission's ordered event list; any number of
   ``/jobs/<id>/events`` streams replay and then follow it live.
 """

@@ -2,15 +2,14 @@
 
 Tracing is off by default (a disabled tracer costs its caller one
 attribute check). When enabled, every record carries a monotonically
-increasing sequence number and is counted per kind; the buffer exports
-losslessly to JSONL (``repro analyze`` consumes that). ``capacity``
-bounds the in-memory ring of a standalone tracer; scenario tracers pass
-``capacity=None`` so nothing is ever dropped.
+increasing sequence number and is counted per kind; the buffer keeps
+every record and exports losslessly to JSONL (``repro analyze``
+consumes that).
 
 Hot-path contract (see ``docs/performance.md``): emit sites hoist a
 per-kind handle with :meth:`Tracer.want` — ``None`` when this tracer
 would never record the kind (disabled, or filtered out), else a bound
-emitter whose call appends directly to the ring with no dispatch,
+emitter whose call appends directly to the buffer with no dispatch,
 filter checks, or schema validation. Tracer configuration (``enabled``
 and the kind filter) is fixed at construction, which is what makes
 hoisting the handle safe. Schema validation against
@@ -20,14 +19,12 @@ run with it on, so emit-site drift is still caught without taxing every
 hot run.
 
 Drop accounting is tracer-lifetime exact: ``dropped + len(records) ==
-seq`` always holds — records pushed out of a bounded ring *and*
-records discarded by :meth:`Tracer.clear` both count as dropped, while
-``seq`` never resets.
+seq`` always holds — records discarded by :meth:`Tracer.clear` (the
+warm-up boundary) count as dropped, while ``seq`` never resets.
 """
 
 import json
 import os
-from collections import deque
 
 from ..errors import ConfigError, TraceError
 from ..obs.schema import META_KINDS, RESERVED_KEYS, TRACE_SCHEMA
@@ -37,7 +34,7 @@ from .time import fmt
 class TraceRecord:
     """Attribute view of one trace record.
 
-    The ring itself stores bare ``(seq, time, kind, detail)`` tuples —
+    The buffer itself stores bare ``(seq, time, kind, detail)`` tuples —
     the emit path is too hot for a Python-level ``__init__`` per record
     — and the accessors (``find``, iteration) materialize these views
     lazily."""
@@ -84,11 +81,11 @@ def _schema_check(kind, detail):
 class _Emitter:
     """Bound fast-path emitter for one trace kind (``Tracer.want``).
 
-    The call body is the whole hot path: ring-overflow accounting, seq
-    and per-kind count bump, append. Schema validation happens only
-    when the owning tracer is in debug mode."""
+    The call body is the whole hot path: seq and per-kind count bump,
+    append. Schema validation happens only when the owning tracer is in
+    debug mode."""
 
-    __slots__ = ("tracer", "kind", "validate", "sim", "records", "bounded", "count")
+    __slots__ = ("tracer", "kind", "validate", "sim", "records", "count")
 
     def __init__(self, tracer, kind):
         self.tracer = tracer
@@ -96,7 +93,6 @@ class _Emitter:
         self.validate = tracer.debug
         self.sim = tracer.sim
         self.records = tracer.records
-        self.bounded = tracer.records.maxlen is not None
         #: Per-emitter record count, folded into ``Tracer.counts`` on
         #: read — a slot bump beats a dict update at emit rates.
         self.count = 0
@@ -106,26 +102,23 @@ class _Emitter:
         if self.validate:
             _schema_check(kind, detail)
         tracer = self.tracer
-        records = self.records
-        if self.bounded and len(records) == records.maxlen:
-            tracer.dropped += 1
         tracer.seq = seq = tracer.seq + 1
         self.count += 1
-        records.append((seq, self.sim._now, kind, detail))
+        self.records.append((seq, self.sim._now, kind, detail))
 
     def __repr__(self):
         return "<trace emitter %r>" % (self.kind,)
 
 
 class Tracer:
-    """Bounded (or unbounded) trace buffer with per-kind counters,
-    JSONL export, and debug-mode schema validation."""
+    """Lossless trace buffer with per-kind counters, JSONL export, and
+    debug-mode schema validation."""
 
-    def __init__(self, sim, enabled=False, capacity=100_000, kinds=None, debug=None):
+    def __init__(self, sim, enabled=False, kinds=None, debug=None):
         self.sim = sim
         self.enabled = enabled
         self.kinds = set(kinds) if kinds else None
-        self.records = deque(maxlen=capacity)
+        self.records = []
         self.dropped = 0
         self.seq = 0
         if debug is None:
@@ -136,8 +129,7 @@ class Tracer:
     @property
     def counts(self):
         """Per-kind record counts, tracer-lifetime since the last
-        :meth:`clear` (records later pushed out of the ring still
-        count). Aggregated lazily: every record goes through an
+        :meth:`clear`. Aggregated lazily: every record goes through an
         emitter, whose slot counter is folded in here on read."""
         return {
             kind: emitter.count

@@ -223,14 +223,13 @@ class TestTracerSchema:
             emit(vcpu="v0")  # missing domain/cause
 
     def test_drop_accounting_invariant(self):
-        # dropped + len(records) == seq, tracer-lifetime: ring overflow
-        # and clear() both count their discarded records.
-        tracer = Tracer(Simulator(), enabled=True, capacity=3)
+        # dropped + len(records) == seq, tracer-lifetime: clear() counts
+        # its discarded records.
+        tracer = Tracer(Simulator(), enabled=True)
         emit = tracer.want("probe")
         for _ in range(8):
             emit()
-        assert tracer.dropped + len(tracer.records) == tracer.seq == 8
-        assert tracer.dropped == 5
+        assert tracer.dropped == 0 and len(tracer.records) == tracer.seq == 8
         tracer.clear()
         assert tracer.dropped + len(tracer.records) == tracer.seq == 8
         for _ in range(2):
@@ -258,12 +257,6 @@ class TestTracerSchema:
         tracer.clear()
         tracer.emit("probe")
         assert [record.seq for record in tracer] == [2]
-
-    def test_ring_capacity_drops_counted(self):
-        tracer = Tracer(Simulator(), enabled=True, capacity=2)
-        for _ in range(5):
-            tracer.emit("probe")
-        assert len(tracer) == 2 and tracer.dropped == 3
 
     def test_jsonl_round_trip(self, tmp_path):
         tracer = Tracer(Simulator(), enabled=True)

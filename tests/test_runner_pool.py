@@ -170,7 +170,7 @@ class TestWorkerPoolPrimitive:
         pool = pool_mod.WorkerPool(2)
         try:
             jobs = [_job("c%d" % i, seed=10 + i) for i in range(5)]
-            outcomes = pool.run([job.to_dict() for job in jobs], chunk_size=2)
+            outcomes = pool.run([job.to_dict() for job in jobs])
             assert [o.kind for o in outcomes] == ["payload"] * 5
             inline = [executor_mod.run_job(job) for job in jobs]
             assert [o.value for o in outcomes] == inline
@@ -217,6 +217,42 @@ class TestCrashResilience:
         with pytest.warns(RuntimeWarning, match="retrying"):
             with pytest.raises(WorkerError, match="died repeatedly"):
                 execute([_job("victim", 2), _job("ok", 3)], workers=2, cache=False)
+
+
+def _progress_log(jobs):
+    """Run ``jobs`` through ``execute`` at two workers; returns the
+    ``(event, tag)`` progress stream and the results."""
+    events = []
+    results = execute(jobs, workers=2, cache=False,
+                      progress=lambda event, tag, _done, _total: events.append((event, tag)))
+    return events, results
+
+
+class TestPooledProgress:
+    """The parent hands each job to an idle worker, so ``start`` fires
+    at hand-off: every tag starts before it is done, and is done once."""
+
+    def test_every_job_starts_before_its_single_done(self, fresh_pool_env):
+        jobs = [_job("p%d" % i, seed=80 + i) for i in range(10)]
+        events, results = _progress_log(jobs)
+        assert set(results) == {job.tag for job in jobs}
+        for job in jobs:
+            mine = [event for event, tag in events if tag == job.tag]
+            assert mine == ["start", "done"], (job.tag, mine)
+
+    def test_crash_retry_starts_twice_and_is_done_once(
+        self, tmp_path, monkeypatch, fresh_pool_env
+    ):
+        marker = tmp_path / "crashed-once"
+        monkeypatch.setenv(pool_mod.ENV_TEST_CRASH, "p3:%s" % marker)
+        jobs = [_job("p%d" % i, seed=90 + i) for i in range(10)]
+        with pytest.warns(RuntimeWarning, match="retrying"):
+            events, results = _progress_log(jobs)
+        assert marker.exists() and set(results) == {job.tag for job in jobs}
+        for job in jobs:
+            mine = [event for event, tag in events if tag == job.tag]
+            expected = ["start", "start", "done"] if job.tag == "p3" else ["start", "done"]
+            assert mine == expected, (job.tag, mine)
 
 
 @pytest.fixture(scope="module")
@@ -333,10 +369,11 @@ class TestExecuteMany:
                 )
                 assert _norm(results[name]) == _norm(serial)
 
-            # Epoch accounting survived the interleaving: the pool is
-            # idle, and a follow-up batch on the same pool completes.
+            # Epoch accounting survived the interleaving: no worker
+            # still holds a job, and a follow-up batch on the same pool
+            # completes.
             pool = pool_mod.shared_pool(2)
-            assert not pool.running
+            assert all(worker.job is None for worker in pool._workers)
             again = execute_many(
                 {"gamma": [_job("g", seed=301)]},
                 workers=2, cache=True, cache_dir=tmp_path,
@@ -415,11 +452,3 @@ class TestCostModel:
         ordered = costmodel.order_longest_first(jobs, model)
         assert [job.tag for job in ordered] == [job.tag for job in jobs]
 
-
-class TestChunkSizing:
-    def test_small_plans_unchunked(self):
-        assert executor_mod._chunk_size(8, workers=4) == 1
-
-    def test_large_plans_chunk_and_cap(self):
-        assert executor_mod._chunk_size(64, workers=2) == 8
-        assert executor_mod._chunk_size(10_000, workers=2) == executor_mod.CHUNK_CAP

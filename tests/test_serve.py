@@ -549,6 +549,53 @@ class TestHttpApi:
         assert after["state"] == "done"
 
 
+class TestOneResultOnEveryFrontDoor:
+    """The service, the registry and the CLI answer the same question
+    with the same bytes. The server reads the session's manifest cache,
+    so every request here is a warm hit."""
+
+    @pytest.fixture
+    def warm(self, manifest_cache, monkeypatch):
+        directory, jobs, manifest = manifest_cache
+        monkeypatch.setenv(cache.ENV_DIR, str(directory))
+        monkeypatch.setenv(cache.ENV_TOGGLE, "on")
+        monkeypatch.delenv("REPRO_RUNNER_WORKERS", raising=False)
+        handle = start_in_thread(
+            ServeConfig(port=0, workers=1, cache_dir=str(directory)))
+        yield Client(handle), jobs, manifest["scale"]
+        handle.stop()
+
+    def test_planned_experiments_match_registry_and_cli(self, warm, capsys):
+        from repro import cli
+        from repro.experiments import registry
+
+        client, _jobs, scale = warm
+        names = [name for name in registry.available()
+                 if not registry.is_driver(registry.get(name))]
+        assert len(names) == 13
+        for name in names:
+            status, headers, served = client.request(
+                "POST", "/experiments", {"experiment": name, "scale": scale})
+            assert (status, headers["X-Repro-Cache"]) == (200, "hit"), name
+            results, text = registry.run(name, scale_override=scale)
+            claims = registry.prepare(name, scale_override=scale).claims(results)
+            assert served["result"]["formatted"] == text, name
+            assert served["result"]["claims"] == claims, name
+            capsys.readouterr()
+            assert cli.main(["run", name, "--scale", str(scale)]) == 0
+            assert capsys.readouterr().out == text + "\n", name
+
+    def test_one_manifest_job_per_scenario_matches_run_job(self, warm):
+        client, jobs, _scale = warm
+        first = {}
+        for _key, job in sorted(jobs.items()):
+            first.setdefault(job.scenario, job)
+        assert len(first) >= 4
+        for scenario, job in first.items():
+            status, headers, served = client.request("POST", "/jobs", job.to_dict())
+            assert (status, headers["X-Repro-Cache"]) == (200, "hit"), scenario
+            assert served["result"]["payload"] == run_job(job), scenario
+
 class TestQueuedStates:
     """Deterministic queue-state tests: stop the dispatcher so
     submissions stay queued instead of racing it."""

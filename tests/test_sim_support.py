@@ -91,15 +91,6 @@ class TestTracer:
         tracer.emit("drop")
         assert len(tracer) == 1
 
-    def test_bounded_capacity_drops_oldest(self):
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=True, capacity=3)
-        for index in range(5):
-            tracer.emit("evt", i=index)
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
-        assert [r.detail["i"] for r in tracer] == [2, 3, 4]
-
     def test_clear(self):
         sim = Simulator()
         tracer = Tracer(sim, enabled=True)
