@@ -212,6 +212,19 @@ for name, summary in payload["policies"].items():
     assert summary["virq"]["count"] > 0, name
 EOF
 
+step "a worker killed mid-fleet costs one retry and no bytes"
+# The hook splits its value at the first colon: the tag must have none.
+REPRO_RUNNER_TEST_CRASH="e01.h00:$OUT/crash.marker" repro fleet "${fleet_args[@]}" --no-cache \
+  > fleet_crash.json
+cmp fleet1.json fleet_crash.json
+repro telemetry > fleet_crash_telemetry.json
+python - <<'EOF'
+import json
+counters = json.load(open("fleet_crash_telemetry.json"))["counters"]
+expected = {"pool.worker_crashes": 1, "pool.jobs_retried": 1, "pool.jobs_failed": 0}
+assert {name: counters.get(name, 0) for name in expected} == expected, counters
+EOF
+
 step "an infinite arrival rate exits 2 before simulating"
 # Not via repro(): timeout runs a program, not a shell function.
 status=0

@@ -22,11 +22,11 @@ Design rules:
   byte-identical ``dumps(include_wall=False)`` output (asserted by
   ``tests/test_telemetry.py``).
 * **Worker snapshots merge losslessly.** Worker processes accumulate
-  into their own registry and ship snapshot *deltas* back over the
-  result pipe (piggybacked on each job's result message, epoch-tagged
-  like the crash protocol); :meth:`Registry.merge` folds them in —
-  counters add, histograms merge bucket-exactly, gauges keep the max
-  so merge order cannot matter.
+  into their own registry and ship snapshot *deltas* back over their
+  pipe (piggybacked on each job's result message);
+  :meth:`Registry.merge` folds them in — counters add, histograms
+  merge bucket-exactly, gauges keep the max — so merge order cannot
+  matter.
 * **Export is dashboard-shaped.** :func:`render_prom` emits Prometheus
   text exposition format (``# TYPE`` comments, cumulative ``le``
   buckets, ``_sum``/``_count``) from a snapshot dict, ready for a

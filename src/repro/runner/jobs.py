@@ -34,7 +34,7 @@ from ..obs import telemetry
 
 #: Engine telemetry: simulated-event and wall-time totals per job,
 #: accumulated wherever the job actually ran (worker registries stream
-#: back to the parent over the result pipe).
+#: back to the parent on each job's result message).
 _JOBS_SIMULATED = telemetry.counter("engine.jobs_simulated")
 _EVENTS_SIMULATED = telemetry.counter("engine.events_simulated")
 _JOB_WALL_SECONDS = telemetry.counter("engine.job_wall_seconds")

@@ -7,20 +7,25 @@ once instead of once per call:
 
 * each worker pre-imports the scenario machinery before accepting its
   first job;
-* the parent hands each job to an idle worker, one job per task, and
-  streams completions off a shared result pipe — no ``pool.map``
-  barrier, so a straggler never blocks the jobs behind it, and the
-  hand-off itself marks the job started;
-* each worker sets one pool-wide ``warm`` event once its pre-imports
-  are done, so a caller that must not wait for start-up (``repro
-  serve``) can run work inline until :attr:`WorkerPool.warm` is true;
+* each worker has its own duplex pipe, shared with no other process:
+  the parent hands a job down an idle worker's pipe, one job per task,
+  and waits on the busy workers' pipes for completions — no
+  ``pool.map`` barrier, so a straggler never blocks the jobs behind
+  it, and the hand-off itself marks the job started;
+* each worker sets one pool-wide, lock-free ``warm`` flag once its
+  pre-imports are done, so a caller that must not wait for start-up
+  (``repro serve``) can run work inline until :attr:`WorkerPool.warm`
+  is true;
 * every result travels back as the payload dict itself plus its wall
   time; the parent lands it (cost model, cache store, progress — see
   :mod:`repro.runner.executor`) as it streams in;
-* a worker that dies mid-job is detected (liveness poll whenever no
-  result is ready), respawned, and its in-flight job retried up to
+* the parent keeps no copy of a worker's end of its pipe, so a worker
+  that dies reads as end-of-file (after any result it had finished
+  sending), and a result cut off mid-write fails to read; either way
+  the worker is respawned and its in-flight job retried up to
   :data:`MAX_RETRIES` times before the job surfaces a
-  :class:`~repro.errors.WorkerError`;
+  :class:`~repro.errors.WorkerError`. The pool shares no lock with its
+  workers, so no death can wedge another worker or the parent;
 * anything that prevents spawning at all (a sandboxed environment
   refusing ``fork``/``spawn``) degrades to inline execution in the
   caller, never to a crash.
@@ -32,6 +37,7 @@ keeps one per server); tests drive :class:`WorkerPool` directly.
 
 import atexit
 import multiprocessing
+from multiprocessing import connection
 import os
 import time
 import traceback
@@ -63,11 +69,6 @@ _RUN_SECONDS = telemetry.counter("pool.run_seconds")
 #: as deterministic poison and surfaced as a WorkerError.
 MAX_RETRIES = 1
 
-#: Liveness-poll interval while waiting on the result pipe. Only paid
-#: when no result is ready; results arriving faster are consumed
-#: back-to-back without sleeping.
-POLL_SECONDS = 0.2
-
 #: Test-only fault hook (see ``_maybe_test_crash``): crash a worker
 #: deterministically when it picks up a given job tag.
 ENV_TEST_CRASH = "REPRO_RUNNER_TEST_CRASH"
@@ -96,36 +97,31 @@ def _maybe_test_crash(tag):
     os._exit(17)
 
 
-def _worker_main(worker_index, task_queue, results, result_lock, warm):
-    """Worker process body: warm up once, set ``warm``, then serve jobs
-    forever.
+def _worker_main(conn, warm):
+    """Worker process body: warm up once, set ``warm``, then serve the
+    jobs that arrive on ``conn`` until it sends ``None`` or closes.
 
-    A task is ``(epoch, job_id, job_dict)`` or ``None`` to shut down.
-    Each job answers with exactly one message, ``(worker_index, epoch,
-    job_id, kind, value, seconds, telem)``, where ``kind`` is
-    ``"payload"`` (value = payload dict) or ``"error"`` (value =
-    worker-side traceback text), and ``telem`` is this worker's
-    telemetry snapshot *delta* since its last message (engine event
-    totals, job wall times) for the parent registry to merge. The epoch
-    tag lets the parent discard leftovers from a previous ``run()``
-    call (a worker that posted its result and then died is presumed
-    lost and retried; the late message must not corrupt the next run's
-    bookkeeping). The message goes out on the shared ``results`` pipe
-    under ``result_lock``, synchronously: the worker has released the
-    lock before it can take its next job, so dying there cannot leave
-    the lock held and wedge every other worker's send.
+    Each job dict answers with exactly one message on ``conn``,
+    ``(kind, value, seconds, telem)``, where ``kind`` is ``"payload"``
+    (value = payload dict) or ``"error"`` (value = worker-side
+    traceback text), and ``telem`` is this worker's telemetry snapshot
+    *delta* since its last message (engine event totals, job wall
+    times) for the parent registry to merge. The pipe is this worker's
+    alone, so the parent knows which job a message answers.
     """
     # One-time warm-up, amortised over every job this worker will run.
     from .jobs import SimJob, run_job
 
     import repro.experiments.scenarios  # noqa: F401  (pre-import, heavy)
 
-    warm.set()
+    warm.value = 1
     while True:
-        task = task_queue.get()
-        if task is None:
+        try:
+            job_dict = conn.recv()
+        except EOFError:
+            return  # the parent is gone
+        if job_dict is None:
             return
-        epoch, job_id, job_dict = task
         _maybe_test_crash(job_dict.get("tag"))
         start = time.perf_counter()
         try:
@@ -133,9 +129,7 @@ def _worker_main(worker_index, task_queue, results, result_lock, warm):
         except Exception:
             kind, value = "error", traceback.format_exc()
         seconds = time.perf_counter() - start
-        telem = telemetry.REGISTRY.take_snapshot()
-        with result_lock:
-            results.send((worker_index, epoch, job_id, kind, value, seconds, telem))
+        conn.send((kind, value, seconds, telemetry.REGISTRY.take_snapshot()))
 
 
 class JobOutcome:
@@ -150,12 +144,11 @@ class JobOutcome:
 
 
 class _Worker:
-    __slots__ = ("index", "process", "task_queue", "job")
+    __slots__ = ("process", "conn", "job")
 
-    def __init__(self, index, process, task_queue):
-        self.index = index
+    def __init__(self, process, conn):
         self.process = process
-        self.task_queue = task_queue
+        self.conn = conn  # the parent's end of this worker's pipe
         self.job = None  # (epoch, job_id, retries, dispatched_at) while busy
 
 
@@ -170,9 +163,7 @@ class WorkerPool:
 
     def __init__(self, workers, context=None):
         self._ctx = context or multiprocessing.get_context("spawn")
-        self._results, self._result_writer = self._ctx.Pipe(duplex=False)
-        self._result_lock = self._ctx.Lock()
-        self._warm = self._ctx.Event()
+        self._warm = self._ctx.RawValue("b", 0)
         self._workers = []
         self._closed = False
         self._running = False
@@ -182,29 +173,31 @@ class WorkerPool:
 
     # -- lifecycle ----------------------------------------------------
 
-    def _start_process(self, index):
-        """Start one worker process; returns ``(process, task_queue)``."""
-        task_queue = self._ctx.Queue()
+    def _start_process(self):
+        """Start one worker process; returns ``(process, conn)``, where
+        ``conn`` is the parent's end of the worker's pipe."""
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(index, task_queue, self._result_writer, self._result_lock,
-                  self._warm),
+            args=(child_conn, self._warm),
             daemon=True,
-            name="repro-worker-%d" % index,
+            name="repro-worker",
         )
         process.start()
-        return process, task_queue
+        # The worker now holds the only other end, so its death reads
+        # as end-of-file on ``conn``.
+        child_conn.close()
+        return process, conn
 
     def _spawn_worker(self):
-        index = len(self._workers)
-        self._workers.append(_Worker(index, *self._start_process(index)))
+        self._workers.append(_Worker(*self._start_process()))
         _SPAWNED.inc()
         _SIZE.set(len(self._workers))
-        return self._workers[-1]
 
     def _respawn(self, worker):
-        """Replace a dead worker in place (same index, fresh process)."""
-        worker.process, worker.task_queue = self._start_process(worker.index)
+        """Replace a dead worker in place (fresh process and pipe)."""
+        worker.conn.close()
+        worker.process, worker.conn = self._start_process()
         worker.job = None
         _RESPAWNED.inc()
 
@@ -219,7 +212,7 @@ class WorkerPool:
     @property
     def warm(self):
         """True once any worker has finished its pre-imports."""
-        return self._warm.is_set()
+        return bool(self._warm.value)
 
     def worker_pids(self):
         """Live worker PIDs (test/introspection aid)."""
@@ -236,8 +229,8 @@ class WorkerPool:
         self._closed = True
         for worker in self._workers:
             try:
-                worker.task_queue.put(None)
-            except (OSError, ValueError):
+                worker.conn.send(None)
+            except OSError:
                 pass
         deadline = time.monotonic() + timeout
         for worker in self._workers:
@@ -245,6 +238,7 @@ class WorkerPool:
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
+            worker.conn.close()
         self._workers = []
 
     # -- execution ----------------------------------------------------
@@ -285,97 +279,85 @@ class WorkerPool:
         limit = self.size if max_workers is None else max(1, min(max_workers, self.size))
 
         # A worker is idle iff worker.job is None. A job left over from
-        # a previous run (result never arrived) keeps its worker out of
-        # rotation until the stale message lands.
+        # a run that ended early keeps its worker out of rotation until
+        # its (discarded) result or its death lands.
         def dispatch():
             while pending:
                 busy = sum(1 for w in self._workers if w.job is not None)
                 if busy >= limit:
                     return
-                idle = next((w for w in self._workers if w.job is None), None)
-                if idle is None:
-                    return
+                # busy < limit <= size, so some worker is idle.
+                idle = next(w for w in self._workers if w.job is None)
                 if not idle.process.is_alive():
                     self._respawn(idle)
                 job_id, retries = pending.pop()
-                if outcomes[job_id] is not None:
-                    continue  # a presumed-lost attempt landed after all
                 idle.job = (epoch, job_id, retries, time.perf_counter())
-                idle.task_queue.put((epoch, job_id, entries[job_id]))
+                try:
+                    idle.conn.send(entries[job_id])
+                except OSError:
+                    pass  # died since the check: its pipe reads EOF below
                 _DISPATCHED.inc()
                 if on_start is not None:
                     on_start(job_id)
 
-        def absorb(message):
+        def absorb(worker, message):
             nonlocal remaining
-            worker_index, msg_epoch, job_id, kind, value, seconds, telem = message
+            kind, value, seconds, telem = message
             # Worker-side telemetry (engine totals, job wall times) is a
-            # delta: merging it is correct even for stale-epoch
-            # messages — the work really happened.
+            # delta: merging it is correct even for a leftover's
+            # message — the work really happened.
             telemetry.REGISTRY.merge(telem)
-            worker = self._workers[worker_index]
-            dispatched_at = None
-            if worker.job is not None and worker.job[:2] == (msg_epoch, job_id):
-                dispatched_at = worker.job[3]
-                worker.job = None
-            if msg_epoch != epoch:
+            job_epoch, job_id, _retries, dispatched_at = worker.job
+            worker.job = None
+            if job_epoch != epoch:
                 _DISCARDS.inc()
-                return  # stale message from an earlier run
-            if outcomes[job_id] is not None:
-                return  # late duplicate after a presumed-lost attempt
+                return  # a leftover from a run that ended early
             outcomes[job_id] = outcome = JobOutcome(kind, value, seconds)
             remaining -= 1
             _COMPLETED.inc()
             _BUSY_SECONDS.inc(seconds)
-            if dispatched_at is not None:
-                # Queue wait: hand-off to result minus simulation time.
-                wait = time.perf_counter() - dispatched_at - seconds
-                telemetry.observe("pool.queue_wait_us", max(0.0, wait) * 1e6)
+            # Queue wait: hand-off to result minus simulation time.
+            wait = time.perf_counter() - dispatched_at - seconds
+            telemetry.observe("pool.queue_wait_us", max(0.0, wait) * 1e6)
             if on_result is not None:
                 on_result(job_id, outcome)
 
-        def reap_crashes():
+        def crashed(worker):
             nonlocal remaining
-            for worker in self._workers:
-                if worker.job is None or worker.process.is_alive():
-                    continue
-                job_epoch, job_id, retries, _dispatched_at = worker.job
-                worker.job = None
-                _CRASHES.inc()
-                self._respawn(worker)
-                if job_epoch != epoch or outcomes[job_id] is not None:
-                    continue  # a previous run's leftover, or already landed
-                tag = entries[job_id].get("tag")
-                if retries < MAX_RETRIES:
-                    warnings.warn(
-                        "worker died while running job %r; retrying" % tag,
-                        RuntimeWarning,
-                        stacklevel=4,
-                    )
-                    _RETRIED.inc()
-                    pending.append((job_id, retries + 1))
-                else:
-                    outcomes[job_id] = JobOutcome(
-                        "error",
-                        "worker process died repeatedly while running job %r "
-                        "(%d attempts)" % (tag, retries + 1),
-                        0.0,
-                    )
-                    remaining -= 1
-                    _FAILED.inc()
+            job_epoch, job_id, retries, _dispatched_at = worker.job
+            _CRASHES.inc()
+            self._respawn(worker)
+            if job_epoch != epoch:
+                return  # a leftover from a run that ended early
+            tag = entries[job_id].get("tag")
+            if retries < MAX_RETRIES:
+                warnings.warn(
+                    "worker died while running job %r; retrying" % tag,
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+                _RETRIED.inc()
+                pending.append((job_id, retries + 1))
+            else:
+                outcomes[job_id] = JobOutcome(
+                    "error",
+                    "worker process died repeatedly while running job %r "
+                    "(%d attempts)" % (tag, retries + 1),
+                    0.0,
+                )
+                remaining -= 1
+                _FAILED.inc()
 
         dispatch()
         while remaining:
-            try:
-                ready = self._results.poll(POLL_SECONDS)
-                message = self._results.recv() if ready else None
-            except (OSError, EOFError):  # torn pickle from a dying worker
-                message = None
-            if message is None:
-                # Nothing ready: look for corpses among the busy workers.
-                reap_crashes()
-            else:
-                absorb(message)
+            busy = {w.conn: w for w in self._workers if w.job is not None}
+            for conn in connection.wait(list(busy)):
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):  # died, perhaps mid-send
+                    crashed(busy[conn])
+                else:
+                    absorb(busy[conn], message)
             dispatch()
         return outcomes
 

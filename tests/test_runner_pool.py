@@ -11,6 +11,9 @@ inline instead of failing the run.
 
 import json
 import os
+import signal
+import struct
+import threading
 import time
 
 import pytest
@@ -50,6 +53,21 @@ def _cache_counters():
 def _moved(before):
     after = _cache_counters()
     return {name: after[name] - before[name] for name in after}
+
+
+def _counters(names):
+    counters = telemetry.snapshot()["counters"]
+    return {name: counters.get(name, 0) for name in names}
+
+
+def _torn_result_worker(conn, warm):
+    """A stand-in for ``pool._worker_main`` that takes one job, writes
+    a result frame's length header and a few of its bytes, then dies:
+    the torn result a worker killed mid-send leaves on its pipe."""
+    warm.value = 1
+    conn.recv()
+    os.write(conn.fileno(), struct.pack("!i", 1024) + b"torn")
+    os._exit(0)
 
 
 @pytest.fixture
@@ -188,6 +206,32 @@ class TestWorkerPoolPrimitive:
         finally:
             pool.close()
 
+    def test_leftover_of_an_aborted_run_is_discarded(self, fresh_pool_env):
+        """An ``on_result`` that raises ends the run with the other job
+        still in its worker. The next run discards that leftover's
+        result and returns only its own outcomes, in input order."""
+        pool = pool_mod.WorkerPool(2)
+
+        def abort(_job_id, _outcome):
+            raise RuntimeError("abort the run")
+
+        try:
+            first = [_job("a0", 51).to_dict(), _job("a1", 52).to_dict()]
+            with pytest.raises(RuntimeError, match="abort the run"):
+                pool.run(first, on_result=abort)
+            names = ("pool.epoch_discards", "pool.jobs_failed")
+            before = _counters(names)
+            jobs = [_job("n%d" % i, seed=60 + i) for i in range(2)]
+            # One worker at a time: the leftover's worker counts as
+            # busy, so its result lands before any new job is handed out.
+            outcomes = pool.run([job.to_dict() for job in jobs], max_workers=1)
+            after = _counters(names)
+            assert [o.value for o in outcomes] == [executor_mod.run_job(j) for j in jobs]
+            assert {name: after[name] - before[name] for name in names} == {
+                "pool.epoch_discards": 1, "pool.jobs_failed": 0}
+        finally:
+            pool.close()
+
 
 class TestCrashResilience:
     def test_crash_retried_once_then_succeeds(self, tmp_path, monkeypatch, fresh_pool_env):
@@ -217,6 +261,49 @@ class TestCrashResilience:
         with pytest.warns(RuntimeWarning, match="retrying"):
             with pytest.raises(WorkerError, match="died repeatedly"):
                 execute([_job("victim", 2), _job("ok", 3)], workers=2, cache=False)
+
+    def test_torn_result_does_not_wedge_the_pool(self, monkeypatch, recwarn, fresh_pool_env):
+        """Every worker writes half a result frame and dies. The run
+        must still end, with the job's error outcome. It runs in a
+        thread so that a wedged pool fails the test instead of hanging
+        the suite."""
+        monkeypatch.setattr(pool_mod, "_worker_main", _torn_result_worker)
+        pool = pool_mod.WorkerPool(1)
+        outcomes = []
+        runner = threading.Thread(
+            target=lambda: outcomes.extend(pool.run([_job("torn", 7).to_dict()])),
+            daemon=True,
+        )
+        try:
+            runner.start()
+            runner.join(20)
+            assert not runner.is_alive(), "the pool waited on a torn result"
+            (outcome,) = outcomes
+            assert outcome.kind == "error"
+            assert "died repeatedly" in outcome.value
+            assert "retrying" in str(recwarn.pop(RuntimeWarning).message)
+        finally:
+            pool.close()
+
+    def test_worker_killed_while_idle_is_replaced(self, fresh_pool_env):
+        pool = pool_mod.WorkerPool(1)
+        try:
+            jobs = [_job("k0", 71), _job("k1", 72)]
+            pool.run([jobs[0].to_dict()])
+            (victim,) = pool.worker_pids()
+            process = pool._workers[0].process
+            os.kill(victim, signal.SIGKILL)
+            process.join(10)
+            assert not process.is_alive()
+            names = ("pool.workers_respawned", "pool.worker_crashes")
+            before = _counters(names)
+            outcomes = pool.run([job.to_dict() for job in jobs])
+            after = _counters(names)
+            assert [o.value for o in outcomes] == [executor_mod.run_job(j) for j in jobs]
+            assert {name: after[name] - before[name] for name in names} == {
+                "pool.workers_respawned": 1, "pool.worker_crashes": 0}
+        finally:
+            pool.close()
 
 
 def _progress_log(jobs):
