@@ -37,7 +37,6 @@ keeps one per server); tests drive :class:`WorkerPool` directly.
 
 import atexit
 import multiprocessing
-from multiprocessing import connection
 import os
 import time
 import traceback
@@ -271,6 +270,10 @@ class WorkerPool:
             _RUN_SECONDS.inc(time.perf_counter() - started)
 
     def _run(self, entries, max_workers, on_result, on_start):
+        # Imported here, not at module level: a process that runs every
+        # job inline (``workers=1``) never pays for it.
+        from multiprocessing.connection import wait
+
         epoch = self._epoch
         outcomes = [None] * len(entries)
         # (job_id, retries); pop() takes submission order.
@@ -317,8 +320,8 @@ class WorkerPool:
             _COMPLETED.inc()
             _BUSY_SECONDS.inc(seconds)
             # Queue wait: hand-off to result minus simulation time.
-            wait = time.perf_counter() - dispatched_at - seconds
-            telemetry.observe("pool.queue_wait_us", max(0.0, wait) * 1e6)
+            queued = time.perf_counter() - dispatched_at - seconds
+            telemetry.observe("pool.queue_wait_us", max(0.0, queued) * 1e6)
             if on_result is not None:
                 on_result(job_id, outcome)
 
@@ -351,7 +354,7 @@ class WorkerPool:
         dispatch()
         while remaining:
             busy = {w.conn: w for w in self._workers if w.job is not None}
-            for conn in connection.wait(list(busy)):
+            for conn in wait(list(busy)):
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):  # died, perhaps mid-send
