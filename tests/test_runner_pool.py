@@ -286,13 +286,14 @@ class TestCrashResilience:
             pool.close()
 
     def test_worker_killed_while_idle_is_replaced(self, fresh_pool_env):
+        """A worker that died between runs is respawned at hand-off:
+        no crash is counted and no retry is spent."""
         pool = pool_mod.WorkerPool(1)
         try:
             jobs = [_job("k0", 71), _job("k1", 72)]
             pool.run([jobs[0].to_dict()])
-            (victim,) = pool.worker_pids()
             process = pool._workers[0].process
-            os.kill(victim, signal.SIGKILL)
+            os.kill(process.pid, signal.SIGKILL)
             process.join(10)
             assert not process.is_alive()
             names = ("pool.workers_respawned", "pool.worker_crashes")
