@@ -4,7 +4,8 @@ These benchmarks measure a 16-job cold plan dispatched over the warm
 persistent pool at workers=4, the worker scale-up curve, the per-job
 payload bytes a worker sends back through the result pipe, and the
 warm replay of one cached result (decoded, and reused from the decode
-memo), and fold every headline number into ``BENCH_engine.json``.
+memo) and of one kept plan's keys, and fold every headline number into
+``BENCH_engine.json``.
 
 Every dispatch run has the result cache off so each round pays the
 full simulation cost (cold-plan conditions); the pool is measured warm,
@@ -17,6 +18,7 @@ import json
 import pytest
 from test_simulator_perf import BENCH_JSON, _mean, _record  # noqa: F401
 
+from repro.experiments import registry
 from repro.experiments.results import RunResult
 from repro.obs import telemetry
 from repro.runner import SimJob, cache, execute
@@ -150,3 +152,17 @@ class TestWarmHydration:
         assert result.to_dict() == payload
         assert telemetry.snapshot()["counters"]["cache.decode_reuses"] > reuses
         _record("runner_warm_rehydrate_us", _mean(benchmark) * 1e6)
+
+    def test_replan_from_plan_memo(self, benchmark):
+        """A warm replay's planning stage in a process that has run the
+        experiment before: ``prepare`` returns the kept baselines plan
+        and each of its 48 jobs returns its kept cache key."""
+
+        def replan():
+            return [cache.job_key(job)
+                    for job in registry.prepare("baselines", scale_override=0.02).jobs]
+
+        keys = replan()
+        assert len(keys) == 48
+        assert benchmark(replan) == keys
+        _record("runner_warm_replan_us", _mean(benchmark) * 1e6)

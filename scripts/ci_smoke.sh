@@ -147,9 +147,11 @@ REPRO_CACHE=off REPRO_RUNNER_WORKERS=2 repro sweep gmake --max-cores 1 --duratio
   > sweep_pool.txt
 cmp sweep_serial.txt sweep_pool.txt
 
-step "warm replay: every planned experiment renders cold, then twice warm, byte-equal"
-# One process, so the second and third passes replay through the decode
-# memo and every result decodes its fields on first read.
+step "warm replay: every planned experiment renders cold, then three times warm, byte-equal"
+# One process, so the warm passes replay through the decode memo and
+# the kept plans, and every result decodes its fields on first read.
+# Before the third, baselines is prepared with each cross-cutting
+# option: none may leak into the kept plain plan.
 REPRO_CACHE_DIR="$OUT/warm-cache" python - <<'EOF'
 from repro.experiments import registry
 from repro.obs import telemetry
@@ -167,14 +169,18 @@ def render():
 
 
 cold = render()
-for label in ("warm", "warm again"):
+for label in ("warm", "warm again", "warm after options"):
+    if label == "warm after options":
+        for option in ({"scheduler": "credit2"}, {"trace": {"kinds": None}},
+                       {"faults": "slow-ipi"}):
+            registry.prepare("baselines", scale_override=0.02, **option)
     misses = counter("cache.misses")
     texts = render()
     differ = sorted(name for name in names if texts[name] != cold[name])
     assert not differ, "%s text differs from cold for %s" % (label, differ)
     assert counter("cache.misses") == misses, "%s pass missed the cache" % label
 assert counter("cache.decode_reuses") > 0, "no load reused the decode memo"
-print("%d experiments byte-equal cold and twice warm; %d decode reuses"
+print("%d experiments byte-equal cold and three times warm; %d decode reuses"
       % (len(names), counter("cache.decode_reuses")))
 EOF
 
@@ -254,6 +260,7 @@ for key in ("corun_faults_off_events_per_sec",
             "fleet_host_jobs_per_sec",
             "runner_warm_hydrate_us",
             "runner_warm_rehydrate_us",
+            "runner_warm_replan_us",
             "serve_mixed_hit_p90_ms"):
     assert key in metrics, (key, sorted(metrics))
 EOF

@@ -319,8 +319,8 @@ def _cmd_compare(args):
 def _cmd_scenario(args):
     """``repro corun`` / ``repro solo``: one job, no warmup."""
     job = _job(args, args.command, args.command, _parse_policy(args.policy))
-    apply_options(job, trace=_trace_request(args), faults=args.faults,
-                  scheduler=args.scheduler)
+    job = apply_options(job, trace=_trace_request(args), faults=args.faults,
+                        scheduler=args.scheduler)
     result = _execute([job])[job.tag]
     _summarise(result)
     if result.faults is not None:

@@ -15,12 +15,15 @@ through these two steps, so a result is the same function of its spec
 on every path."""
 
 import functools
+import inspect
+import threading
 
 from ..errors import ConfigError, FaultError
 from .. import runner
 from ..runner.jobs import apply_options, check_scheduler, is_finite, is_int
 from . import (
     baselines,
+    common,
     fig4,
     fig5,
     fig6,
@@ -54,6 +57,44 @@ _EXPERIMENTS = {
 }
 
 
+#: Bound of the plan memo (:func:`_kept_plan`): the plans one process
+#: keeps, oldest out. Every planned experiment at one scale fits.
+PLAN_MEMO_PLANS = 32
+
+#: ``{memo key: (SimJob, ...)}`` in insertion order. Reads are single
+#: dict lookups; every write holds :data:`_PLANS_LOCK` (serve prepares
+#: on its loop thread while wave threads run).
+_PLANS = {}
+_PLANS_LOCK = threading.Lock()
+
+
+def _kept_plan(module, kwargs):
+    """``module.plan(**kwargs)`` as a tuple of jobs, planned once per
+    process. A plan is a function of the plan function (a wrapper that
+    names it in ``__wrapped__`` plans the same jobs), its kwargs and,
+    when ``scale_override`` is None, the ``REPRO_BENCH_SCALE`` scale
+    ``plan()`` reads: those are the memo key, each kwarg with its type,
+    so equal values of other types (``1``, ``1.0``, ``True``) never
+    share an entry. A kwarg that cannot be hashed is planned afresh.
+    The kept jobs are shared by every caller, so nothing may mutate
+    them: :func:`apply_options` returns new jobs, and each job keeps
+    its own cache key."""
+    key = (inspect.unwrap(module.plan),
+           common.scale() if kwargs.get("scale_override") is None else None,
+           tuple((name, type(value), value) for name, value in sorted(kwargs.items())))
+    try:
+        jobs = _PLANS.get(key)
+    except TypeError:  # an unhashable kwarg
+        return tuple(module.plan(**kwargs))
+    if jobs is None:
+        jobs = tuple(module.plan(**kwargs))
+        with _PLANS_LOCK:
+            _PLANS[key] = jobs
+            while len(_PLANS) > PLAN_MEMO_PLANS:
+                del _PLANS[next(iter(_PLANS))]
+    return jobs
+
+
 def is_driver(module):
     """True for experiments that orchestrate their own job waves
     (``drive()``) instead of emitting a static ``plan()`` — their job
@@ -78,8 +119,9 @@ def get(name):
 class Prepared:
     """One experiment bound to its options, ready to execute.
 
-    ``jobs`` is the plan with every cross-cutting option applied, or
-    None for a driver, which runs its own job waves through
+    ``jobs`` is the plan with every cross-cutting option applied (a
+    tuple shared with other requests for the same plan: never mutate
+    its jobs), or None for a driver, which runs its own job waves through
     :meth:`drive` with ``options``, the arguments its ``configure()``
     validated. Module functions are looked up at call time, so a
     wrapper installed on the module after :func:`prepare` still runs.
@@ -145,7 +187,10 @@ def prepare(name, *, trace=None, faults=None, scheduler=None, **kwargs):
     A driver's jobs are born mid-run from its own feedback loop, so
     per-job rewrites (``trace``, ``faults``) would silently change its
     control flow; they are refused instead of half-applied. Its
-    ``scheduler`` is validated here and passed to ``configure()``.
+    ``scheduler`` is passed to ``configure()``.
+
+    A planned experiment's plan is kept per process (:func:`_kept_plan`);
+    every option is still validated on every call.
     """
     module = get(name)
     if "seed" in kwargs and not is_int(kwargs["seed"]):
@@ -153,18 +198,19 @@ def prepare(name, *, trace=None, faults=None, scheduler=None, **kwargs):
     scale = kwargs.get("scale_override")
     if scale is not None and not (is_finite(scale) and scale > 0):
         raise ConfigError("'scale' must be a finite number > 0, got %r" % (scale,))
+    if scheduler is not None:
+        check_scheduler(scheduler)
     if is_driver(module):
         for option, value in (("trace", trace), ("faults", faults)):
             if value is not None:
                 raise ConfigError(
                     "driver experiment %r does not accept %r" % (name, option)
                 )
-        if scheduler is not None:
-            check_scheduler(scheduler)
         return Prepared(module, None, module.configure(scheduler=scheduler, **kwargs))
-    jobs = module.plan(**kwargs)
-    for job in jobs:
-        apply_options(job, trace=trace, faults=faults, scheduler=scheduler)
+    jobs = _kept_plan(module, kwargs)
+    if trace is not None or faults is not None or scheduler is not None:
+        jobs = tuple(apply_options(job, trace=trace, faults=faults, scheduler=scheduler)
+                     for job in jobs)
     return Prepared(module, jobs, None)
 
 

@@ -232,17 +232,15 @@ class FleetState:
                 {"name": s.name, "workload": s.workload, "vcpus": s.vcpus}
                 for s in sessions
             ]
-            jobs.append(
-                SimJob(
-                    tag="e%02d.h%02d" % (epoch, host_index),
-                    scenario="fleet_host",
-                    scenario_kwargs={"domains": domains, "num_pcpus": spec.pcpus},
-                    seed=self.host_seeds[host_index],
-                    duration_ns=epoch_ns,
-                    policy=dict(spec.host_policy) if spec.host_policy else baseline_policy(),
-                )
+            job = SimJob(
+                tag="e%02d.h%02d" % (epoch, host_index),
+                scenario="fleet_host",
+                scenario_kwargs={"domains": domains, "num_pcpus": spec.pcpus},
+                seed=self.host_seeds[host_index],
+                duration_ns=epoch_ns,
+                policy=dict(spec.host_policy) if spec.host_policy else baseline_policy(),
             )
-            apply_options(jobs[-1], scheduler=spec.scheduler)
+            jobs.append(apply_options(job, scheduler=spec.scheduler))
         self.jobs_planned += len(jobs)
         _HOST_JOBS.inc(len(jobs))
         self.density.append(

@@ -120,9 +120,21 @@ def code_salt():
 
 
 def job_key(job):
-    """Content hash identifying one simulation point at one code version."""
-    blob = "%d|%s|%s" % (FORMAT, code_salt(), job.canonical())
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """Content hash identifying one simulation point at one code version.
+
+    Computed once per job: the job keeps ``(FORMAT, salt, key)`` as its
+    ``_key`` attribute, which assigning any of its fields drops
+    (:class:`~repro.runner.jobs.SimJob`), so a replay of a kept plan
+    skips the canonical encode and the hash. Every thread that keys a
+    job computes the same string, so the write needs no lock."""
+    salt = code_salt()
+    kept = job.__dict__.get("_key")
+    if kept is not None and kept[0] == FORMAT and kept[1] == salt:
+        return kept[2]
+    blob = "%d|%s|%s" % (FORMAT, salt, job.canonical())
+    key = hashlib.sha256(blob.encode()).hexdigest()
+    job.__dict__["_key"] = (FORMAT, salt, key)
+    return key
 
 
 def entry_path(key, override=None):

@@ -208,6 +208,14 @@ class SimJob:
     #: never be conflated with a healthy one.
     faults: dict = None
 
+    def __setattr__(self, name, value):
+        # cache.job_key keeps the job's key on the instance as
+        # ``_key``; assigning any field drops it. A kept job's dicts are
+        # never mutated in place (see apply_options), so this is the
+        # only way its spec can change.
+        self.__dict__.pop("_key", None)
+        object.__setattr__(self, name, value)
+
     def spec(self):
         """The canonical, tag-free description — the cache identity.
         An override equal to its default (:data:`_OVERRIDES`) is left
@@ -374,23 +382,30 @@ def check_job(job):
 
 
 def apply_options(job, trace=None, faults=None, scheduler=None):
-    """Apply the cross-cutting run options to ``job`` in place: the one
-    way every front end does it, so one request spells one spec. A
-    ``scheduler`` is validated and pinned with ``setdefault`` (a job
-    that names a backend keeps it); ``trace`` is copied in; ``faults``
-    (a built-in name, plan-JSON path, plan dict or
+    """Return a new :class:`SimJob`: ``job`` with the cross-cutting run
+    options applied, the one way every front end does it, so one
+    request spells one spec. ``job`` and its dicts are left unchanged
+    (a planned job may be shared by every request for its plan). A
+    ``scheduler`` is validated and pinned unless the job names a
+    backend already; ``trace`` is copied in, its ``kinds`` list too;
+    ``faults`` (a built-in name, plan-JSON path, plan dict or
     :class:`~repro.faults.FaultPlan`) goes to a job that has none, in
     canonical :meth:`~repro.faults.FaultPlan.to_dict` form, a built-in
     name scaled to the job's warmup + duration."""
+    changes = {}
     if scheduler is not None:
         check_scheduler(scheduler)
-        job.overrides.setdefault("scheduler", scheduler)
+        if "scheduler" not in job.overrides:
+            changes["overrides"] = dict(job.overrides, scheduler=scheduler)
     if trace is not None:
-        job.trace = dict(trace)
+        trace = changes["trace"] = dict(trace)
+        if isinstance(trace.get("kinds"), list):
+            trace["kinds"] = list(trace["kinds"])
     if faults is not None and job.faults is None:
         from ..faults import resolve_plan
 
-        job.faults = resolve_plan(faults, job.warmup_ns + job.duration_ns).to_dict()
+        changes["faults"] = resolve_plan(faults, job.warmup_ns + job.duration_ns).to_dict()
+    return dataclasses.replace(job, **changes)
 
 
 def build_system(job):

@@ -206,7 +206,7 @@ def compile_job(payload):
     job = SimJob(**dict({"tag": "job", "scenario": None, "duration_ns": None}, **fields))
     try:
         check_job(job)
-        apply_options(job, faults=faults)
+        job = apply_options(job, faults=faults)
     except ReproError as err:
         raise ValidationError(str(err))
     _check_horizon(job.tag, job.warmup_ns + job.duration_ns)

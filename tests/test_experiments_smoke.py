@@ -1,14 +1,19 @@
 """Smoke tests: every paper table/figure harness runs at tiny scale and
 produces structurally complete, formattable output."""
 
+import collections
 import copy
+import functools
 import re
 from pathlib import Path
 
 import pytest
 
 from repro import runner
-from repro.experiments import common, fig4, fig7, registry, table2, table4a, table4b
+from repro.experiments import baselines, common, fig4, fig7, registry, table2, table4a, table4b
+from repro.obs import telemetry
+from repro.runner import cache
+from repro.runner.jobs import apply_options
 
 #: Tiny scale so the whole module stays fast; each experiment's
 #: ``claims()`` holds its shape thresholds, asserted at full scale by
@@ -91,6 +96,84 @@ class TestReducersAreReadOnly:
             assert results == reduced, name
             assert sorted(claims) == sorted(DOCUMENTED_CLAIMS.get(name, [])), name
             assert all(type(ok) is bool for ok in claims.values()), name
+
+
+class TestPlanMemo:
+    """``registry.prepare`` keeps each plan per process: no request's
+    options or duration scale may leak into another request's jobs."""
+
+    @staticmethod
+    def _keys(jobs):
+        return [cache.job_key(job) for job in jobs]
+
+    def test_options_never_leak_into_the_plain_plan(self):
+        fresh = self._keys(baselines.plan(scale_override=0.02))
+        for options in ({"scheduler": "credit2"}, {"trace": {"kinds": None}},
+                        {"faults": "slow-ipi"}):
+            plain = registry.prepare("baselines", scale_override=0.02)
+            assert isinstance(plain.jobs, tuple)
+            assert self._keys(plain.jobs) == fresh
+            applied = registry.prepare("baselines", scale_override=0.02, **options)
+            assert isinstance(applied.jobs, tuple)
+            expected = [apply_options(job, **options)
+                        for job in baselines.plan(scale_override=0.02)]
+            assert self._keys(applied.jobs) == self._keys(expected) != fresh
+        plain = registry.prepare("baselines", scale_override=0.02)
+        assert self._keys(plain.jobs) == fresh
+        assert registry.prepare("baselines", scale_override=0.02).jobs is plain.jobs
+
+    def test_the_effective_scale_is_part_of_the_key(self, monkeypatch):
+        durations = []
+        for raw in ("0.02", "0.1", "0.02"):
+            monkeypatch.setenv("REPRO_BENCH_SCALE", raw)
+            durations.append(registry.prepare("table4a").jobs[0].duration_ns)
+        assert durations[0] == durations[2] != durations[1]
+
+    def test_equal_values_of_other_types_do_not_share_a_plan(self):
+        by_int = registry.prepare("table4a", scale_override=1).jobs
+        assert registry.prepare("table4a", scale_override=1.0).jobs is not by_int
+        assert registry.prepare("table4a", scale_override=1).jobs is by_int
+
+    def test_an_unhashable_option_is_planned_afresh(self):
+        first = registry.prepare("fig7", scale_override=0.02, workloads=["dedup"]).jobs
+        second = registry.prepare("fig7", scale_override=0.02, workloads=["dedup"]).jobs
+        assert first == second and first is not second
+
+    def test_a_warm_replay_replans_and_rekeys_nothing(self, monkeypatch, manifest_cache):
+        """Once every planned experiment rendered, a second render calls
+        no ``plan`` and no ``SimJob.canonical``, misses no cache entry,
+        and prints the same text. The counters wrap with
+        ``functools.wraps``, as perfbench's span wrappers do, so a
+        wrapped ``plan`` still names the plan it kept."""
+        monkeypatch.setenv(cache.ENV_DIR, str(manifest_cache[0]))
+        monkeypatch.setenv(cache.ENV_TOGGLE, "on")
+        names = [name for name in registry.available()
+                 if not registry.is_driver(registry.get(name))]
+        assert len(names) == 13
+
+        def render():
+            return {name: registry.run_many([name], workers=1, scale_override=0.02)[name][1]
+                    for name in names}
+
+        first = render()
+        calls = collections.Counter()
+
+        def counted(label, function):
+            @functools.wraps(function)
+            def wrapper(*args, **kwargs):
+                calls[label] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            module = registry.get(name)
+            monkeypatch.setattr(module, "plan", counted(name, module.plan))
+        monkeypatch.setattr(runner.SimJob, "canonical",
+                            counted("canonical", runner.SimJob.canonical))
+        misses = telemetry.snapshot()["counters"].get("cache.misses", 0)
+        assert render() == first
+        assert calls == {}
+        assert telemetry.snapshot()["counters"].get("cache.misses", 0) == misses
 
 
 class TestTables:

@@ -20,6 +20,7 @@ import repro
 from repro.experiments.results import RunResult
 from repro.obs import telemetry
 from repro.runner import SimJob, cache, execute, execute_many, run_job, static_policy
+from repro.runner.jobs import apply_options
 from repro.sim.time import ms, us
 
 
@@ -187,6 +188,73 @@ class TestKeying:
             for name in ("credit", "credit2", "balance", "cosched", "shortslice")
         }
         assert len(set(keys.values())) == len(keys)
+
+
+class TestKeptKey:
+    """A job keys itself once (``cache.job_key`` keeps the key on the
+    job); assigning any field drops the kept key."""
+
+    def test_second_call_skips_the_canonical_encode(self, monkeypatch):
+        job = _job(**_FULL)
+        key = cache.job_key(job)
+        calls = []
+        monkeypatch.setattr(SimJob, "canonical", lambda self: calls.append(self))
+        assert cache.job_key(job) == key
+        assert calls == []
+
+    @pytest.mark.parametrize("field", sorted(_IDENTITY_CHANGES))
+    def test_assigning_a_field_drops_the_kept_key(self, field):
+        job = _job(**_FULL)
+        cache.job_key(job)
+        setattr(job, field, _IDENTITY_CHANGES[field])
+        assert cache.job_key(job) == cache.job_key(
+            _job(**dict(_FULL, **{field: _IDENTITY_CHANGES[field]})))
+
+    def test_a_kept_key_is_tied_to_the_format(self, monkeypatch):
+        job = _job()
+        key = cache.job_key(job)
+        monkeypatch.setattr(cache, "FORMAT", cache.FORMAT + 1)
+        assert cache.job_key(job) != key
+        assert cache.job_key(job) == cache.job_key(_job())
+
+
+class TestApplyOptions:
+    """``apply_options`` returns a new job and leaves its argument, and
+    the argument's dicts, unchanged: a planned job is shared by every
+    request for its plan."""
+
+    def test_argument_and_its_dicts_are_unchanged(self):
+        job = _job(overrides={"ple_window": 1000})
+        fields = {name: getattr(job, name) for name in
+                  ("scenario_kwargs", "policy", "overrides")}
+        before = dataclasses.replace(job, **{name: dict(value) for name, value in fields.items()})
+        applied = apply_options(job, trace={"kinds": ["deschedule"]}, faults="slow-ipi",
+                                scheduler="credit2")
+        assert applied is not job
+        assert job == before
+        assert all(getattr(job, name) is value for name, value in fields.items())
+        assert (job.trace, job.faults) == (None, None)
+        assert applied.overrides == {"ple_window": 1000, "scheduler": "credit2"}
+        assert applied.trace == {"kinds": ["deschedule"]}
+        assert applied.faults["name"] == "slow-ipi"
+
+    def test_a_pinned_backend_and_plan_are_kept(self):
+        job = _job(overrides={"scheduler": "shortslice"}, faults=_FULL["faults"])
+        applied = apply_options(job, faults="slow-ipi", scheduler="credit2")
+        assert applied == job and applied is not job
+
+    def test_each_job_gets_its_own_trace_kinds(self):
+        """Mutating the caller's ``kinds`` list after ``prepare`` moves no
+        job's spec, so every kept key still matches its job."""
+        from repro.experiments import registry
+
+        kinds = ["deschedule"]
+        jobs = registry.prepare("fig7", scale_override=0.02, trace={"kinds": kinds}).jobs
+        keys = [cache.job_key(job) for job in jobs]
+        kinds.append("yield")
+        assert [job.trace for job in jobs] == [{"kinds": ["deschedule"]}] * len(jobs)
+        assert [cache.job_key(job) for job in jobs] == keys
+        assert [cache.job_key(dataclasses.replace(job)) for job in jobs] == keys
 
 
 class TestStorage:
