@@ -367,6 +367,10 @@ step "serve: repeat submission is a cache hit, same text as repro run, same clai
 # One pipeline: the CLI replays the served run's cache entries and must
 # render the very same table.
 repro run fig7 --scale 0.02 > fig7_cli.txt
+# The cache directory holds only what is used: beside the entries, the
+# last run's telemetry and nothing else.
+meta=$(ls .repro-cache/meta)
+test "$meta" = "telemetry.json" || { echo "unexpected in meta/: $meta"; exit 1; }
 python - "$BASE" <<'EOF'
 import json, sys, urllib.request
 body = json.dumps({"experiment": "fig7", "scale": 0.02}).encode()
@@ -394,6 +398,7 @@ assert not problems, problems
 for needle in ("serve_admission_admitted", "serve_submissions_accepted",
                "engine_jobs_simulated"):
     assert needle in text, needle
+assert "repro_costmodel_" not in text, "a costmodel series is exported"
 EOF
 
 step "serve: SIGTERM drains cleanly"

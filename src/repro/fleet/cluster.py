@@ -15,7 +15,7 @@ a sequence of **epochs**:
    :class:`~repro.runner.jobs.SimJob` (scenario ``fleet_host``) and
    the whole wave goes to the caller's ``execute`` — normally
    :func:`repro.runner.execute_many` with its settings bound — so the
-   result cache, the cost-model LPT dispatch, the persistent pool, and
+   result cache, longest-horizon-first dispatch, the persistent pool, and
    run telemetry all apply to fleet runs for free;
 5. each host's :class:`~repro.experiments.results.RunResult` feeds
    back: vIRQ-delivery histograms merge into the fleet-wide tail,

@@ -11,7 +11,7 @@ the pieces that are not tied to a single simulator layer:
 * :mod:`repro.obs.analyze`  — the ``repro analyze`` engine: span
   reconstruction, runstate tables, yield decompositions, trace diffs;
 * :mod:`repro.obs.telemetry` — the *runner-stack* metrics registry
-  (pool/cache/cost-model/engine counters, gauges, log2 histograms)
+  (executor/pool/cache/engine counters, gauges, log2 histograms)
   with JSON and Prometheus exposition export (``repro telemetry``).
 
 The emitting side lives where the events happen —

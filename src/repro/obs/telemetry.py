@@ -2,7 +2,7 @@
 
 PR 3 made the *simulated guest* observable; this module makes the
 system that runs the experiments observable: the persistent worker
-pool, the result cache, the cost model, and the per-job engine totals
+pool, the result cache, the executor, and the per-job engine totals
 all publish into one process-wide registry of named **counters**,
 **gauges**, and deterministic log2 **histograms** (reusing
 :class:`repro.metrics.histogram.Histogram`).
@@ -60,8 +60,8 @@ WALL_SUFFIXES = ("_seconds", "_us", "_pct")
 _OFF_VALUES = ("off", "0", "false", "no", "disabled")
 
 #: Characters legal in a metric name. Dots namespace subsystems
-#: (``pool.jobs.completed``); ``|`` appears in cost-model feature
-#: classes. Both are sanitised for Prometheus export.
+#: (``pool.jobs.completed``); ``|`` and ``-`` may appear too. All are
+#: sanitised for Prometheus export.
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.|-]*$")
 
 

@@ -14,7 +14,7 @@ plans share one pool and one cache-probe pass through
 :func:`execute_many` (``repro run --all``).
 """
 
-from . import cache, costmodel, pool
+from . import cache, pool
 from .executor import ENV_WORKERS, default_workers, env_setting, execute, execute_many, parse_workers
 from .jobs import (
     SimJob,
@@ -34,7 +34,6 @@ __all__ = [
     "baseline_policy",
     "build_system",
     "cache",
-    "costmodel",
     "default_workers",
     "dynamic_policy",
     "env_setting",

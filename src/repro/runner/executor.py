@@ -18,13 +18,13 @@ call the executor:
    shared pool would have taken and, once it is warm, every pending
    job, even one job at ``workers=1``.
 
-Pooled jobs are submitted longest-first using the persisted cost
-model (:mod:`repro.runner.costmodel`), one job per idle worker, and
-completions stream back unordered instead of blocking on a barrier.
-Workers return the payload itself; inline or pooled, every simulated
-result lands in the parent through one function that updates the cost
-model, stores the cache entry and reports progress — so the parent is
-the cache's only writer and its hit/miss counters mean what they say.
+Pooled jobs are submitted longest simulated horizon first
+(:meth:`~repro.runner.jobs.SimJob.horizon_ns`), one job per idle
+worker, and completions stream back unordered instead of blocking on a
+barrier. Workers return the payload itself; inline or pooled, every
+simulated result lands in the parent through one function that stores
+the cache entry and reports progress — so the parent is the cache's
+only writer and its hit/miss counters mean what they say.
 
 ``REPRO_RUNNER_WORKERS`` sets the default pool size (1 = serial,
 inline execution; ``auto`` = one per CPU); ``REPRO_CACHE=off`` disables
@@ -33,14 +33,13 @@ result caching. Explicit arguments win over all knobs.
 
 import os
 import threading
-import time
 import warnings
 
 from ..errors import ConfigError, WorkerError
 from ..obs import telemetry
 from . import cache as result_cache
-from . import costmodel, pool as pool_mod
-from .jobs import run_job
+from . import pool as pool_mod
+from .jobs import SimJob, run_job
 
 #: Executor telemetry: plan-level job accounting (the cache layer
 #: counts hits/misses itself; the pool counts dispatches).
@@ -155,25 +154,19 @@ def _simulate_pending(pending, workers, use_cache, cache_dir, progress, owned):
     pool or inline execution (:func:`_pick_pool`); either way each
     result goes through ``land``."""
     payloads = {}
+
+    def land(job, key, payload):
+        if use_cache:
+            result_cache.store(key, job, payload, cache_dir)
+        payloads[key] = result_cache.freeze(payload)
+        progress.finish(job.tag)
+
     with _DISPATCH_LOCK:
-        model = costmodel.CostModel.load(cache_dir)
-
-        def land(job, key, payload, seconds):
-            model.observe(job, seconds)
-            if use_cache:
-                result_cache.store(key, job, payload, cache_dir)
-            payloads[key] = result_cache.freeze(payload)
-            progress.finish(job.tag)
-
-        try:
-            chosen = _pick_pool(pending, workers, owned)
-            if chosen is None:
-                _simulate_inline(pending, land, progress)
-            else:
-                _simulate_on_pool(chosen, pending, workers, model, land, progress)
-        finally:
-            if use_cache:  # the model lives inside the cache directory
-                model.save()
+        chosen = _pick_pool(pending, workers, owned)
+        if chosen is None:
+            _simulate_inline(pending, land, progress)
+        else:
+            _simulate_on_pool(chosen, pending, workers, land, progress)
     return payloads
 
 
@@ -181,22 +174,23 @@ def _simulate_inline(pending, land, progress):
     """Serial path: run every pending job in this process."""
     for job, key in pending:
         progress.start(job.tag)
-        start = time.perf_counter()
         payload = run_job(job)
         _INLINE.inc()
-        land(job, key, payload, time.perf_counter() - start)
+        land(job, key, payload)
 
 
-def _simulate_on_pool(worker_pool, pending, workers, model, land, progress):
-    """Dispatch ``pending`` over ``worker_pool``: longest-first
-    submission, each result landed as it streams back."""
-    ordered = costmodel.order_longest_first([job for job, _ in pending], model)
+def _simulate_on_pool(worker_pool, pending, workers, land, progress):
+    """Dispatch ``pending`` over ``worker_pool``: longest simulated
+    horizon first, so the stragglers start at once and the short jobs
+    pack into the tail (the sort is stable: equal horizons keep plan
+    order); each result is landed as it streams back."""
+    ordered = sorted((job for job, _ in pending), key=SimJob.horizon_ns, reverse=True)
     key_of = {id(job): key for job, key in pending}
 
     def on_result(job_id, outcome):
         job = ordered[job_id]
         if outcome.kind == "payload":
-            land(job, key_of[id(job)], outcome.value, outcome.seconds)
+            land(job, key_of[id(job)], outcome.value)
 
     outcomes = worker_pool.run(
         [job.to_dict() for job in ordered],

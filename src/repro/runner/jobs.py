@@ -237,6 +237,11 @@ class SimJob:
             spec["faults"] = self.faults
         return spec
 
+    def horizon_ns(self):
+        """Simulated nanoseconds the job covers: warm-up plus the
+        measured duration."""
+        return self.warmup_ns + self.duration_ns
+
     def canonical(self):
         """Stable string form of :meth:`spec` (hashed by the cache)."""
         return _canonical_json(self.spec())
@@ -404,7 +409,7 @@ def apply_options(job, trace=None, faults=None, scheduler=None):
     if faults is not None and job.faults is None:
         from ..faults import resolve_plan
 
-        changes["faults"] = resolve_plan(faults, job.warmup_ns + job.duration_ns).to_dict()
+        changes["faults"] = resolve_plan(faults, job.horizon_ns()).to_dict()
     return dataclasses.replace(job, **changes)
 
 

@@ -17,7 +17,7 @@ once instead of once per call:
   (``repro serve``) can run work inline until :attr:`WorkerPool.warm`
   is true;
 * every result travels back as the payload dict itself plus its wall
-  time; the parent lands it (cost model, cache store, progress — see
+  time; the parent lands it (cache store, progress — see
   :mod:`repro.runner.executor`) as it streams in;
 * the parent keeps no copy of a worker's end of its pipe, so a worker
   that dies reads as end-of-file (after any result it had finished
@@ -245,7 +245,8 @@ class WorkerPool:
     def run(self, entries, max_workers=None, on_result=None, on_start=None):
         """Execute ``entries`` and return a list of :class:`JobOutcome`
         in *input order* (dispatch order is the caller's submission
-        order — sort longest-first for straggler-aware scheduling).
+        order; the executor sorts longest simulated horizon first, so a
+        straggler starts at once).
 
         ``entries`` is a list of job dicts (``SimJob.to_dict()``), each
         handed to an idle worker on its own. ``on_start(job_id)`` fires

@@ -11,8 +11,9 @@ budgets **before** a submission is queued:
   address).
 
 Overload is answered, not absorbed: a refused submission gets **429**
-with a ``Retry-After`` estimate derived from the cost model's EWMA
-wall-time predictions for everything already queued (a new client told
+with a ``Retry-After`` estimate: the job manager's predicted wall time
+for everything already queued, from one wall-seconds-per-simulated-ns
+rate that each finished wave updates (a new client told
 "try again in 7 s" after a fig7 burst is strictly more useful than a
 socket that eventually times out). Draining (SIGTERM received) refuses
 with **503** so load balancers fail over immediately.
@@ -58,8 +59,8 @@ class AdmissionController:
     The controller owns no queue itself — the caller reports state
     transitions (:meth:`started`, :meth:`finished`) and the controller
     keeps the books. ``predicted_backlog_seconds`` is a callable
-    supplied by the job manager returning the cost model's wall-time
-    estimate for everything queued but not yet dispatched."""
+    supplied by the job manager returning its wall-time estimate for
+    everything queued or running."""
 
     def __init__(self, max_queue_depth=DEFAULT_MAX_QUEUE_DEPTH,
                  max_inflight_per_client=DEFAULT_MAX_INFLIGHT_PER_CLIENT,

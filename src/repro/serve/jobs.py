@@ -22,8 +22,8 @@ The :class:`JobManager` owns them end to end:
 * **one dispatcher task** — cold submissions queue onto a single
   asyncio consumer that drains waves of them into one
   :func:`repro.runner.execute_many` call each (cross-submission dedup
-  and LPT ordering for free), run in a worker thread so the event loop
-  keeps serving requests and streams;
+  and longest-first dispatch for free), run in a worker thread so the
+  event loop keeps serving requests and streams;
 * **a dedicated simulation core** — the manager owns a
   :class:`~repro.runner.pool.WorkerPool` of ``workers`` processes,
   spawned at start-up and bound, with the server's cache settings, into
@@ -52,7 +52,7 @@ from ..experiments import registry as experiment_registry
 from ..experiments.results import RunResult
 from ..obs import telemetry
 from ..runner import cache as result_cache
-from ..runner import costmodel, execute_many
+from ..runner import execute_many
 from ..runner.jobs import SimJob, apply_options, check_job
 from ..runner.pool import WorkerPool
 
@@ -80,6 +80,12 @@ WAVE_MAX = 16
 #: Coarse wall-time guess for a driver experiment (fleet), which has no
 #: enumerable job plan to predict from; feeds Retry-After only.
 DRIVER_PREDICT_SECONDS = 5.0
+
+#: Wall seconds per simulated nanosecond that a server predicts from
+#: until its first planned wave finishes (~2 wall-sec per simulated
+#: second, the observed order of magnitude for this engine); feeds
+#: Retry-After only.
+DEFAULT_RATE = 2e-9
 
 #: Experiment-submission knobs every experiment accepts; a driver also
 #: takes its module's ``OPTIONS``.
@@ -182,7 +188,7 @@ def compile_experiment(payload):
         return Work("experiment", name, driver=lambda execute: _rendered(
             prepared, prepared.drive(execute)))
     for job in prepared.jobs:
-        _check_horizon(job.tag, job.warmup_ns + job.duration_ns)
+        _check_horizon(job.tag, job.horizon_ns())
 
     def finalize(by_tag):
         return _rendered(prepared, prepared.finish(by_tag))
@@ -209,7 +215,7 @@ def compile_job(payload):
         job = apply_options(job, faults=faults)
     except ReproError as err:
         raise ValidationError(str(err))
-    _check_horizon(job.tag, job.warmup_ns + job.duration_ns)
+    _check_horizon(job.tag, job.horizon_ns())
 
     def finalize(by_tag):
         return {"payload": by_tag[job.tag].to_dict()}
@@ -279,7 +285,7 @@ class JobManager:
         self._idle.set()
         self._loop = None
         self._dispatcher = None
-        self._model = costmodel.CostModel.load(cache_dir)
+        self._rate = DEFAULT_RATE
         self.pool = None
         #: Held by the wave thread for a whole wave, so the pool is
         #: never closed under a running ``execute_many``.
@@ -348,7 +354,16 @@ class JobManager:
     def predict_seconds(self, work):
         if work.jobs is None:
             return DRIVER_PREDICT_SECONDS
-        return sum(self._model.predict(job) for job in work.jobs)
+        return self._rate * sum(job.horizon_ns() for job in work.jobs)
+
+    def _learn_rate(self, subs, seconds):
+        """Fold one planned wave's wall time into the rate, weighing it
+        equally with the rate before. The wave's seconds are multiplied
+        by the workers because :meth:`backlog_seconds` divides by them:
+        the same wave queued again then predicts its own wall time."""
+        horizon = sum(job.horizon_ns() for sub in subs for job in sub.work.jobs)
+        if horizon > 0:
+            self._rate = (self._rate + seconds * self.workers / horizon) / 2
 
     # -- submission ----------------------------------------------------
 
@@ -512,10 +527,11 @@ class JobManager:
 
         with self._wave_lock:
             if planned:
+                start = time.perf_counter()
                 self._execute_planned(planned)
+                self._learn_rate(planned, time.perf_counter() - start)
             for sub in drivers:
                 self._execute_driver(sub)
-        self._model = costmodel.CostModel.load(self.cache_dir)
 
     def _execute(self, subs_of):
         """``execute_many`` bound to this server's workers, cache, cache

@@ -551,22 +551,3 @@ class TestScenarioAndCostModel:
         system = build_system(job)
         assert sorted(d.name for d in system.hv.domains) == ["s0", "s1"]
         assert [d.name for d in system.hv.domains if len(d.vcpus) == 2] == ["s1"]
-
-    def test_costmodel_buckets_fleet_jobs_by_domain_count(self):
-        from repro.runner import costmodel
-        from repro.runner.jobs import SimJob
-
-        def fleet_job(n):
-            return SimJob(
-                tag="t", scenario="fleet_host",
-                scenario_kwargs={"domains": [{}] * n, "num_pcpus": 4},
-                duration_ns=ms(10),
-            )
-
-        small = costmodel.feature(fleet_job(2))
-        large = costmodel.feature(fleet_job(16))
-        assert small != large
-        plain = costmodel.feature(
-            SimJob(tag="t", scenario="solo", duration_ns=ms(10))
-        )
-        assert plain.startswith("solo|")

@@ -5,6 +5,7 @@ These are the invariants a reviewer would check first; the benchmarks
 re-verify them at full scale with printed tables.
 """
 
+import json
 
 from repro.experiments import common
 from repro.experiments.scenarios import (
@@ -20,20 +21,49 @@ DURATION = ms(200)
 WARMUP = ms(100)
 
 
-def _corun(kind, policy=None, **kw):
-    return corun_scenario(kind, policy=policy, **kw).build().run(DURATION, warmup_ns=WARMUP)
+#: ``{key: (result, its JSON when made)}``: each distinct simulation
+#: runs once per module, and the tests that need it share the result.
+_RUNS = {}
+
+
+def _shared(key, simulate):
+    if key not in _RUNS:
+        result = simulate()
+        _RUNS[key] = (result, json.dumps(result.to_dict(), sort_keys=True))
+    return _RUNS[key][0]
+
+
+def _corun(kind, policy=None):
+    return _shared(
+        ("corun", kind, json.dumps(policy, sort_keys=True)),
+        lambda: corun_scenario(kind, policy=policy).build().run(DURATION, warmup_ns=WARMUP),
+    )
+
+
+def _solo(kind):
+    return _shared(
+        ("solo", kind),
+        lambda: solo_scenario(kind).build().run(ms(120), warmup_ns=WARMUP),
+    )
+
+
+def _mixed_io():
+    return _shared(
+        ("mixed_io",),
+        lambda: mixed_io_scenario().build().run(ms(300), warmup_ns=WARMUP),
+    )
 
 
 class TestVtdBaselinePathologies:
     def test_consolidation_inflates_yields(self):
-        solo = solo_scenario("dedup").build().run(ms(120), warmup_ns=WARMUP)
+        solo = _solo("dedup")
         corun = _corun("dedup")
         solo_rate = solo.total_yields("vm1") / 0.12
         corun_rate = corun.total_yields("vm1") / 0.2
         assert corun_rate > 5 * solo_rate
 
     def test_corun_degrades_lock_bound_throughput_beyond_fair_share(self):
-        solo = solo_scenario("exim").build().run(ms(120), warmup_ns=WARMUP)
+        solo = _solo("exim")
         corun = _corun("exim")
         # 2:1 overcommit fair share would be 2x; VTD makes it far worse.
         assert solo.rate("exim") / max(corun.rate("exim"), 1) > 4
@@ -45,13 +75,13 @@ class TestVtdBaselinePathologies:
         assert stats["mean"] > ms(1)
 
     def test_tlb_sync_microsecond_scale_solo(self):
-        solo = solo_scenario("dedup").build().run(ms(120), warmup_ns=WARMUP)
+        solo = _solo("dedup")
         stats = solo.tlb_stats["vm1"]
         assert stats["count"] > 0
         assert stats["mean"] < 200_000  # < 0.2 ms
 
     def test_gmake_lock_waits_inflate_under_corun(self):
-        solo = solo_scenario("gmake").build().run(ms(120), warmup_ns=WARMUP)
+        solo = _solo("gmake")
         corun = _corun("gmake")
         solo_waits = [s["mean"] for s in solo.lockstats["vm1"].values() if s["count"]]
         corun_waits = [s["mean"] for s in corun.lockstats["vm1"].values() if s["count"]]
@@ -116,14 +146,14 @@ class TestMicroSlicedImprovements:
 class TestIoShapes:
     def test_mixed_corun_hurts_io(self):
         solo = solo_io_scenario().build().run(ms(300), warmup_ns=WARMUP)
-        mixed = mixed_io_scenario().build().run(ms(300), warmup_ns=WARMUP)
+        mixed = _mixed_io()
         solo_io = solo.workload("iperf").extra
         mixed_io = mixed.workload("iperf").extra
         assert mixed_io["throughput_mbps"] < 0.8 * solo_io["throughput_mbps"]
         assert mixed_io["jitter_ms"] > 10 * max(solo_io["jitter_ms"], 0.001)
 
     def test_micro_slicing_recovers_io(self):
-        mixed = mixed_io_scenario().build().run(ms(300), warmup_ns=WARMUP)
+        mixed = _mixed_io()
         micro = mixed_io_scenario(policy=static_policy(1)).build().run(
             ms(300), warmup_ns=WARMUP
         )
@@ -156,3 +186,11 @@ class TestGuestTransparency:
         source = inspect.getsource(kernel_mod)
         for forbidden in ("normal_pool", "micro_pool", "accelerate", "enqueue("):
             assert forbidden not in source
+
+
+class TestSharedRuns:
+    def test_readers_leave_shared_results_unchanged(self):
+        """Runs after every test above that reads a shared result."""
+        assert _RUNS
+        for key, (result, made) in _RUNS.items():
+            assert json.dumps(result.to_dict(), sort_keys=True) == made, key

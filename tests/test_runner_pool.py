@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import WorkerError
 from repro.obs import telemetry
-from repro.runner import SimJob, costmodel, execute, execute_many
+from repro.runner import SimJob, execute, execute_many
 from repro.runner import executor as executor_mod
 from repro.runner import pool as pool_mod
 from repro.sim.time import ms
@@ -472,71 +472,29 @@ class TestExecuteMany:
 
 
 class TestCostModel:
-    def test_observe_then_predict(self):
-        model = costmodel.CostModel()
-        job = _job("a", 1, duration_ms=10)
-        model.observe(job, 2.0)
-        assert model.predict(job) == pytest.approx(2.0)
-        # Twice the horizon -> twice the prediction within one feature.
-        assert model.predict(_job("b", 2, duration_ms=20)) == pytest.approx(4.0)
+    """Dispatch order: the executor hands the pool its jobs longest
+    simulated horizon first, equal horizons in plan order."""
 
-    def test_unseen_feature_falls_back_to_known_mean(self):
-        model = costmodel.CostModel()
-        model.observe(_job("a", 1, duration_ms=10), 1.0)
-        corun = SimJob(
-            tag="c",
-            scenario="corun",
-            scenario_kwargs={"workload_kind": "gmake"},
-            seed=1,
-            duration_ns=ms(10),
+    class _Recorder:
+        def run(self, entries, max_workers=None, on_result=None, on_start=None):
+            self.tags = [entry["tag"] for entry in entries]
+            return [pool_mod.JobOutcome("payload", None, 0.0) for _ in entries]
+
+    def _dispatched(self, jobs):
+        recorder = self._Recorder()
+        executor_mod._simulate_on_pool(
+            recorder, [(job, job.tag) for job in jobs], 2,
+            land=None, progress=executor_mod.Progress(),
         )
-        assert model.predict(corun) == pytest.approx(1.0)
-
-    def test_ewma_tracks_new_observations(self):
-        model = costmodel.CostModel()
-        job = _job("a", 1)
-        model.observe(job, 1.0)
-        model.observe(job, 3.0)
-        assert model.predict(job) == pytest.approx(2.0)  # alpha = 0.5
-
-    def test_save_load_roundtrip_and_merge(self, tmp_path):
-        model = costmodel.CostModel.load(tmp_path)
-        model.observe(_job("a", 1), 1.5)
-        model.save()
-        assert costmodel.model_path(tmp_path).exists()
-        # A second model observing a different feature merges, not clobbers.
-        other = costmodel.CostModel.load(tmp_path)
-        corun = SimJob(
-            tag="c",
-            scenario="corun",
-            scenario_kwargs={"workload_kind": "gmake"},
-            seed=1,
-            duration_ns=ms(10),
-        )
-        other.observe(corun, 0.5)
-        other.save()
-        merged = costmodel.CostModel.load(tmp_path)
-        assert merged.predict(_job("a", 1)) == pytest.approx(1.5)
-        assert merged.predict(corun) == pytest.approx(0.5)
-
-    def test_corrupt_model_file_starts_fresh(self, tmp_path):
-        path = costmodel.model_path(tmp_path)
-        path.parent.mkdir(parents=True)
-        path.write_text("{torn")
-        model = costmodel.CostModel.load(tmp_path)
-        assert model.predict(_job("a", 1)) > 0  # default rate
+        return recorder.tags
 
     def test_longest_first_ordering(self):
-        model = costmodel.CostModel()
         short = _job("short", 1, duration_ms=10)
         long = _job("long", 2, duration_ms=40)
         mid = _job("mid", 3, duration_ms=20)
-        ordered = costmodel.order_longest_first([short, long, mid], model)
-        assert [job.tag for job in ordered] == ["long", "mid", "short"]
+        assert self._dispatched([short, long, mid]) == ["long", "mid", "short"]
 
     def test_stable_for_equal_costs(self):
-        model = costmodel.CostModel()
         jobs = [_job("j%d" % i, seed=i, duration_ms=10) for i in range(4)]
-        ordered = costmodel.order_longest_first(jobs, model)
-        assert [job.tag for job in ordered] == [job.tag for job in jobs]
+        assert self._dispatched(jobs) == [job.tag for job in jobs]
 

@@ -387,6 +387,24 @@ class TestAdmissionController:
         assert after == before + 1
 
 
+class TestPrediction:
+    def test_no_cache_server_learns_its_rate_from_a_wave(self, tmp_path):
+        handle = start_in_thread(ServeConfig(
+            port=0, workers=1, cache=False, cache_dir=str(tmp_path / "cache"),
+        ))
+        try:
+            manager = handle.app.manager
+            work = compile_job(dict(JOB, seed=12))
+            before = manager.predict_seconds(work)
+            client = Client(handle)
+            status, _, body = client.request("POST", "/jobs", JOB)
+            assert status == 202
+            assert client.wait_terminal(body["id"])["state"] == "done"
+            assert manager.predict_seconds(work) != before
+        finally:
+            handle.stop()
+
+
 class TestHttpApi:
     def test_healthz(self, server):
         status, _, body = Client(server).request("GET", "/healthz")

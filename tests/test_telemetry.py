@@ -1,5 +1,5 @@
 """Runner-stack telemetry: registry semantics, Prometheus export,
-instrumentation coverage (cache / cost model / pool / engine), live
+instrumentation coverage (cache / pool / engine), live
 progress, persistence, and the machine-readable analyze output.
 
 The load-bearing contract: telemetry is a write-only side channel.
@@ -17,7 +17,7 @@ import pytest
 
 from repro import cli
 from repro.obs import analyze, telemetry
-from repro.runner import SimJob, cache, costmodel, execute
+from repro.runner import SimJob, cache, execute
 from repro.sim.time import ms
 
 
@@ -250,34 +250,6 @@ class TestCacheTelemetry:
         cache.reset_sweep_latch()
         cache.store(cache.job_key(_job(seed=9)), _job(seed=9), {"n": 3}, tmp_path)
         assert telemetry.snapshot()["counters"]["cache.sweep_runs"] == runs_after_first + 1
-
-
-# ----------------------------------------------------------------------
-# cost-model prediction-error tracking
-# ----------------------------------------------------------------------
-class TestCostModelTelemetry:
-    def test_observation_counter_and_error_histograms(self):
-        model = costmodel.CostModel()
-        job = _job()
-        key = costmodel.feature(job)
-        model.observe(job, 0.25)
-        model.observe(job, 0.30)
-        snap = telemetry.snapshot()
-        assert snap["counters"]["costmodel.%s.observations" % key] == 2
-        assert snap["histograms"]["costmodel.%s.abs_err_us" % key]["count"] == 2
-        assert snap["histograms"]["costmodel.%s.err_pct" % key]["count"] == 2
-        # Error metrics are wall-derived by name; the counter is not.
-        assert telemetry.is_wall("costmodel.%s.abs_err_us" % key)
-        assert not telemetry.is_wall("costmodel.%s.observations" % key)
-
-    def test_nonpositive_walltime_not_observed(self):
-        model = costmodel.CostModel()
-        model.observe(_job(), 0.0)
-        key = costmodel.feature(_job())
-        # The handle may exist (zeroed) from earlier tests in this
-        # process; what matters is that nothing was counted.
-        snap = telemetry.snapshot()
-        assert snap["counters"].get("costmodel.%s.observations" % key, 0) == 0
 
 
 # ----------------------------------------------------------------------
